@@ -62,16 +62,13 @@ from .jump_model import (
     JumpPriors,
     initial_jump_state,
     jump_emission_logpdf,
-    jump_sweep,
 )
 from .mcmc import (
     Chain,
-    MhKernel,
     ModelState,
     NormalNormalPosterior,
     chain_summary,
     inv_gamma_normal_update,
-    mh_step,
     normal_normal_update,
     run_chain,
 )
@@ -87,8 +84,6 @@ from .stable_model import (
     StableModelParams,
     StablePriors,
     initial_stable_state,
-    stable_conditional_loglik,
-    stable_sweep,
 )
 from .synthetic import (
     SyntheticDataset,

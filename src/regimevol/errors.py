@@ -4,9 +4,37 @@ The CLI maps these onto exit codes: ConfigError -> 2, NumericalError (and
 subclasses) -> 3, DataError -> 4.
 """
 
+from __future__ import annotations
+
+__all__ = [
+    "RegimevolError",
+    "ParameterError",
+    "ConfigError",
+    "DataError",
+    "NumericalError",
+    "FilterDegeneracyError",
+]
+
 
 class RegimevolError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A sampler sweep that fails sets ``stage`` (the update that raised) and
+    ``run_chain`` sets ``iteration``; both show in ``str()`` and leave the
+    exception's class untouched.
+    """
+
+    stage: str | None = None
+    iteration: int | None = None
+
+    def __str__(self) -> str:
+        where = []
+        if self.iteration is not None:
+            where.append(f"sweep failed at iteration {self.iteration}")
+        if self.stage is not None:
+            where.append(f"stage {self.stage}")
+        message = super().__str__()
+        return f"{', '.join(where)}: {message}" if where else message
 
 
 class ParameterError(RegimevolError, ValueError):

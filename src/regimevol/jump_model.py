@@ -15,7 +15,7 @@ higher states moving along; that is the scheme the model defines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import poisson
@@ -31,10 +31,12 @@ from .distributions import (
 from .errors import ParameterError
 from .mcmc import (
     AdaptiveRw,
+    GibbsSampler,
     ModelState,
     NormalNormalPosterior,
     inv_gamma_normal_update,
     normal_normal_update,
+    quantile_start,
 )
 from .regime import (
     count_transitions,
@@ -54,7 +56,6 @@ __all__ = [
     "jump_count_weights",
     "sample_n_jumps_j",
     "sample_theta_j",
-    "jump_sweep",
     "JumpGibbsSampler",
     "initial_jump_state",
     "default_u_ladder",
@@ -412,163 +413,93 @@ def sample_theta_j(
 # full sweep
 
 
-class JumpGibbsSampler:
-    """Holds the data, priors, adaptive step scales and filtered-probability
-    accumulator for one chain of the jump model.
+class JumpGibbsSampler(GibbsSampler):
+    """One chain of the jump model on the shared Gibbs engine.
 
-    ``sweep`` is handed to run_chain; adaptation runs for the first
-    ``adapt_iters`` sweeps (the burn-in) and freezes afterwards, from when the
-    per-sweep filtered probabilities also start accumulating into
-    ``mean_filtered_probs``.
+    Adaptive steps: sigma1^2 and the theta_j on a log scale, the h*_j on
+    log(h* - 1), and the state means on their own scale when they are free.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        priors: JumpPriors,
-        pi0: np.ndarray | None = None,
-        adapt_iters: int = 0,
-        step_scale: float = 0.4,
-    ) -> None:
-        self.data = np.asarray(data, dtype=float)
-        if self.data.ndim != 1 or self.data.size < 2:
-            raise ParameterError("need a 1-D series of at least two observations")
-        self.priors = priors
-        m = priors.n_states
-        self.n_states = m
-        self.pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
-        self.adapt_iters = adapt_iters
-        self.samplers: dict[str, AdaptiveRw] = {
-            "sigma1_sq": AdaptiveRw(step_scale, "log")
-        }
-        for j in range(2, m + 1):
-            self.samplers[f"h_star_{j}"] = AdaptiveRw(step_scale, "log_shift", shift=1.0)
-        for j in range(1, m + 1):
-            self.samplers[f"theta_{j}"] = AdaptiveRw(step_scale, "log")
-            if not priors.fix_mean_zero:
-                self.samplers[f"mu_{j}"] = AdaptiveRw(0.25 * math.sqrt(np.var(self.data)))
-        self._sweeps = 0
-        self._filtered_sum = np.zeros((self.data.size, m))
-        self._filtered_draws = 0
+    def adaptive_params(self) -> list[tuple[str, str]]:
+        table = [("sigma1_sq", "log")]
+        table += [(f"h_star_{j}", "log_shift") for j in range(2, self.n_states + 1)]
+        for j in range(1, self.n_states + 1):
+            table.append((f"theta_{j}", "log"))
+            if not self.priors.fix_mean_zero:
+                table.append((f"mu_{j}", "identity"))
+        return table
 
-    # ------------------------------------------------------------------
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
         logem = np.empty((self.data.size, self.n_states))
         for j in range(1, self.n_states + 1):
             logem[:, j - 1] = jump_emission_logpdf(self.data, j, params)
         return logem
 
-    def sweep(self, state: ModelState, rng: np.random.Generator) -> ModelState:
-        adapt = self._sweeps < self.adapt_iters
+    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
         params: JumpParams = state.params
-        stage = "state_path"
-        try:
-            filt = hamilton_filter(
-                self.emission_matrix(params), self.data.size, state.transition, self.pi0
-            )
-            path = sample_state_path(filt, state.transition, rng)
-
-            stage = "transition_matrix"
-            counts = count_transitions(path, self.n_states)
-            transition = sample_transition_matrix(counts, self.priors.dirichlet_rows, rng)
-
-            groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
-
-            if not self.priors.fix_mean_zero:
-                mu = params.mu.copy()
-                for j in range(1, self.n_states + 1):
-                    stage = f"mu_{j}"
-                    mu[j - 1] = sample_mu_j(
-                        groups[j - 1], j, params, self.priors, rng,
-                        self.samplers[f"mu_{j}"], adapt,
-                    )
-                    params = replace(params, mu=mu.copy())
-
-            stage = "sigma1_sq"
-            sigma1_sq = sample_sigma1_sq(
-                groups[0], params, self.priors, rng, self.samplers["sigma1_sq"], adapt
-            )
-            params = replace(params, sigma1_sq=sigma1_sq)
-
-            for j in range(2, self.n_states + 1):
-                stage = f"h_star_{j}"
-                h = params.h_star.copy()
-                h[j - 2] = sample_h_star_j(
-                    groups[j - 1], j, params, self.priors, rng,
-                    self.samplers[f"h_star_{j}"], adapt,
-                )
-                params = replace(params, h_star=h)
-
-            n_jumps = params.n_jumps.copy()
-            for j in range(1, self.n_states + 1):
-                stage = f"n_jumps_{j}"
-                n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, self.priors, rng)
-                params = replace(params, n_jumps=n_jumps.copy())
-
-            theta = params.theta.copy()
-            for j in range(1, self.n_states + 1):
-                stage = f"theta_{j}"
-                theta[j - 1] = sample_theta_j(
-                    j, params, self.priors, rng, self.samplers[f"theta_{j}"], adapt
-                )
-                params = replace(params, theta=theta.copy())
-        except Exception as exc:
-            raise type(exc)(f"[{stage}] {exc}") from exc
-
-        self._sweeps += 1
-        if not adapt:
-            self._filtered_sum += filt.probs
-            self._filtered_draws += 1
-        return ModelState(
-            path=path.astype(np.int16), transition=transition, params=params
+        self.stage = "state_path"
+        filt = hamilton_filter(
+            self.emission_matrix(params), self.data.size, state.transition, self.pi0
         )
+        path = sample_state_path(filt, state.transition, rng)
 
-    # ------------------------------------------------------------------
-    def acceptance(self) -> dict[str, tuple[int, int]]:
-        return {name: (s.accepted, s.attempts) for name, s in self.samplers.items()}
+        self.stage = "transition_matrix"
+        counts = count_transitions(path, self.n_states)
+        transition = sample_transition_matrix(counts, self.priors.dirichlet_rows, rng)
 
-    @property
-    def mean_filtered_probs(self) -> np.ndarray:
-        """Filtered state probabilities averaged over post-adaptation sweeps."""
-        if self._filtered_draws == 0:
-            raise ParameterError("no post-burn-in sweeps have run yet")
-        return self._filtered_sum / self._filtered_draws
+        groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
 
+        if not self.priors.fix_mean_zero:
+            mu = params.mu.copy()
+            for j in range(1, self.n_states + 1):
+                self.stage = f"mu_{j}"
+                mu[j - 1] = sample_mu_j(
+                    groups[j - 1], j, params, self.priors, rng,
+                    self.samplers[f"mu_{j}"], adapt,
+                )
+                params = replace(params, mu=mu.copy())
 
-def jump_sweep(
-    state: ModelState,
-    data: np.ndarray,
-    priors: JumpPriors,
-    rng: np.random.Generator,
-    pi0: np.ndarray | None = None,
-) -> ModelState:
-    """One non-adaptive Gibbs sweep (convenience wrapper around the sampler class)."""
-    sampler = JumpGibbsSampler(data, priors, pi0=pi0)
-    return sampler.sweep(state, rng)
+        self.stage = "sigma1_sq"
+        sigma1_sq = sample_sigma1_sq(
+            groups[0], params, self.priors, rng, self.samplers["sigma1_sq"], adapt
+        )
+        params = replace(params, sigma1_sq=sigma1_sq)
+
+        for j in range(2, self.n_states + 1):
+            self.stage = f"h_star_{j}"
+            h = params.h_star.copy()
+            h[j - 2] = sample_h_star_j(
+                groups[j - 1], j, params, self.priors, rng,
+                self.samplers[f"h_star_{j}"], adapt,
+            )
+            params = replace(params, h_star=h)
+
+        n_jumps = params.n_jumps.copy()
+        for j in range(1, self.n_states + 1):
+            self.stage = f"n_jumps_{j}"
+            n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, self.priors, rng)
+            params = replace(params, n_jumps=n_jumps.copy())
+
+        theta = params.theta.copy()
+        for j in range(1, self.n_states + 1):
+            self.stage = f"theta_{j}"
+            theta[j - 1] = sample_theta_j(
+                j, params, self.priors, rng, self.samplers[f"theta_{j}"], adapt
+            )
+            params = replace(params, theta=theta.copy())
+        return filt, path, transition, params
 
 
 def initial_jump_state(
     data: np.ndarray, priors: JumpPriors, b: float = 40.0, diag: float = 0.8
 ) -> ModelState:
-    """Deterministic starting point: observations bucketed into M volatility
-    quantiles by |y - median| define the initial path; bucket variances seed
-    sigma1^2 and the multipliers; intensities start at their interval midpoints.
+    """Deterministic starting point: the shared quantile start (path, sigma1^2,
+    multipliers, transition matrix); state means at zero, no jumps, and
+    intensities at their interval midpoints.
     """
-    data = np.asarray(data, dtype=float)
     m = priors.n_states
-    t_len = data.size
-    dev = np.abs(data - np.median(data))
-    ranks = np.argsort(np.argsort(dev))
-    path = 1 + np.minimum((ranks * m) // t_len, m - 1)
-    bucket_var = np.array([
-        max(np.var(data[path == j]), np.var(data) * 1e-4) if np.any(path == j) else np.var(data)
-        for j in range(1, m + 1)
-    ])
-    sigma1_sq = float(bucket_var[0])
-    h_star = np.maximum(bucket_var[1:] / bucket_var[:-1], 1.05)
+    path, sigma1_sq, h_star, transition = quantile_start(data, m, diag)
     theta = np.array([0.5 * (lo + hi) for lo, hi in (priors.theta_interval(j) for j in range(1, m + 1))])
-    transition = np.full((m, m), (1.0 - diag) / (m - 1) if m > 1 else 0.0)
-    np.fill_diagonal(transition, diag if m > 1 else 1.0)
     params = JumpParams(
         mu=np.zeros(m),
         sigma1_sq=sigma1_sq,
@@ -577,4 +508,4 @@ def initial_jump_state(
         n_jumps=np.zeros(m, dtype=int),
         b=b,
     )
-    return ModelState(path=path.astype(np.int16), transition=transition, params=params)
+    return ModelState(path=path, transition=transition, params=params)

@@ -1,5 +1,5 @@
-"""Generic MCMC machinery: Metropolis-Hastings kernel, conjugate updates,
-chain storage and summaries.
+"""Shared MCMC machinery: adaptive random-walk Metropolis steps, conjugate
+updates, the Gibbs engine both samplers run on, chain storage and summaries.
 
 All target evaluations happen in log space.  Positive-constrained parameters
 are proposed with a Gaussian random walk on a log (or shifted-log) scale with
@@ -16,18 +16,16 @@ from typing import Any, Callable
 import numpy as np
 
 from .distributions import InvGammaParams, inv_gamma_sample
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError, RegimevolError
 
 __all__ = [
-    "Proposal",
-    "MhKernel",
-    "random_walk_proposal",
-    "mh_step",
     "AdaptiveRw",
     "NormalNormalPosterior",
     "normal_normal_update",
     "inv_gamma_normal_update",
     "ModelState",
+    "GibbsSampler",
+    "quantile_start",
     "Chain",
     "run_chain",
     "ParamSummary",
@@ -37,55 +35,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Metropolis-Hastings
-
-
-@dataclass
-class Proposal:
-    """Proposal mechanism: a sampler plus an optional log density.
-
-    ``sample(current, scale, rng)`` draws a candidate.  ``log_density(value,
-    given, scale)`` supplies the Hastings correction; ``None`` declares the
-    proposal symmetric, in which case the correction cancels.
-    """
-
-    sample: Callable[[float, float, np.random.Generator], float]
-    log_density: Callable[[float, float, float], float] | None = None
-
-
-def random_walk_proposal() -> Proposal:
-    return Proposal(sample=lambda current, scale, rng: current + scale * rng.normal())
-
-
-@dataclass
-class MhKernel:
-    log_target: Callable[[float], float]
-    proposal: Proposal
-    step_scale: float = 1.0
-
-
-def mh_step(
-    current: float, kernel: MhKernel, rng: np.random.Generator
-) -> tuple[float, bool]:
-    """One Metropolis-Hastings step; returns (new value, accepted flag).
-
-    The acceptance ratio uses the proposal density both ways when one is
-    given.  A non-finite target at the candidate rejects instead of raising,
-    so zero-density regions act as hard walls.
-    """
-    lp_current = kernel.log_target(current)
-    candidate = kernel.proposal.sample(current, kernel.step_scale, rng)
-    lp_candidate = kernel.log_target(candidate)
-    if not np.isfinite(lp_candidate):
-        return current, False
-    log_r = lp_candidate - lp_current
-    if kernel.proposal.log_density is not None:
-        log_r += kernel.proposal.log_density(current, candidate, kernel.step_scale)
-        log_r -= kernel.proposal.log_density(candidate, current, kernel.step_scale)
-    if not np.isfinite(lp_current):  # escaping a zero-density start is always an improvement
-        return candidate, True
-    if math.log(rng.random()) < log_r:
-        return candidate, True
-    return current, False
 
 
 class AdaptiveRw:
@@ -250,6 +199,119 @@ class ModelState:
         return out
 
 
+# ---------------------------------------------------------------------------
+# Gibbs engine
+
+
+class GibbsSampler:
+    """One chain of a Markov-switching model: data, priors, the adaptive MH
+    steps and the post-burn-in filtered-probability accumulator.
+
+    A model subclass supplies three methods:
+
+    - ``adaptive_params()``: the (name, transform) pairs that get one
+      AdaptiveRw each.  Log-scale walks start at ``step_scale``; identity
+      walks move a state mean and start at a quarter of the data's standard
+      deviation.
+    - ``emission_matrix(params)``: the (T, M) log emission densities.
+    - ``update(state, rng, adapt)``: the state step (filter, path, counts,
+      transition matrix), then the parameter updates.  It sets ``self.stage``
+      before each stage and returns the filtered probabilities, the path, the
+      transition matrix and the parameters.
+
+    ``sweep`` is handed to run_chain.  Adaptation runs for the first
+    ``adapt_iters`` sweeps (the burn-in) and freezes afterwards, from when the
+    per-sweep filtered probabilities also start accumulating into
+    ``mean_filtered_probs``.  A RegimevolError raised inside a sweep leaves
+    with its ``stage`` set to the update that failed.
+    """
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        priors: Any,
+        pi0: np.ndarray | None = None,
+        adapt_iters: int = 0,
+        step_scale: float = 0.4,
+    ) -> None:
+        self.data = np.asarray(data, dtype=float)
+        if self.data.ndim != 1 or self.data.size < 2:
+            raise ParameterError("need a 1-D series of at least two observations")
+        self.priors = priors
+        m = priors.n_states
+        self.n_states = m
+        self.pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
+        self.adapt_iters = adapt_iters
+        location_scale = 0.25 * math.sqrt(np.var(self.data))
+        self.samplers: dict[str, AdaptiveRw] = {}
+        for name, transform in self.adaptive_params():
+            scale = location_scale if transform == "identity" else step_scale
+            self.samplers[name] = AdaptiveRw(scale, transform)
+        self.stage: str | None = None
+        self._sweeps = 0
+        self._filtered_sum = np.zeros((self.data.size, m))
+        self._filtered_draws = 0
+
+    def adaptive_params(self) -> list[tuple[str, str]]:
+        raise NotImplementedError
+
+    def emission_matrix(self, params: Any) -> np.ndarray:
+        raise NotImplementedError
+
+    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
+        raise NotImplementedError
+
+    def sweep(self, state: ModelState, rng: np.random.Generator) -> ModelState:
+        adapt = self._sweeps < self.adapt_iters
+        try:
+            filt, path, transition, params = self.update(state, rng, adapt)
+        except RegimevolError as exc:
+            exc.stage = self.stage
+            raise
+        self._sweeps += 1
+        if not adapt:
+            self._filtered_sum += filt.probs
+            self._filtered_draws += 1
+        return ModelState(path=path.astype(np.int16), transition=transition, params=params)
+
+    def acceptance(self) -> dict[str, tuple[int, int]]:
+        return {name: (s.accepted, s.attempts) for name, s in self.samplers.items()}
+
+    @property
+    def mean_filtered_probs(self) -> np.ndarray:
+        """Filtered state probabilities averaged over post-adaptation sweeps."""
+        if self._filtered_draws == 0:
+            raise ParameterError("no post-burn-in sweeps have run yet")
+        return self._filtered_sum / self._filtered_draws
+
+
+def quantile_start(
+    data: np.ndarray, n_states: int, diag: float
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Deterministic starting point shared by both models.
+
+    Observations bucketed into M volatility quantiles by |y - median| define
+    the initial path.  The bucket variances seed the base variance and the
+    multipliers, each multiplier floored at 1.05.  The transition matrix keeps
+    ``diag`` on its diagonal and spreads the rest of each row evenly.  Returns
+    (path, base variance, multipliers, transition matrix).
+    """
+    data = np.asarray(data, dtype=float)
+    m = n_states
+    t_len = data.size
+    dev = np.abs(data - np.median(data))
+    ranks = np.argsort(np.argsort(dev))
+    path = 1 + np.minimum((ranks * m) // t_len, m - 1)
+    bucket_var = np.array([
+        max(np.var(data[path == j]), np.var(data) * 1e-4) if np.any(path == j) else np.var(data)
+        for j in range(1, m + 1)
+    ])
+    h_star = np.maximum(bucket_var[1:] / bucket_var[:-1], 1.05)
+    transition = np.full((m, m), (1.0 - diag) / (m - 1) if m > 1 else 0.0)
+    np.fill_diagonal(transition, diag if m > 1 else 1.0)
+    return path.astype(np.int16), float(bucket_var[0]), h_star, transition
+
+
 @dataclass
 class Chain:
     """Post-burn-in draws plus acceptance tallies.
@@ -285,8 +347,9 @@ def run_chain(
     """Apply ``sweep`` n_iter times from ``init``, keeping the last n_iter - burn_in states.
 
     ``sweep`` must return a fresh state (stored draws are not copied).  A
-    sweep failure aborts with the iteration index attached; samplers tag the
-    failing update stage in the underlying error.
+    RegimevolError leaving a sweep is re-raised as the same object with its
+    ``iteration`` set (samplers have already set its ``stage``); any other
+    exception passes through unchanged.
     """
     if not 0 <= burn_in < n_iter:
         raise ParameterError(f"need 0 <= burn_in < n_iter, got J={burn_in} N={n_iter}")
@@ -295,8 +358,9 @@ def run_chain(
     for it in range(n_iter):
         try:
             state = sweep(state, rng)
-        except Exception as exc:
-            raise NumericalError(f"sweep failed at iteration {it}: {exc}") from exc
+        except RegimevolError as exc:
+            exc.iteration = it
+            raise
         if it >= burn_in:
             draws.append(state)
     return Chain(

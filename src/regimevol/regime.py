@@ -3,20 +3,17 @@ transition counting and Dirichlet transition-matrix draws.
 
 State labels are 1..M everywhere in public arrays.  Filtering runs in scaled
 probability space (each step renormalized, log-normalizers accumulated) so a
-few hundred observations cannot underflow.  The forward loop and the backward
-sampler are compiled with numba when available; the uniforms driving the
-backward draw come from the caller's Generator either way, so results are
-identical across both code paths.
+few hundred observations cannot underflow.  The backward draw takes one
+uniform per time step from the caller's Generator, so a path is a function of
+the filtered probabilities, the transition matrix and the Generator state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DirichletParams
 from .errors import FilterDegeneracyError, ParameterError
 
 __all__ = [
@@ -50,118 +47,11 @@ class FilteredProbs:
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels (numpy fallbacks keep the package importable without numba)
-
-
-def _filter_loop_py(logem, p, pi0):
-    t_len, m = logem.shape
-    probs = np.empty((t_len, m))
-    loglik = 0.0
-    pred = pi0.copy()
-    for t in range(t_len):
-        mx = logem[t].max()
-        if not np.isfinite(mx):
-            return probs, 0.0, t
-        w = pred * np.exp(logem[t] - mx)
-        c = w.sum()
-        if not c > 0.0:
-            return probs, 0.0, t
-        probs[t] = w / c
-        loglik += np.log(c) + mx
-        pred = probs[t] @ p
-    return probs, loglik, -1
-
-
-def _backward_sample_py(filt, p, uniforms):
-    t_len, m = filt.shape
-    path = np.empty(t_len, dtype=np.int64)
-    weights = filt[t_len - 1]
-    path[t_len - 1] = np.searchsorted(np.cumsum(weights), uniforms[t_len - 1] * weights.sum())
-    for t in range(t_len - 2, -1, -1):
-        weights = filt[t] * p[:, path[t + 1]]
-        total = weights.sum()
-        if not total > 0.0:
-            return path, t
-        path[t] = np.searchsorted(np.cumsum(weights), uniforms[t] * total)
-    return path, -1
-
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    @njit(cache=True)
-    def _filter_loop_nb(logem, p, pi0):  # pragma: no cover
-        t_len, m = logem.shape
-        probs = np.empty((t_len, m))
-        loglik = 0.0
-        pred = pi0.copy()
-        for t in range(t_len):
-            mx = logem[t, 0]
-            for j in range(1, m):
-                if logem[t, j] > mx:
-                    mx = logem[t, j]
-            if np.isinf(mx) or np.isnan(mx):
-                return probs, 0.0, t
-            c = 0.0
-            for j in range(m):
-                probs[t, j] = pred[j] * np.exp(logem[t, j] - mx)
-                c += probs[t, j]
-            if not c > 0.0:
-                return probs, 0.0, t
-            for j in range(m):
-                probs[t, j] /= c
-            loglik += np.log(c) + mx
-            for j in range(m):
-                s = 0.0
-                for i in range(m):
-                    s += probs[t, i] * p[i, j]
-                pred[j] = s
-        return probs, loglik, -1
-
-    @njit(cache=True)
-    def _backward_sample_nb(filt, p, uniforms):  # pragma: no cover
-        t_len, m = filt.shape
-        path = np.empty(t_len, dtype=np.int64)
-        total = 0.0
-        for j in range(m):
-            total += filt[t_len - 1, j]
-        u = uniforms[t_len - 1] * total
-        acc = 0.0
-        path[t_len - 1] = m - 1
-        for j in range(m):
-            acc += filt[t_len - 1, j]
-            if u < acc:
-                path[t_len - 1] = j
-                break
-        for t in range(t_len - 2, -1, -1):
-            total = 0.0
-            for i in range(m):
-                total += filt[t, i] * p[i, path[t + 1]]
-            if not total > 0.0:
-                return path, t
-            u = uniforms[t] * total
-            acc = 0.0
-            path[t] = m - 1
-            for i in range(m):
-                acc += filt[t, i] * p[i, path[t + 1]]
-                if u < acc:
-                    path[t] = i
-                    break
-        return path, -1
-
-    _filter_loop = _filter_loop_nb
-    _backward_sample = _backward_sample_nb
-except ImportError:  # pragma: no cover
-    _filter_loop = _filter_loop_py
-    _backward_sample = _backward_sample_py
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
 def hamilton_filter(
-    emission_logpdf: Callable[[int, int], float] | np.ndarray,
+    emission_logpdf: np.ndarray,
     t_len: int,
     p: np.ndarray,
     pi0: np.ndarray | None = None,
@@ -169,37 +59,39 @@ def hamilton_filter(
     """Forward filter: row t is g(S_t = . | y_1..y_t); loglik accumulates
     the one-step predictive log f(y_t | y_1..y_{t-1}).
 
-    ``emission_logpdf`` is either a callable (t, state) -> log density with
-    t in 0..T-1 and state labels 1..M, or a precomputed (T, M) array of the
-    same values.  ``pi0`` is the distribution of the first state; uniform
-    when omitted.
+    ``emission_logpdf`` is the (T, M) array of log emission densities, row t
+    for observation t, column j for state label j+1.  ``pi0`` is the distribution
+    of the first state; uniform when omitted.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
     if t_len < 1:
         raise ParameterError("need at least one observation to filter")
-    if callable(emission_logpdf):
-        logem = np.empty((t_len, m))
-        for t in range(t_len):
-            for j in range(m):
-                logem[t, j] = emission_logpdf(t, j + 1)
-    else:
-        logem = np.asarray(emission_logpdf, dtype=float)
-        if logem.shape != (t_len, m):
-            raise ParameterError(
-                f"emission array has shape {logem.shape}, expected {(t_len, m)}"
-            )
+    logem = np.asarray(emission_logpdf, dtype=float)
+    if logem.shape != (t_len, m):
+        raise ParameterError(f"emission array has shape {logem.shape}, expected {(t_len, m)}")
     if pi0 is None:
         pi0 = np.full(m, 1.0 / m)
     else:
         pi0 = np.asarray(pi0, dtype=float)
         if pi0.shape != (m,) or np.any(pi0 < 0) or not np.isclose(pi0.sum(), 1.0):
             raise ParameterError("pi0 must be a length-M probability vector")
-    probs, loglik, fail = _filter_loop(np.ascontiguousarray(logem), p, pi0)
-    if fail >= 0:
-        raise FilterDegeneracyError(
-            f"every state has zero likelihood at t={fail}; check emissions/parameters"
-        )
+    probs = np.empty((t_len, m))
+    loglik = 0.0
+    pred = pi0
+    for t in range(t_len):
+        mx = logem[t].max()
+        c = 0.0
+        if np.isfinite(mx):
+            w = pred * np.exp(logem[t] - mx)
+            c = w.sum()
+        if not c > 0.0:
+            raise FilterDegeneracyError(
+                f"every state has zero likelihood at t={t}; check emissions/parameters"
+            )
+        probs[t] = w / c
+        loglik += np.log(c) + mx
+        pred = probs[t] @ p
     return FilteredProbs(probs=probs, loglik=float(loglik))
 
 
@@ -214,13 +106,19 @@ def sample_state_path(
     """
     probs = filt.probs if isinstance(filt, FilteredProbs) else np.asarray(filt, dtype=float)
     p = validate_transition_matrix(p)
-    path, fail = _backward_sample(
-        np.ascontiguousarray(probs), p, rng.random(probs.shape[0])
-    )
-    if fail >= 0:
-        raise FilterDegeneracyError(
-            f"backward sampling hit a zero-probability row at t={fail}"
-        )
+    t_len = probs.shape[0]
+    uniforms = rng.random(t_len)
+    path = np.empty(t_len, dtype=np.int64)
+    weights = probs[t_len - 1]
+    path[t_len - 1] = np.searchsorted(np.cumsum(weights), uniforms[t_len - 1] * weights.sum())
+    for t in range(t_len - 2, -1, -1):
+        weights = probs[t] * p[:, path[t + 1]]
+        total = weights.sum()
+        if not total > 0.0:
+            raise FilterDegeneracyError(
+                f"backward sampling hit a zero-probability row at t={t}"
+            )
+        path[t] = np.searchsorted(np.cumsum(weights), uniforms[t] * total)
     return path + 1
 
 
@@ -237,23 +135,20 @@ def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
 
 
 def sample_transition_matrix(
-    counts: np.ndarray,
-    row_priors: Sequence[DirichletParams] | np.ndarray,
-    rng: np.random.Generator,
+    counts: np.ndarray, row_priors: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row i drawn from Dirichlet(prior_i + transition counts out of state i+1)."""
+    """Row i drawn from Dirichlet(row_priors[i] + transition counts out of state i+1).
+
+    ``row_priors`` is the (M, M) matrix of positive prior concentrations.
+    """
     counts = np.asarray(counts, dtype=float)
     m = counts.shape[0]
-    if isinstance(row_priors, np.ndarray):
-        conc = np.asarray(row_priors, dtype=float)
-        if conc.shape != (m, m):
-            raise ParameterError(f"prior concentration must be ({m}, {m})")
-        rows = [DirichletParams(conc[i]) for i in range(m)]
-    else:
-        rows = list(row_priors)
-        if len(rows) != m:
-            raise ParameterError(f"need one Dirichlet prior per row, got {len(rows)}")
+    conc = np.asarray(row_priors, dtype=float)
+    if conc.shape != (m, m):
+        raise ParameterError(f"prior concentration must be ({m}, {m})")
+    if not np.all(conc > 0):
+        raise ParameterError("Dirichlet concentration entries must all be > 0")
     out = np.empty((m, m))
     for i in range(m):
-        out[i] = rng.dirichlet(rows[i].concentration + counts[i])
+        out[i] = rng.dirichlet(conc[i] + counts[i])
     return out

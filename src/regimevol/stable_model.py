@@ -30,10 +30,12 @@ from .distributions import (
 from .errors import ParameterError
 from .mcmc import (
     AdaptiveRw,
+    GibbsSampler,
     ModelState,
     NormalNormalPosterior,
     inv_gamma_normal_update,
     normal_normal_update,
+    quantile_start,
 )
 from .regime import (
     count_transitions,
@@ -45,12 +47,10 @@ from .regime import (
 __all__ = [
     "StableModelParams",
     "StablePriors",
-    "stable_conditional_loglik",
     "sample_lambda",
     "sample_gamma1_sq",
     "sample_stable_mu_j",
     "sample_stable_h_star_j",
-    "stable_sweep",
     "StableGibbsSampler",
     "initial_stable_state",
 ]
@@ -141,19 +141,6 @@ def _group_stats(data: np.ndarray, path: np.ndarray, mu: np.ndarray) -> tuple[np
         counts[j] = sel.size
         rss[j] = float(np.sum((sel - mu[j]) ** 2)) if sel.size else 0.0
     return counts, rss
-
-
-def stable_conditional_loglik(
-    data: np.ndarray, path: np.ndarray, params: StableModelParams
-) -> float:
-    """Exact Gaussian log likelihood given lambda: each observation in state j
-    is N(mu_j, lambda * gamma_j^2).  Depends on lambda and the scales only
-    through their products.
-    """
-    data = np.asarray(data, dtype=float)
-    var = params.lam * params.gamma_sq
-    counts, rss = _group_stats(data, np.asarray(path), params.mu)
-    return float(np.sum(-0.5 * counts * np.log(2.0 * np.pi * var) - 0.5 * rss / var))
 
 
 # ---------------------------------------------------------------------------
@@ -264,131 +251,72 @@ def sample_stable_h_star_j(
 # full sweep
 
 
-class StableGibbsSampler:
-    """Chain state for the stable model: adaptive scales, lambda acceptance
-    diagnostics and the post-burn-in filtered-probability accumulator."""
+class StableGibbsSampler(GibbsSampler):
+    """One chain of the stable model on the shared Gibbs engine.
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        priors: StablePriors,
-        pi0: np.ndarray | None = None,
-        adapt_iters: int = 0,
-        step_scale: float = 0.4,
-    ) -> None:
-        self.data = np.asarray(data, dtype=float)
-        if self.data.ndim != 1 or self.data.size < 2:
-            raise ParameterError("need a 1-D series of at least two observations")
-        self.priors = priors
-        m = priors.n_states
-        self.n_states = m
-        self.pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
-        self.adapt_iters = adapt_iters
-        self.samplers: dict[str, AdaptiveRw] = {"lambda": AdaptiveRw(step_scale, "log")}
-        for j in range(2, m + 1):
-            self.samplers[f"h_star_{j}"] = AdaptiveRw(step_scale, "log_shift", shift=1.0)
-        self._sweeps = 0
-        self._filtered_sum = np.zeros((self.data.size, m))
-        self._filtered_draws = 0
+    Adaptive steps: lambda on a log scale and the h*_j on log(h* - 1); every
+    other update is an exact conjugate draw.
+    """
+
+    def adaptive_params(self) -> list[tuple[str, str]]:
+        return [("lambda", "log")] + [
+            (f"h_star_{j}", "log_shift") for j in range(2, self.n_states + 1)
+        ]
 
     def emission_matrix(self, params: StableModelParams) -> np.ndarray:
         var = params.lam * params.gamma_sq
         return gaussian_logpdf(self.data[:, None], params.mu[None, :], var[None, :])
 
-    def sweep(self, state: ModelState, rng: np.random.Generator) -> ModelState:
-        adapt = self._sweeps < self.adapt_iters
+    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
         params: StableModelParams = state.params
-        stage = "state_path"
-        try:
-            filt = hamilton_filter(
-                self.emission_matrix(params), self.data.size, state.transition, self.pi0
+        self.stage = "state_path"
+        filt = hamilton_filter(
+            self.emission_matrix(params), self.data.size, state.transition, self.pi0
+        )
+        path = sample_state_path(filt, state.transition, rng)
+
+        self.stage = "transition_matrix"
+        counts = count_transitions(path, self.n_states)
+        transition = sample_transition_matrix(counts, self.priors.dirichlet_rows, rng)
+
+        groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
+
+        self.stage = "lambda"
+        lam = sample_lambda(
+            self.data, path, params, self.priors, rng, self.samplers["lambda"], adapt
+        )
+        params = replace(params, lam=lam)
+
+        self.stage = "gamma1_sq"
+        params = replace(
+            params, gamma1_sq=sample_gamma1_sq(groups[0], params, self.priors, rng)
+        )
+
+        for j in range(2, self.n_states + 1):
+            self.stage = f"h_star_{j}"
+            h = params.h_star.copy()
+            h[j - 2] = sample_stable_h_star_j(
+                groups[j - 1], j, params, self.priors, rng,
+                self.samplers[f"h_star_{j}"], adapt,
             )
-            path = sample_state_path(filt, state.transition, rng)
+            params = replace(params, h_star=h)
 
-            stage = "transition_matrix"
-            counts = count_transitions(path, self.n_states)
-            transition = sample_transition_matrix(counts, self.priors.dirichlet_rows, rng)
-
-            groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
-
-            stage = "lambda"
-            lam = sample_lambda(
-                self.data, path, params, self.priors, rng, self.samplers["lambda"], adapt
-            )
-            params = replace(params, lam=lam)
-
-            stage = "gamma1_sq"
-            params = replace(
-                params, gamma1_sq=sample_gamma1_sq(groups[0], params, self.priors, rng)
-            )
-
-            for j in range(2, self.n_states + 1):
-                stage = f"h_star_{j}"
-                h = params.h_star.copy()
-                h[j - 2] = sample_stable_h_star_j(
-                    groups[j - 1], j, params, self.priors, rng,
-                    self.samplers[f"h_star_{j}"], adapt,
-                )
-                params = replace(params, h_star=h)
-
-            mu = params.mu.copy()
-            for j in range(1, self.n_states + 1):
-                stage = f"mu_{j}"
-                mu[j - 1] = sample_stable_mu_j(groups[j - 1], j, params, self.priors, rng)
-                params = replace(params, mu=mu.copy())
-        except Exception as exc:
-            raise type(exc)(f"[{stage}] {exc}") from exc
-
-        self._sweeps += 1
-        if not adapt:
-            self._filtered_sum += filt.probs
-            self._filtered_draws += 1
-        return ModelState(path=path.astype(np.int16), transition=transition, params=params)
-
-    def acceptance(self) -> dict[str, tuple[int, int]]:
-        return {name: (s.accepted, s.attempts) for name, s in self.samplers.items()}
-
-    @property
-    def mean_filtered_probs(self) -> np.ndarray:
-        if self._filtered_draws == 0:
-            raise ParameterError("no post-burn-in sweeps have run yet")
-        return self._filtered_sum / self._filtered_draws
-
-
-def stable_sweep(
-    state: ModelState,
-    data: np.ndarray,
-    priors: StablePriors,
-    rng: np.random.Generator,
-    pi0: np.ndarray | None = None,
-) -> ModelState:
-    """One non-adaptive Gibbs sweep of the stable model."""
-    sampler = StableGibbsSampler(data, priors, pi0=pi0)
-    return sampler.sweep(state, rng)
+        mu = params.mu.copy()
+        for j in range(1, self.n_states + 1):
+            self.stage = f"mu_{j}"
+            mu[j - 1] = sample_stable_mu_j(groups[j - 1], j, params, self.priors, rng)
+            params = replace(params, mu=mu.copy())
+        return filt, path, transition, params
 
 
 def initial_stable_state(
     data: np.ndarray, priors: StablePriors, alpha: float = 1.7, diag: float = 0.8
 ) -> ModelState:
-    """Deterministic starting point mirroring the jump model's: volatility
-    quantile buckets seed the path and the scale ladder; lambda starts at 1."""
-    data = np.asarray(data, dtype=float)
+    """Deterministic starting point: the shared quantile start (path, gamma1^2,
+    multipliers, transition matrix); state means at zero and lambda at 1."""
     m = priors.n_states
-    t_len = data.size
-    dev = np.abs(data - np.median(data))
-    ranks = np.argsort(np.argsort(dev))
-    path = 1 + np.minimum((ranks * m) // t_len, m - 1)
-    bucket_var = np.array([
-        max(np.var(data[path == j]), np.var(data) * 1e-4) if np.any(path == j) else np.var(data)
-        for j in range(1, m + 1)
-    ])
-    transition = np.full((m, m), (1.0 - diag) / (m - 1) if m > 1 else 0.0)
-    np.fill_diagonal(transition, diag if m > 1 else 1.0)
+    path, gamma1_sq, h_star, transition = quantile_start(data, m, diag)
     params = StableModelParams(
-        mu=np.zeros(m),
-        gamma1_sq=float(bucket_var[0]),
-        h_star=np.maximum(bucket_var[1:] / bucket_var[:-1], 1.05),
-        lam=1.0,
-        alpha=alpha,
+        mu=np.zeros(m), gamma1_sq=gamma1_sq, h_star=h_star, lam=1.0, alpha=alpha
     )
-    return ModelState(path=path.astype(np.int16), transition=transition, params=params)
+    return ModelState(path=path, transition=transition, params=params)

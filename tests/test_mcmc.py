@@ -7,7 +7,6 @@ from scipy.stats import chisquare, norm
 from regimevol import (
     Chain,
     InvGammaParams,
-    MhKernel,
     ModelState,
     NumericalError,
     ParameterError,
@@ -16,11 +15,10 @@ from regimevol import (
     inv_gamma_normal_update,
     inv_gamma_pdf,
     inv_gamma_sample,
-    mh_step,
     normal_normal_update,
     run_chain,
 )
-from regimevol.mcmc import AdaptiveRw, NormalNormalPosterior, Proposal, random_walk_proposal
+from regimevol.mcmc import AdaptiveRw, NormalNormalPosterior
 
 
 def _tv(p, q):
@@ -28,41 +26,28 @@ def _tv(p, q):
 
 
 # ---------------------------------------------------------------------------
-# mh_step
+# adaptive random walk
 
 
-def test_mh_step_degenerate_proposal_always_accepts():
-    kernel = MhKernel(
-        log_target=lambda x: -0.5 * x * x,
-        proposal=Proposal(sample=lambda cur, scale, rng: cur),
-    )
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        _, accepted = mh_step(1.3, kernel, rng)
-        assert accepted
+def test_adaptive_rw_zero_density_proposal_rejects():
+    # the target is zero everywhere except the start, so every proposal lands
+    # on zero density and must be rejected
+    sampler = AdaptiveRw(scale=1.0, transform="identity")
+    log_target = lambda x: -0.5 * x * x if x == -1.0 else -math.inf
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        assert sampler.step(-1.0, log_target, rng) == -1.0
+    assert sampler.accepted == 0 and sampler.attempts == 50
 
 
-def test_mh_step_zero_density_proposal_rejects():
-    kernel = MhKernel(
-        log_target=lambda x: -math.inf if x > 0 else -0.5 * x * x,
-        proposal=Proposal(sample=lambda cur, scale, rng: abs(cur) + 1.0),
-    )
-    new, accepted = mh_step(-1.0, kernel, np.random.default_rng(1))
-    assert not accepted
-    assert new == -1.0
-
-
-def test_mh_step_standard_normal_ergodic_averages():
-    kernel = MhKernel(
-        log_target=lambda x: -0.5 * x * x,
-        proposal=random_walk_proposal(),
-        step_scale=2.4,
-    )
+def test_adaptive_rw_standard_normal_ergodic_averages():
+    sampler = AdaptiveRw(scale=2.4, transform="identity")
+    log_target = lambda x: -0.5 * x * x
     rng = np.random.default_rng(2)
     x = 0.0
     draws = np.empty(100_000)
     for i in range(draws.size):
-        x, _ = mh_step(x, kernel, rng)
+        x = sampler.step(x, log_target, rng)
         draws[i] = x
     thinned = draws[::20]  # near-independent at this step scale
     n = thinned.size
@@ -72,56 +57,20 @@ def test_mh_step_standard_normal_ergodic_averages():
     assert abs(thinned.var() - 1.0) < 3 * se_var
 
 
-def test_mh_chain_binned_goodness_of_fit():
-    kernel = MhKernel(
-        log_target=lambda x: -0.5 * x * x,
-        proposal=random_walk_proposal(),
-        step_scale=2.4,
-    )
+def test_adaptive_rw_binned_goodness_of_fit():
+    sampler = AdaptiveRw(scale=2.4, transform="identity")
+    log_target = lambda x: -0.5 * x * x
     rng = np.random.default_rng(3)
     x = 0.0
     draws = []
     for i in range(400_000):
-        x, _ = mh_step(x, kernel, rng)
+        x = sampler.step(x, log_target, rng)
         if i % 40 == 0:
             draws.append(x)
     draws = np.array(draws)
     edges = norm.ppf(np.linspace(0, 1, 41))
     counts, _ = np.histogram(draws, edges)
     assert chisquare(counts).pvalue > 0.01
-
-
-def test_mh_step_hastings_correction():
-    # asymmetric lognormal-walk proposal targeting invGamma(4, 3); without the
-    # q-ratio the stationary law would be tilted by one power of x
-    prior = InvGammaParams(4.0, 3.0)
-
-    def sample(cur, scale, rng):
-        return cur * math.exp(scale * rng.normal())
-
-    def log_density(value, given, scale):
-        z = (math.log(value) - math.log(given)) / scale
-        return -0.5 * z * z - math.log(value * scale)
-
-    kernel = MhKernel(
-        log_target=lambda x: -math.inf if x <= 0 else (-(prior.shape + 1) * math.log(x) - prior.rate / x),
-        proposal=Proposal(sample=sample, log_density=log_density),
-        step_scale=0.9,
-    )
-    rng = np.random.default_rng(4)
-    x = 1.0
-    draws = np.empty(200_000)
-    for i in range(draws.size):
-        x, _ = mh_step(x, kernel, rng)
-        draws[i] = x
-    thinned = draws[::25]
-    target_mean = prior.rate / (prior.shape - 1)
-    se = thinned.std() / math.sqrt(thinned.size)
-    assert abs(thinned.mean() - target_mean) < 3.5 * se
-
-
-# ---------------------------------------------------------------------------
-# adaptive random walk
 
 
 def test_adaptive_rw_reaches_target_acceptance():

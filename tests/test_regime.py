@@ -48,15 +48,6 @@ def test_filter_uninformative_emissions_stay_uniform():
     np.testing.assert_allclose(filt.probs, 1.0 / m, atol=1e-14)
 
 
-def test_filter_accepts_callable_emissions():
-    logem = np.log(np.array([[0.2, 0.5], [0.6, 0.1]]))
-    p = np.array([[0.8, 0.2], [0.3, 0.7]])
-    by_matrix = hamilton_filter(logem, 2, p)
-    by_callable = hamilton_filter(lambda t, j: logem[t, j - 1], 2, p)
-    np.testing.assert_allclose(by_matrix.probs, by_callable.probs)
-    assert by_matrix.loglik == pytest.approx(by_callable.loglik)
-
-
 def test_filter_matches_enumeration_small_instances():
     rng = np.random.default_rng(42)
     for _ in range(12):
@@ -170,12 +161,20 @@ def test_count_transitions_concatenation(a, b):
 
 
 def test_sample_transition_matrix_prior_only():
-    priors = [DirichletParams(np.array([2.0, 3.0])), DirichletParams(np.array([1.0, 1.0]))]
-    drawn = sample_transition_matrix(np.zeros((2, 2)), priors, np.random.default_rng(5))
+    rows = np.array([[2.0, 3.0], [1.0, 1.0]])
+    drawn = sample_transition_matrix(np.zeros((2, 2)), rows, np.random.default_rng(5))
     rng2 = np.random.default_rng(5)
-    expected = np.vstack([dirichlet_sample(priors[0], rng2), dirichlet_sample(priors[1], rng2)])
+    expected = np.vstack([dirichlet_sample(DirichletParams(row), rng2) for row in rows])
     np.testing.assert_allclose(drawn, expected)
     np.testing.assert_allclose(drawn.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_sample_transition_matrix_rejects_bad_prior():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ParameterError, match=r"\(2, 2\)"):
+        sample_transition_matrix(np.zeros((2, 2)), np.ones((2, 3)), rng)
+    with pytest.raises(ParameterError, match="> 0"):
+        sample_transition_matrix(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]), rng)
 
 
 def test_sample_transition_matrix_concentrates():
