@@ -28,25 +28,17 @@ from .dataio import (
     log_returns,
 )
 from .distributions import (
-    DirichletParams,
     FrechetParams,
     InvGammaParams,
     StableParams,
-    SymGammaParams,
-    dirichlet_sample,
-    frechet_pdf,
     frechet_sample,
     gaussian_logpdf,
-    inv_gamma_pdf,
     inv_gamma_sample,
     jump_convolved_logpdf,
     jump_convolved_pdf,
     positive_stable_logpdf,
     positive_stable_sample,
     stable_sample,
-    sym_gamma_pdf,
-    sym_gamma_sample,
-    sym_gamma_variance,
 )
 from .errors import (
     ConfigError,
@@ -61,7 +53,6 @@ from .jump_model import (
     JumpParams,
     JumpPriors,
     initial_jump_state,
-    jump_emission_logpdf,
 )
 from .mcmc import (
     Chain,

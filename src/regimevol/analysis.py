@@ -4,14 +4,12 @@ score."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .regime import FilteredProbs
 
 __all__ = [
     "DurationReport",
@@ -74,15 +72,15 @@ class IndicatorSeries:
     alignment: tuple[float, float] | None = None
 
 
-def _filtered_matrix(filtered: FilteredProbs | np.ndarray) -> np.ndarray:
-    probs = filtered.probs if isinstance(filtered, FilteredProbs) else np.asarray(filtered)
+def _filtered_matrix(filtered: np.ndarray) -> np.ndarray:
+    probs = np.asarray(filtered)
     if probs.ndim != 2:
         raise ParameterError("filtered probabilities must be a (T, M) matrix")
     return probs
 
 
 def indicator_jump(
-    filtered: FilteredProbs | np.ndarray,
+    filtered: np.ndarray,
     sigma_sq_hat: np.ndarray,
     n_hat: np.ndarray,
     b: float,
@@ -100,7 +98,7 @@ def indicator_jump(
 
 
 def indicator_stable(
-    filtered: FilteredProbs | np.ndarray,
+    filtered: np.ndarray,
     lambda_hat: float,
     gamma_sq_hat: np.ndarray,
 ) -> IndicatorSeries:
@@ -130,9 +128,9 @@ def affine_align(indicator: IndicatorSeries, reference: np.ndarray) -> Indicator
     return IndicatorSeries(values=a * vals + c, kind=indicator.kind, alignment=(a, c))
 
 
-def score(indicator: IndicatorSeries | np.ndarray, reference: np.ndarray) -> float:
+def score(indicator: IndicatorSeries, reference: np.ndarray) -> float:
     """Sum of squared differences between the indicator and the reference."""
-    vals = indicator.values if isinstance(indicator, IndicatorSeries) else np.asarray(indicator)
+    vals = indicator.values
     ref = np.asarray(reference, dtype=float)
     if ref.shape != vals.shape:
         raise ParameterError(

@@ -10,7 +10,8 @@ return scale.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,21 @@ __all__ = [
 ]
 
 _MODELS = ("jump", "stable")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# a field's declared type, less any "| None" -> (check, what the message asks
+# for); a bool is neither an integer nor a number here
+_TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: _is_real(v) and isinstance(v, numbers.Integral), "an integer"),
+    "float": (_is_real, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
+}
 
 
 @dataclass
@@ -58,6 +74,17 @@ class RunConfig:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (reproducibility contract)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            check, expected = _TYPE_CHECKS[kind]
+            if not check(value):
+                optional = " or null" if kind != f.type else ""
+                raise ConfigError(f"{f.name} must be {expected}{optional}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.states < 1:
             raise ConfigError(f"need at least one state, got {self.states}")
         if not 0 <= self.burnin < self.iters:
@@ -81,9 +108,6 @@ class RunConfig:
                     "u must be a strictly increasing positive vector with one entry per state"
                 )
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config(path: str | Path | None = None, **overrides) -> RunConfig:

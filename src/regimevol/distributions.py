@@ -1,23 +1,22 @@
 """Distribution families used by the two switching models.
 
-Covers density evaluation and seeded sampling for the symmetric Gamma family
-(a Gamma-distributed magnitude times a fair random sign), alpha-stable laws
-(general draws plus the totally-skewed positive branch that acts as the
-Gaussian scale-mixing variable), inverse-Gamma, Dirichlet and shifted-Frechet
-priors, and the numerically evaluated density of
+Covers alpha-stable laws (general draws plus the totally-skewed positive
+branch that acts as the Gaussian scale-mixing variable), the inverse-Gamma
+and shifted-Frechet priors, and the numerically evaluated density of
 
     Normal(mu, sigma^2) + symGamma(N, b),
 
 which is the single-observation likelihood of the jump-diffusion model when
-N >= 1 jumps are present.
+N >= 1 jumps are present.  symGamma(N, b) is a Gamma(N, b) magnitude times a
+fair random sign; ``jump_convolved_logpdf`` is the samplers' route and
+``jump_convolved_pdf`` its adaptive-quadrature reference.
 
 Conventions
 -----------
-Gamma(alpha, beta) is shape-rate throughout, so symGamma(alpha, beta) has
-variance alpha*(alpha+1)/beta^2.  Stable laws use the characteristic-function
-parameterization  E exp(i t X) = exp(-gamma^a |t|^a (1 - i beta sgn(t)
-tan(pi a/2)) + i mu t)  for a != 1 (the "S1" form).  All samplers take a
-numpy Generator and are reproducible given its seed.
+Gamma(alpha, beta) is shape-rate throughout.  Stable laws use the
+characteristic-function parameterization  E exp(i t X) = exp(-gamma^a |t|^a
+(1 - i beta sgn(t) tan(pi a/2)) + i mu t)  for a != 1 (the "S1" form).  All
+samplers take a numpy Generator and are reproducible given its seed.
 """
 
 from __future__ import annotations
@@ -33,21 +32,13 @@ from scipy.special import gammaln, log_ndtr, roots_legendre
 from .errors import NumericalError, ParameterError
 
 __all__ = [
-    "SymGammaParams",
     "StableParams",
     "InvGammaParams",
     "FrechetParams",
-    "DirichletParams",
-    "sym_gamma_pdf",
-    "sym_gamma_variance",
-    "sym_gamma_sample",
     "stable_sample",
     "positive_stable_sample",
     "positive_stable_logpdf",
-    "inv_gamma_pdf",
     "inv_gamma_sample",
-    "dirichlet_sample",
-    "frechet_pdf",
     "frechet_logpdf",
     "frechet_sample",
     "gaussian_logpdf",
@@ -58,24 +49,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # parameter containers
-
-
-@dataclass
-class SymGammaParams:
-    """Jump-sum distribution: Gamma(alpha, beta) magnitude with random sign.
-
-    alpha is the jump count (N >= 1), beta the exponential amplitude rate b.
-    """
-
-    alpha: int
-    beta: float
-
-    def __post_init__(self) -> None:
-        if int(self.alpha) != self.alpha or self.alpha < 1:
-            raise ParameterError(f"symGamma alpha must be an integer >= 1, got {self.alpha}")
-        self.alpha = int(self.alpha)
-        if not self.beta > 0:
-            raise ParameterError(f"symGamma beta must be > 0, got {self.beta}")
 
 
 @dataclass
@@ -121,47 +94,6 @@ class FrechetParams:
             raise ParameterError(
                 f"Frechet parameters must be > 0, got shape={self.shape} scale={self.scale}"
             )
-
-
-@dataclass
-class DirichletParams:
-    concentration: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.concentration = np.asarray(self.concentration, dtype=float)
-        if self.concentration.ndim != 1 or self.concentration.size == 0:
-            raise ParameterError("Dirichlet concentration must be a nonempty 1-D vector")
-        if not np.all(self.concentration > 0):
-            raise ParameterError("Dirichlet concentration entries must all be > 0")
-
-
-# ---------------------------------------------------------------------------
-# symmetric Gamma
-
-
-def sym_gamma_pdf(x, params: SymGammaParams):
-    """Density beta^alpha / (2 Gamma(alpha)) * |x|^(alpha-1) * exp(-beta |x|).
-
-    Even in x; the 1/2 marginalizes the jump sign analytically.
-    """
-    a, b = params.alpha, params.beta
-    ax = np.abs(np.asarray(x, dtype=float))
-    norm = math.exp(a * math.log(b) - gammaln(a)) / 2.0
-    # |x|^(a-1) at x=0 is 1 for a=1 (single exponential jump) and 0 for a>1
-    out = norm * ax ** (a - 1) * np.exp(-b * ax)
-    return out if out.ndim else float(out)
-
-
-def sym_gamma_variance(params: SymGammaParams) -> float:
-    """Closed form alpha*(alpha+1)/beta^2 (the mean is zero by symmetry)."""
-    return params.alpha * (params.alpha + 1) / params.beta**2
-
-
-def sym_gamma_sample(params: SymGammaParams, rng: np.random.Generator, size=None):
-    """Draw via the Gamma(alpha, beta) magnitude times an independent fair sign."""
-    magnitude = rng.gamma(params.alpha, 1.0 / params.beta, size)
-    sign = rng.integers(0, 2, size) * 2 - 1
-    return magnitude * sign
 
 
 # ---------------------------------------------------------------------------
@@ -303,45 +235,15 @@ def _positive_stable_logpdf_scalar(x: float, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inverse Gamma, Dirichlet, Frechet
-
-
-def inv_gamma_pdf(x, params: InvGammaParams):
-    """Density rate^shape / Gamma(shape) * x^(-shape-1) * exp(-rate/x); 0 for x <= 0."""
-    xs = np.asarray(x, dtype=float)
-    pos = xs > 0
-    safe = np.where(pos, xs, 1.0)
-    logpdf = (
-        params.shape * math.log(params.rate)
-        - gammaln(params.shape)
-        - (params.shape + 1) * np.log(safe)
-        - params.rate / safe
-    )
-    out = np.where(pos, np.exp(logpdf), 0.0)
-    return out if out.ndim else float(out)
+# inverse Gamma, Frechet
 
 
 def inv_gamma_sample(params: InvGammaParams, rng: np.random.Generator, size=None):
     return 1.0 / rng.gamma(params.shape, 1.0 / params.rate, size)
 
 
-def dirichlet_sample(params: DirichletParams, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(params.concentration)
-
-
-def frechet_pdf(h_star, params: FrechetParams):
-    """Shifted Frechet density on (location, inf); zero at and below the shift."""
-    hs = np.asarray(h_star, dtype=float)
-    pos = hs > params.location
-    z = np.where(pos, (hs - params.location) / params.scale, 1.0)
-    dens = (params.shape / params.scale) * z ** (-1.0 - params.shape) * np.exp(
-        -(z ** (-params.shape))
-    )
-    out = np.where(pos, dens, 0.0)
-    return out if out.ndim else float(out)
-
-
 def frechet_logpdf(h_star: float, params: FrechetParams) -> float:
+    """Shifted Frechet log density on (location, inf); -inf at and below the shift."""
     if not h_star > params.location:
         return -math.inf
     z = (h_star - params.location) / params.scale

@@ -1,15 +1,21 @@
 """Markov-switching jump-diffusion model: observations are state-dependent
-Gaussians plus a symmetric-Gamma jump sum, with state variances forced upward
-through multiplicative factors h*_j > 1 and jump intensities ordered by
-disjoint uniform prior intervals.
+Gaussians plus a sum of N_j jumps (a Gamma(N_j, b) magnitude with a random
+sign), with state variances forced upward through multiplicative factors
+h*_j > 1 and jump intensities ordered by disjoint uniform prior intervals.
 
 Inference is Metropolis-within-Gibbs.  Per sweep: state path (forward filter,
-backward draw), transition matrix (Dirichlet), then per state the mean
-(conjugate when the state carries no jumps, MH otherwise), the base variance,
-the variance multipliers, the latent jump counts (exact truncated discrete
-draw) and the Poisson rates (interval-truncated MH).  The state-j conditionals
-for sigma1^2 and h*_j use state-j data only, with the derived variances of all
-higher states moving along; that is the scheme the model defines.
+backward draw), transition matrix (conjugate Dirichlet rows), then per state
+the mean (conjugate when the state carries no jumps, MH otherwise), the base
+variance, the variance multipliers, the latent jump counts (exact truncated
+discrete draw) and the Poisson rates (interval-truncated MH).  The state-j
+conditionals for sigma1^2 and h*_j use state-j data only, with the derived
+variances of all higher states moving along; that is the scheme the model
+defines.
+
+Every likelihood evaluation (the emission matrix, the MH targets and the
+jump-count weights) goes through ``_obs_logpdf``: Gaussian without jumps, the
+Normal (x) jump-sum convolution with them.  Without jumps the h*_j target is
+``mcmc.gaussian_h_star_target``, the one the stable model uses.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtr, pdtrik
 
 from .distributions import (
     FrechetParams,
@@ -34,6 +40,7 @@ from .mcmc import (
     GibbsSampler,
     ModelState,
     NormalNormalPosterior,
+    gaussian_h_star_target,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
@@ -48,8 +55,6 @@ from .regime import (
 __all__ = [
     "JumpParams",
     "JumpPriors",
-    "jump_emission_logpdf",
-    "jump_state_loglik",
     "sample_mu_j",
     "sample_sigma1_sq",
     "sample_h_star_j",
@@ -181,32 +186,13 @@ class JumpPriors:
 # likelihood pieces
 
 
-def jump_emission_logpdf(y, j: int, params: JumpParams):
-    """Log density of one observation in state j (1-based).
-
-    Gaussian when the state's jump count is zero, otherwise the
-    Normal (x) symGamma convolution with that count.
-    """
-    var = params.sigma_sq[j - 1]
-    mu = params.mu[j - 1]
-    n = int(params.n_jumps[j - 1])
+def _obs_logpdf(y, mu: float, var: float, n: int, b: float):
+    """Per-observation log density in a state with mean mu, Gaussian variance
+    var and n jumps of amplitude rate b: Gaussian when n = 0, otherwise the
+    Normal (x) symGamma(n, b) convolution."""
     if n == 0:
         return gaussian_logpdf(y, mu, var)
-    return jump_convolved_logpdf(y, mu, math.sqrt(var), n, params.b)
-
-
-def jump_state_loglik(data: np.ndarray, j: int, params: JumpParams) -> float:
-    if data.size == 0:
-        return 0.0
-    return float(np.sum(jump_emission_logpdf(data, j, params)))
-
-
-def _conv_loglik(data: np.ndarray, mu: float, var: float, n: int, b: float) -> float:
-    if data.size == 0:
-        return 0.0
-    if n == 0:
-        return float(np.sum(gaussian_logpdf(data, mu, var)))
-    return float(np.sum(jump_convolved_logpdf(data, mu, math.sqrt(var), n, b)))
+    return jump_convolved_logpdf(y, mu, math.sqrt(var), n, b)
 
 
 def _inv_gamma_logpdf_unnorm(s: float, prior: InvGammaParams) -> float:
@@ -231,21 +217,14 @@ def sample_mu_j(
     var = float(params.sigma_sq[j - 1])
     n_jumps = int(params.n_jumps[j - 1])
     if n_jumps == 0:
-        n = data_j.size
-        post = NormalNormalPosterior(
-            n=n, ybar=float(data_j.mean()) if n else 0.0,
-            sigma_sq=var, k=priors.k, mu0=0.0,
-        )
+        post = NormalNormalPosterior.from_data(data_j, var, priors.k)
         return normal_normal_update(post, rng)
-    sd = math.sqrt(var)
 
     def log_target(mu: float) -> float:
         prior = -0.5 * priors.k * mu * mu
         if data_j.size == 0:
             return prior
-        return prior + float(
-            np.sum(jump_convolved_logpdf(data_j, mu, sd, n_jumps, params.b))
-        )
+        return prior + float(np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b)))
 
     sampler = sampler or AdaptiveRw(scale=0.25)
     return sampler.step(float(params.mu[j - 1]), log_target, rng, adapt)
@@ -273,8 +252,8 @@ def sample_sigma1_sq(
     def log_target(s: float) -> float:
         if not s > 0:
             return -math.inf
-        return _inv_gamma_logpdf_unnorm(s, priors.sigma_prior) + _conv_loglik(
-            data_1, mu1, s, n1, params.b
+        return _inv_gamma_logpdf_unnorm(s, priors.sigma_prior) + float(
+            np.sum(_obs_logpdf(data_1, mu1, s, n1, params.b))
         )
 
     sampler = sampler or AdaptiveRw(scale=0.4, transform="log")
@@ -307,30 +286,33 @@ def sample_h_star_j(
     mu_j = float(params.mu[j - 1])
     n_jumps = int(params.n_jumps[j - 1])
     if n_jumps == 0:
-        ss = float(np.sum((data_j - mu_j) ** 2)) / lower_var
-        n_j = data_j.size
-
-        def log_target(h: float) -> float:
-            base = frechet_logpdf(h, priors.frechet)
-            if base == -math.inf:
-                return base
-            return base - 0.5 * n_j * math.log(h) - 0.5 * ss / h
-
+        log_target = gaussian_h_star_target(data_j, mu_j, lower_var, priors.frechet)
     else:
 
         def log_target(h: float) -> float:
             base = frechet_logpdf(h, priors.frechet)
             if base == -math.inf:
                 return base
-            return base + _conv_loglik(data_j, mu_j, lower_var * h, n_jumps, params.b)
+            return base + float(
+                np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
+            )
 
-    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift", shift=1.0)
+    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift")
     return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
 
 
 def _poisson_n_max(theta: float) -> int:
-    """Smallest count whose Poisson upper tail is below 1e-13 (< the 1e-12 budget)."""
-    return max(int(poisson.isf(1e-13, theta)) + 1, 4)
+    """Smallest count whose Poisson upper tail is below 1e-13 (< the 1e-12 budget).
+
+    The 1 - 1e-13 quantile is found the way scipy's Poisson ``isf`` finds
+    it: the ceiling of the continuous inverse of the CDF, stepped down by one
+    where the CDF already reaches the level there.
+    """
+    q = 1.0 - 1e-13
+    k = np.ceil(pdtrik(q, theta))
+    below = max(k - 1.0, 0.0)
+    quantile = below if pdtr(below, theta) >= q else k
+    return max(int(quantile) + 1, 4)
 
 
 def jump_count_weights(
@@ -357,7 +339,8 @@ def jump_count_weights(
     for n in range(n_max + 1):
         if n > 0:
             log_pois += math.log(theta) - math.log(n)
-        log_w[n] = log_pois + _conv_loglik(data_j, mu, var, n, params.b)
+        loglik = float(np.sum(_obs_logpdf(data_j, mu, var, n, params.b))) if data_j.size else 0.0
+        log_w[n] = log_pois + loglik
         if log_w[n] > best:
             best = log_w[n]
             declines = 0
@@ -431,8 +414,11 @@ class JumpGibbsSampler(GibbsSampler):
 
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
         logem = np.empty((self.data.size, self.n_states))
-        for j in range(1, self.n_states + 1):
-            logem[:, j - 1] = jump_emission_logpdf(self.data, j, params)
+        var = params.sigma_sq
+        for j in range(self.n_states):
+            logem[:, j] = _obs_logpdf(
+                self.data, params.mu[j], var[j], int(params.n_jumps[j]), params.b
+            )
         return logem
 
     def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):

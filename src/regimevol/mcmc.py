@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .distributions import InvGammaParams, inv_gamma_sample
+from .distributions import FrechetParams, InvGammaParams, frechet_logpdf, inv_gamma_sample
 from .errors import ParameterError, RegimevolError
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "NormalNormalPosterior",
     "normal_normal_update",
     "inv_gamma_normal_update",
+    "gaussian_h_star_target",
     "ModelState",
     "GibbsSampler",
     "quantile_start",
@@ -36,34 +37,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Metropolis-Hastings
 
+_TARGET_ACCEPT = 0.3  # acceptance rate the step scales adapt toward
+
 
 class AdaptiveRw:
     """Random-walk MH on a transformed scale with burn-in step adaptation.
 
-    ``transform='log'`` walks in log(v), ``'log_shift'`` in log(v - shift)
+    ``transform='log'`` walks in log(v), ``'log_shift'`` in log(v - 1)
     (used for the variance multipliers with support (1, inf)), ``'identity'``
     in v itself.  The Jacobian of the transform is added to the transformed
     log target, so ``step`` samples the intended distribution on the original
     scale.  While ``adapt=True`` the log step scale follows a Robbins-Monro
-    recursion toward the target acceptance rate and must be frozen (pass
-    ``adapt=False``) once draws are being kept.
+    recursion toward 30% acceptance and must be frozen (pass ``adapt=False``)
+    once draws are being kept.
     """
 
-    def __init__(
-        self,
-        scale: float = 0.5,
-        transform: str = "identity",
-        shift: float = 1.0,
-        target_accept: float = 0.3,
-    ) -> None:
+    def __init__(self, scale: float = 0.5, transform: str = "identity") -> None:
         if transform not in ("identity", "log", "log_shift"):
             raise ParameterError(f"unknown transform {transform!r}")
         if not scale > 0:
             raise ParameterError("step scale must be > 0")
         self.scale = scale
         self.transform = transform
-        self.shift = shift
-        self.target_accept = target_accept
         self.accepted = 0
         self.attempts = 0
         self._adapt_steps = 0
@@ -73,14 +68,14 @@ class AdaptiveRw:
         if self.transform == "log":
             return math.log(v)
         if self.transform == "log_shift":
-            return math.log(v - self.shift)
+            return math.log(v - 1.0)
         return v
 
     def _to_v(self, x: float) -> float:
         if self.transform == "log":
             return math.exp(x)
         if self.transform == "log_shift":
-            return self.shift + math.exp(x)
+            return 1.0 + math.exp(x)
         return x
 
     def _log_jacobian(self, x: float) -> float:
@@ -112,7 +107,7 @@ class AdaptiveRw:
         if adapt:
             self._adapt_steps += 1
             gain = 1.0 / (1.0 + self._adapt_steps) ** 0.66
-            self.scale *= math.exp(gain * (accept_prob - self.target_accept))
+            self.scale *= math.exp(gain * (accept_prob - _TARGET_ACCEPT))
             self.scale = min(max(self.scale, 1e-4), 1e4)
         return out
 
@@ -146,6 +141,12 @@ class NormalNormalPosterior:
         if not self.sigma_sq > 0 or not self.k > 0:
             raise ParameterError("sigma_sq and prior precision k must be > 0")
 
+    @classmethod
+    def from_data(cls, data: np.ndarray, sigma_sq: float, k: float) -> "NormalNormalPosterior":
+        """Statistics of the observations ``data`` under the prior N(0, 1/k)."""
+        n = data.size
+        return cls(n=n, ybar=float(data.mean()) if n else 0.0, sigma_sq=sigma_sq, k=k)
+
     @property
     def posterior_mean(self) -> float:
         return (self.n * self.ybar + self.mu0 * self.k * self.sigma_sq) / (
@@ -176,6 +177,27 @@ def inv_gamma_normal_update(
         raise ParameterError("need n >= 0 and a nonnegative residual sum of squares")
     post = InvGammaParams(n / 2.0 + prior.shape, residual_sq_sum / 2.0 + prior.rate)
     return float(inv_gamma_sample(post, rng))
+
+
+def gaussian_h_star_target(
+    data: np.ndarray, mu: float, lower_var: float, prior: FrechetParams
+) -> Callable[[float], float]:
+    """Log target of a variance multiplier h* whose state holds Gaussian data.
+
+    The observations are N(mu, lower_var * h*), with lower_var the variance of
+    the state below, so the target is the Frechet prior times
+    h^(-n/2) exp(-ss / (2h)), ss the residual sum of squares over lower_var.
+    """
+    ss = float(np.sum((data - mu) ** 2)) / lower_var
+    n = data.size
+
+    def log_target(h: float) -> float:
+        base = frechet_logpdf(h, prior)
+        if base == -math.inf:
+            return base
+        return base - 0.5 * n * math.log(h) - 0.5 * ss / h
+
+    return log_target
 
 
 # ---------------------------------------------------------------------------

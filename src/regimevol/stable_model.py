@@ -22,7 +22,6 @@ import numpy as np
 from .distributions import (
     FrechetParams,
     InvGammaParams,
-    frechet_logpdf,
     frechet_sample,
     gaussian_logpdf,
     positive_stable_logpdf,
@@ -33,6 +32,7 @@ from .mcmc import (
     GibbsSampler,
     ModelState,
     NormalNormalPosterior,
+    gaussian_h_star_target,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
@@ -204,15 +204,8 @@ def sample_stable_mu_j(
 ) -> float:
     """Exact conjugate draw of the state-j mean with variance lambda gamma_j^2."""
     data_j = np.asarray(data_j, dtype=float)
-    n = data_j.size
-    post = NormalNormalPosterior(
-        n=n,
-        ybar=float(data_j.mean()) if n else 0.0,
-        sigma_sq=float(params.lam * params.gamma_sq[j - 1]),
-        k=priors.k,
-        mu0=0.0,
-    )
-    return normal_normal_update(post, rng)
+    var = float(params.lam * params.gamma_sq[j - 1])
+    return normal_normal_update(NormalNormalPosterior.from_data(data_j, var, priors.k), rng)
 
 
 def sample_stable_h_star_j(
@@ -234,16 +227,8 @@ def sample_stable_h_star_j(
     if data_j.size == 0:
         return float(frechet_sample(priors.frechet, rng))
     lower_var = float(params.lam * params.gamma_sq[j - 2])
-    ss = float(np.sum((data_j - params.mu[j - 1]) ** 2)) / lower_var
-    n_j = data_j.size
-
-    def log_target(h: float) -> float:
-        base = frechet_logpdf(h, priors.frechet)
-        if base == -math.inf:
-            return base
-        return base - 0.5 * n_j * math.log(h) - 0.5 * ss / h
-
-    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift", shift=1.0)
+    log_target = gaussian_h_star_target(data_j, params.mu[j - 1], lower_var, priors.frechet)
+    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift")
     return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
 
 

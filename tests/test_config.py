@@ -1,0 +1,45 @@
+import json
+
+import pytest
+
+from regimevol import ConfigError, RunConfig, load_config
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", -3),
+        ("seed", True),
+        ("states", 2.5),
+        ("states", True),
+        ("iters", "100"),
+        ("burnin", False),
+        ("b", True),
+        ("alpha", "1.7"),
+        ("sigma_rate", "0.1"),
+        ("u", [0.5, "1"]),
+        ("fix_mean_zero", "no"),
+        ("fix_mean_zero", 0),
+        ("data", 3),
+    ],
+)
+def test_wrong_field_type_is_config_error_naming_the_field(tmp_path, field, value):
+    values = {"model": "jump", "seed": 1, "states": 2, "iters": 10, "burnin": 2}
+    values[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    with pytest.raises(ConfigError, match=rf"^{field} must be"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=rf"^{field} must be"):
+        RunConfig(**values).validate()
+
+
+def test_valid_config_loads_with_overrides(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "stable", "seed": 0, "states": 2, "burnin": 10,
+                                "u": [1, 2.5]}))
+    cfg = load_config(path, iters=100, seed=None)  # None overrides are ignored
+    assert (cfg.seed, cfg.iters, cfg.burnin, cfg.u) == (0, 100, 10, [1, 2.5])
+    assert cfg.fix_mean_zero is True

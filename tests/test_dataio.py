@@ -1,0 +1,81 @@
+from datetime import date
+
+import numpy as np
+import pytest
+
+from regimevol import (
+    DataError,
+    DatedSeries,
+    align_series,
+    load_prices_csv,
+    load_reference_csv,
+    log_returns,
+)
+
+
+def _write(tmp_path, text, name="prices.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_load_prices_and_log_returns(tmp_path):
+    path = _write(tmp_path, "date,price\n2020-01-01,100\n2020-01-02,110\n2020-01-03,99\n\n")
+    prices = load_prices_csv(path)
+    assert prices.dates == [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)]
+    assert prices.source == str(path)
+    returns = log_returns(prices)
+    assert returns.dates == prices.dates[1:]
+    np.testing.assert_allclose(returns.values, np.log([110 / 100, 99 / 110]), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("date,close\n2020-01-01,1\n", "line 1: expected header 'date,price'"),
+        ("date,price\n2020-01-01,1\n2020-01-02,2,3\n", "line 3: expected 2 fields, got 3"),
+        ("date,price\n2020-13-01,1\n", "line 2: invalid ISO date '2020-13-01'"),
+        ("date,price\n2020-01-01,1\n2020-01-02,abc\n", "line 3: non-numeric price 'abc'"),
+        ("date,price\n2020-01-01,inf\n", "line 2: non-finite price"),
+        ("date,price\n2020-01-01,1\n2020-01-01,2\n", "line 3: duplicated date 2020-01-01"),
+        ("date,price\n2020-01-02,1\n2020-01-01,2\n", "line 3: dates out of order at 2020-01-01"),
+        ("", "file is empty"),
+        ("date,price\n\n", "no data rows"),
+    ],
+)
+def test_csv_errors_name_the_line(tmp_path, body, message):
+    path = _write(tmp_path, body)
+    with pytest.raises(DataError) as info:
+        load_prices_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+def test_reference_csv_uses_value_header(tmp_path):
+    path = _write(tmp_path, "date,value\n2020-01-01,12.5\n2020-01-02,x\n", "reference.csv")
+    with pytest.raises(DataError, match="line 3: non-numeric value 'x'"):
+        load_reference_csv(path)
+
+
+def test_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot open"):
+        load_prices_csv(tmp_path / "absent.csv")
+
+
+def test_log_returns_rejects_nonpositive_price():
+    prices = DatedSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, 0.0]))
+    with pytest.raises(DataError, match="nonpositive price 0.0 at 2020-01-02"):
+        log_returns(prices)
+
+
+def test_align_series_inner_join():
+    days = [date(2020, 1, d) for d in range(1, 6)]
+    a = DatedSeries(days[:4], np.arange(4.0))
+    b = DatedSeries(days[1:], 10.0 + np.arange(4.0))
+    dates, a_vals, b_vals, dropped = align_series(a, b)
+    assert dates == days[1:4]
+    np.testing.assert_array_equal(a_vals, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(b_vals, [10.0, 11.0, 12.0])
+    assert dropped == 2
+    with pytest.raises(DataError, match="share no dates"):
+        align_series(DatedSeries(days[:1], [1.0]), DatedSeries(days[1:2], [1.0]))

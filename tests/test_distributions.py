@@ -2,112 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import log_ndtr
-from scipy.stats import kstest, ks_2samp
+from scipy.stats import invweibull, kstest, ks_2samp
 
 from regimevol import (
-    DirichletParams,
     FrechetParams,
     InvGammaParams,
     NumericalError,
     ParameterError,
     StableParams,
-    SymGammaParams,
-    dirichlet_sample,
-    frechet_pdf,
     frechet_sample,
-    inv_gamma_pdf,
     inv_gamma_sample,
     jump_convolved_logpdf,
     jump_convolved_pdf,
     positive_stable_logpdf,
     positive_stable_sample,
+    sample_transition_matrix,
     stable_sample,
-    sym_gamma_pdf,
-    sym_gamma_sample,
-    sym_gamma_variance,
 )
-
-
-# ---------------------------------------------------------------------------
-# symmetric Gamma
-
-
-def test_sym_gamma_pdf_at_zero_single_jump():
-    assert sym_gamma_pdf(0.0, SymGammaParams(1, 1.0)) == pytest.approx(0.5)
-
-
-def test_sym_gamma_pdf_at_zero_two_jumps():
-    assert sym_gamma_pdf(0.0, SymGammaParams(2, 1.0)) == 0.0
-
-
-def test_sym_gamma_pdf_direct_formula():
-    # beta^a/(2 Gamma(a)) |x|^(a-1) e^(-b|x|) at x=1, a=b=1: e^-1 / 2
-    assert sym_gamma_pdf(1.0, SymGammaParams(1, 1.0)) == pytest.approx(
-        0.18393972058572117, abs=1e-15
-    )
-
-
-@given(
-    alpha=st.integers(min_value=1, max_value=12),
-    beta=st.floats(min_value=0.05, max_value=80.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_sym_gamma_pdf_even(alpha, beta):
-    params = SymGammaParams(alpha, beta)
-    grid = np.linspace(0.01, 5.0, 23)
-    np.testing.assert_allclose(
-        sym_gamma_pdf(grid, params), sym_gamma_pdf(-grid, params), rtol=0, atol=0
-    )
-
-
-def test_sym_gamma_pdf_normalizes():
-    params = SymGammaParams(3, 2.0)
-    total, _ = quad(lambda x: sym_gamma_pdf(x, params), -40, 40, limit=200)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sym_gamma_variance_values():
-    assert sym_gamma_variance(SymGammaParams(1, 1.0)) == 2.0
-    assert sym_gamma_variance(SymGammaParams(2, 1.0)) == 6.0
-    assert sym_gamma_variance(SymGammaParams(1, 30.0)) == pytest.approx(2.0 / 900.0)
-    assert sym_gamma_variance(SymGammaParams(2, 30.0)) == pytest.approx(6.0 / 900.0)
-
-
-def test_sym_gamma_params_domain():
-    with pytest.raises(ParameterError):
-        SymGammaParams(0, 1.0)
-    with pytest.raises(ParameterError):
-        SymGammaParams(1, 0.0)
-    with pytest.raises(ParameterError):
-        SymGammaParams(1.5, 1.0)
-
-
-def test_sym_gamma_sample_moments():
-    rng = np.random.default_rng(101)
-    params = SymGammaParams(1, 1.0)
-    draws = sym_gamma_sample(params, rng, size=100_000)
-    target = sym_gamma_variance(params)
-    sq = draws**2
-    se_var = math.sqrt((np.mean(sq**2) - np.mean(sq) ** 2) / draws.size)
-    assert abs(draws.var() - target) < 3 * se_var
-    assert abs(draws.mean()) < 3 * draws.std() / math.sqrt(draws.size)
-
-
-def test_sym_gamma_sample_magnitude_is_gamma():
-    rng = np.random.default_rng(7)
-    draws = sym_gamma_sample(SymGammaParams(2, 30.0), rng, size=100_000)
-    reference = rng.gamma(2.0, 1.0 / 30.0, 100_000)
-    assert ks_2samp(np.abs(draws), reference).pvalue > 0.01
-
-
-def test_sym_gamma_sample_reproducible():
-    a = sym_gamma_sample(SymGammaParams(2, 3.0), np.random.default_rng(5), size=50)
-    b = sym_gamma_sample(SymGammaParams(2, 3.0), np.random.default_rng(5), size=50)
-    np.testing.assert_array_equal(a, b)
+from regimevol.distributions import frechet_logpdf
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +119,7 @@ def test_positive_stable_logpdf_left_edge():
 
 
 # ---------------------------------------------------------------------------
-# inverse Gamma, Dirichlet, Frechet
-
-
-def test_inv_gamma_pdf_vanishes_at_origin():
-    params = InvGammaParams(3.0, 2.0)
-    assert inv_gamma_pdf(0.0, params) == 0.0
-    assert inv_gamma_pdf(1e-6, params) < 1e-100
-    assert inv_gamma_pdf(-1.0, params) == 0.0
+# inverse Gamma, Dirichlet rows, Frechet
 
 
 def test_inv_gamma_sample_mean():
@@ -223,16 +130,18 @@ def test_inv_gamma_sample_mean():
     assert abs(draws.mean() - target) < 3 * se
 
 
-def test_inv_gamma_pdf_normalizes():
-    params = InvGammaParams(3.0, 2.0)
-    total, _ = quad(lambda x: inv_gamma_pdf(x, params), 0, np.inf, limit=300)
-    assert total == pytest.approx(1.0, abs=1e-8)
+def _prior_transition_rows(concentration, n_rows, rng):
+    """Rows of the transition update with no counts: Dirichlet(concentration)
+    draws, four per call."""
+    rows = np.tile(np.asarray(concentration, dtype=float), (4, 1))
+    return np.vstack([
+        sample_transition_matrix(np.zeros((4, 4)), rows, rng) for _ in range(n_rows // 4)
+    ])
 
 
 def test_dirichlet_symmetric_means():
     rng = np.random.default_rng(21)
-    params = DirichletParams(np.ones(4))
-    draws = np.array([dirichlet_sample(params, rng) for _ in range(100_000)])
+    draws = _prior_transition_rows(np.ones(4), 100_000, rng)
     se = draws.std(axis=0) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - 0.25) < 3 * se)
     np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
@@ -240,22 +149,28 @@ def test_dirichlet_symmetric_means():
 
 def test_dirichlet_weighted_mean():
     rng = np.random.default_rng(22)
-    params = DirichletParams(np.array([10.0, 1.0, 1.0, 1.0]))
-    first = np.array([dirichlet_sample(params, rng)[0] for _ in range(100_000)])
+    first = _prior_transition_rows([10.0, 1.0, 1.0, 1.0], 100_000, rng)[:, 0]
     se = first.std() / math.sqrt(first.size)
     assert abs(first.mean() - 10.0 / 13.0) < 3 * se
 
 
+def _frechet_pdf(h, params):
+    return math.exp(frechet_logpdf(h, params))
+
+
 def test_frechet_pdf_support():
     params = FrechetParams(2.0, 0.5)
-    assert frechet_pdf(1.0, params) == 0.0
-    assert frechet_pdf(0.5, params) == 0.0
-    assert frechet_pdf(1.3, params) > 0.0
+    assert _frechet_pdf(1.0, params) == 0.0
+    assert _frechet_pdf(0.5, params) == 0.0
+    assert _frechet_pdf(1.3, params) > 0.0
+    oracle = invweibull(2.0, loc=1.0, scale=0.5)
+    for h in (1.05, 1.3, 2.0, 7.5):
+        assert _frechet_pdf(h, params) == pytest.approx(oracle.pdf(h), rel=1e-12)
 
 
 def test_frechet_pdf_normalizes():
     params = FrechetParams(2.0, 0.5)
-    total, _ = quad(lambda h: frechet_pdf(h, params), 1.0, np.inf, limit=300)
+    total, _ = quad(lambda h: _frechet_pdf(h, params), 1.0, np.inf, limit=300)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 

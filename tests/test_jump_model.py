@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,15 @@ from regimevol import (
     grid_posterior,
     inv_gamma_normal_update,
     jump_convolved_pdf,
-    jump_emission_logpdf,
     simulate_jump_model,
 )
 from regimevol.jump_model import (
     JumpGibbsSampler,
+    _poisson_n_max,
     default_dirichlet_rows,
     default_u_ladder,
     initial_jump_state,
     jump_count_weights,
-    jump_state_loglik,
     sample_h_star_j,
     sample_mu_j,
     sample_n_jumps_j,
@@ -134,9 +134,17 @@ def test_param_dict_round_trip_names():
 # emission
 
 
+def _emission(ys, j, p):
+    """Column j (1-based) of the jump sampler's emission matrix at ys."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    # the sampler needs two observations; repeat a single one
+    sampler = JumpGibbsSampler(np.resize(ys, max(ys.size, 2)), _priors(p.n_states))
+    return sampler.emission_matrix(p)[: ys.size, j - 1]
+
+
 def test_emission_gaussian_branch_peak():
     p = _params([0.4, 0.0], [0.25, 1.0], [0.2, 0.7], [0, 0])
-    assert jump_emission_logpdf(0.4, 1, p) == pytest.approx(-0.5 * math.log(2 * math.pi * 0.25))
+    assert _emission(0.4, 1, p)[0] == pytest.approx(-0.5 * math.log(2 * math.pi * 0.25))
 
 
 def test_emission_gaussian_branch_matches_oracle():
@@ -144,32 +152,46 @@ def test_emission_gaussian_branch_matches_oracle():
     rng = np.random.default_rng(0)
     ys = rng.normal(0, 1, 50)
     expected = -0.5 * (np.log(2 * np.pi * 0.5) + (ys - 0.1) ** 2 / 0.5)
-    np.testing.assert_allclose(jump_emission_logpdf(ys, 1, p), expected, atol=1e-12)
+    np.testing.assert_allclose(_emission(ys, 1, p), expected, atol=1e-12)
 
 
 def test_emission_jump_branch_symmetric():
     p = _params([0.0, 0.0], [0.5, 2.0], [0.2, 0.7], [1, 1])
-    for y in (0.3, 1.1, 2.7):
-        assert jump_emission_logpdf(y, 2, p) == pytest.approx(
-            jump_emission_logpdf(-y, 2, p), abs=1e-9
-        )
+    ys = np.array([0.3, 1.1, 2.7])
+    np.testing.assert_allclose(_emission(ys, 2, p), _emission(-ys, 2, p), rtol=0, atol=1e-9)
 
 
 def test_emission_jump_branch_matches_reference_pdf():
     p = _params([0.0, 0.2], [0.5, 2.0], [0.2, 0.7], [0, 3], b=5.0)
-    for y in (-1.0, 0.0, 0.9, 3.5):
-        assert jump_emission_logpdf(y, 2, p) == pytest.approx(
+    ys = np.array([-1.0, 0.0, 0.9, 3.5])
+    for y, lp in zip(ys, _emission(ys, 2, p)):
+        assert lp == pytest.approx(
             math.log(jump_convolved_pdf(y, 0.2, math.sqrt(2.0), 3, 5.0)), abs=1e-6
         )
 
 
 def test_state_loglik_is_sum_of_emissions():
+    # the jump-count weights use the state log-likelihood at each count: the
+    # log weight ratio to count 0 is the Poisson prior ratio plus the change
+    # in the summed emission column
     p = _params([0.0, 0.0], [0.5, 2.0], [0.2, 0.7], [0, 2], b=3.0)
     rng = np.random.default_rng(1)
     data = rng.normal(0, 1, 30)
-    total = jump_state_loglik(data, 2, p)
-    by_hand = sum(float(jump_emission_logpdf(y, 2, p)) for y in data)
-    assert total == pytest.approx(by_hand, abs=1e-10)
+    w = jump_count_weights(data, 2, p, _priors())
+
+    def state_loglik(n):
+        return _emission(data, 2, replace(p, n_jumps=np.array([0, n]))).sum()
+
+    theta = p.theta[1]
+    compared = 0
+    for n in range(1, w.size):
+        if w[n] < 1e-200:
+            continue
+        prior_ratio = n * math.log(theta) - math.lgamma(n + 1)
+        expected = prior_ratio + state_loglik(n) - state_loglik(0)
+        assert math.log(w[n] / w[0]) == pytest.approx(expected, abs=1e-10)
+        compared += 1
+    assert compared >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +330,7 @@ def test_h_star_recovery_mode_near_truth():
     data = rng.normal(0.0, math.sqrt(1.5), 500)
     p = _params([0.0, 0.0], [1.0, 2.0], [0.2, 0.7], [0, 0])
     priors = _priors()
-    sampler = AdaptiveRw(scale=0.4, transform="log_shift", shift=1.0)
+    sampler = AdaptiveRw(scale=0.4, transform="log_shift")
     h = 2.0
     draws = np.empty(20_000)
     for i in range(draws.size):
@@ -358,6 +380,18 @@ def test_n_jump_weights_normalized():
     w = jump_count_weights(data, 1, p, priors)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0)
+
+
+def test_poisson_n_max_matches_scipy_isf():
+    # the package computes the Poisson tail bound from scipy.special alone;
+    # scipy.stats is the oracle here only
+    from scipy.stats import poisson
+
+    thetas = np.concatenate([np.geomspace(1e-12, 200.0, 20_001), np.linspace(0.01, 200.0, 20_000)])
+    expected = np.maximum(poisson.isf(1e-13, thetas).astype(int) + 1, 4)
+    got = np.array([_poisson_n_max(float(t)) for t in thetas])
+    bad = np.nonzero(got != expected)[0]
+    assert bad.size == 0, [(thetas[i], got[i], expected[i]) for i in bad[:5]]
 
 
 def test_n_jumps_recovery_with_strong_separation():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regimevol import (
-    DirichletParams,
     FilterDegeneracyError,
     ParameterError,
     count_transitions,
-    dirichlet_sample,
     enumerate_filtered_probs,
     enumerate_path_posterior,
     hamilton_filter,
@@ -164,7 +162,7 @@ def test_sample_transition_matrix_prior_only():
     rows = np.array([[2.0, 3.0], [1.0, 1.0]])
     drawn = sample_transition_matrix(np.zeros((2, 2)), rows, np.random.default_rng(5))
     rng2 = np.random.default_rng(5)
-    expected = np.vstack([dirichlet_sample(DirichletParams(row), rng2) for row in rows])
+    expected = np.vstack([rng2.dirichlet(row) for row in rows])
     np.testing.assert_allclose(drawn, expected)
     np.testing.assert_allclose(drawn.sum(axis=1), 1.0, atol=1e-12)
 
