@@ -402,8 +402,8 @@ class ParamSummary:
     acceptance_rate: float | None = None
 
 
-def chain_summary(chain: Chain, bins: int = 40) -> dict[str, ParamSummary]:
-    """Post-burn-in mean, sd, histogram and acceptance rate per scalar parameter.
+def chain_summary(chain: Chain) -> dict[str, ParamSummary]:
+    """Post-burn-in mean, sd, 40-bin histogram and acceptance rate per scalar parameter.
 
     Draws may be ModelState objects or plain name->value mappings.
     """
@@ -413,7 +413,7 @@ def chain_summary(chain: Chain, bins: int = 40) -> dict[str, ParamSummary]:
     out: dict[str, ParamSummary] = {}
     for name in rows[0]:
         values = np.array([r[name] for r in rows], dtype=float)
-        counts, edges = np.histogram(values, bins=bins)
+        counts, edges = np.histogram(values, bins=40)
         rate = chain.acceptance_rate(name) if name in chain.acceptance else None
         out[name] = ParamSummary(
             mean=float(values.mean()),

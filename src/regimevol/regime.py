@@ -1,11 +1,28 @@
 """Hidden-state machinery: Hamilton forward filter, backward path sampling,
 transition counting and Dirichlet transition-matrix draws.
 
-State labels are 1..M everywhere in public arrays.  Filtering runs in scaled
-probability space (each step renormalized, log-normalizers accumulated) so a
-few hundred observations cannot underflow.  The backward draw takes one
-uniform per time step from the caller's Generator, so a path is a function of
-the filtered probabilities, the transition matrix and the Generator state.
+State labels are 1..M everywhere in public arrays.
+
+The forward filter needs the row vector pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t)
+for every t, where e_t holds the emission densities at t divided by their
+row maximum.  The product is associative, so all T prefixes come out of one
+parallel prefix scan (Särkkä & García-Fernández, IEEE TAC 2021; Hassan,
+Särkkä & García-Fernández, IEEE TSP 2021): O(T) batched M×M products in
+2·ceil(log2 T) rounds instead of one Python step per observation.  Every
+element of the scan is kept rescaled: each row normalised to sum 1, the log
+of each row's scale relative to the largest row, and one log scale for the
+whole element.  So no row of a product underflows, even where P has zeros and
+the rows of a long segment differ by thousands of nats, and the
+log-likelihood is never a difference of large numbers.  All products are of
+nonnegative numbers, so nothing cancels.  A prefix goes through at most
+2·ceil(log2 T) products, and a filtered probability well above the subnormal
+range carries a relative error of O(M·log2 T·ε) against exact arithmetic on
+the same e_t, plus ε times the log-range of the row scales in a segment.
+
+The backward draw takes one uniform per time step from the caller's
+Generator, so a path is a function of the filtered probabilities, the
+transition matrix and the Generator state.  It picks the inverse-CDF state
+for every (t, next state) pair at once; only a T-step integer lookup is left.
 """
 
 from __future__ import annotations
@@ -26,14 +43,14 @@ __all__ = [
 ]
 
 
-def validate_transition_matrix(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def validate_transition_matrix(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ParameterError(f"transition matrix must be square, got shape {p.shape}")
     if np.any(p < 0):
         raise ParameterError("transition probabilities must be nonnegative")
     sums = p.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=atol):
+    if not np.allclose(sums, 1.0, atol=1e-9):
         raise ParameterError(f"transition-matrix rows must sum to 1, got {sums}")
     return p
 
@@ -47,6 +64,77 @@ class FilteredProbs:
 
 
 # ---------------------------------------------------------------------------
+# rescaled prefix scan
+#
+# An element is a stack of nonnegative M×M matrices stored as (s, d, g) with
+# shapes (M, M, n), (M, n) and (n,), time on the last axis: matrix k equals
+# exp(g[k]) · diag(exp(d[:, k])) · s[:, :, k], every nonzero row of s sums to
+# 1 and max_i d[i, k] = 0.  A zero row has d = -inf; a zero matrix has
+# g = -inf and s = 0.
+
+
+def _finite_or_zero(x: np.ndarray) -> np.ndarray:
+    return np.where(x > -np.inf, x, 0.0)
+
+
+def _rescaled(z: np.ndarray, d: np.ndarray, g: np.ndarray):
+    """Normalise the rows of z (in place) and move their log sums into d and g."""
+    r = z.sum(axis=1)
+    d += np.log(r)
+    r += r == 0.0  # a zero row stays zero instead of 0/0
+    z /= r[:, None]
+    top = d.max(axis=0)
+    d -= _finite_or_zero(top)
+    return z, d, g + top
+
+
+def _compose(sx, dx, gx, sy, dy, gy):
+    """Products X·Y of two element stacks.
+
+    Row i of X·Y is sum_j sx[i, j] exp(dy[j]) sy[j, :], times the scales of
+    row i of X.  The shift c[i] = max_j(log sx[i, j] + dy[j]) brings the
+    largest term of that sum to 1, so no row underflows.
+    """
+    a = np.log(sx)
+    a += dy
+    c = a.max(axis=1)
+    w = np.subtract(dy, _finite_or_zero(c)[:, None], out=a)
+    # w <= -log sx wherever sx > 0, so exp(w) can overflow only where sx is
+    # subnormal or zero; those weights are taken as exp(log sx + w) instead
+    far = w > 700.0
+    w_far = w[far]
+    np.minimum(w, 700.0, out=w)
+    np.exp(w, out=w)
+    w *= sx
+    if w_far.size:
+        w[far] = np.exp(np.log(sx[far]) + w_far)
+    return _rescaled(np.einsum("ijn,jkn->ikn", w, sy), dx + c, gx + gy)
+
+
+def _prefix_scan(s: np.ndarray, d: np.ndarray, g: np.ndarray) -> None:
+    """Replace element t by the product of elements 0..t, in place.
+
+    Pairs (0,1), (2,3), ... are multiplied, their prefixes found by the same
+    scan on half as many elements, and each even element then joins the
+    prefix ending just before it: O(T) products in 2·ceil(log2 T) rounds.
+    """
+    n = s.shape[-1]
+    if n < 2:
+        return
+    k = n // 2
+    ps, pd, pg = _compose(
+        s[..., 0:2 * k:2], d[:, 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], d[:, 1::2], g[1::2]
+    )
+    _prefix_scan(ps, pd, pg)
+    s[..., 1::2], d[:, 1::2], g[1::2] = ps, pd, pg
+    h = (n - 1) // 2
+    if h:
+        s[..., 2::2], d[:, 2::2], g[2::2] = _compose(
+            ps[..., :h], pd[:, :h], pg[:h], s[..., 2::2], d[:, 2::2], g[2::2]
+        )
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -56,12 +144,20 @@ def hamilton_filter(
     p: np.ndarray,
     pi0: np.ndarray | None = None,
 ) -> FilteredProbs:
-    """Forward filter: row t is g(S_t = . | y_1..y_t); loglik accumulates
+    """Forward filter: row t is g(S_t = . | y_1..y_t); loglik is the sum of
     the one-step predictive log f(y_t | y_1..y_{t-1}).
 
     ``emission_logpdf`` is the (T, M) array of log emission densities, row t
     for observation t, column j for state label j+1.  ``pi0`` is the distribution
     of the first state; uniform when omitted.
+
+    The unnormalised filter at t is pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t),
+    with e_t the emission densities divided by their row maximum.  All T
+    prefixes come from one rescaled prefix scan (see the module docstring):
+    row t of ``probs`` is the normalised prefix t, and ``loglik`` is the log
+    scale of the last prefix plus the sum of the row maxima.  Raises
+    FilterDegeneracyError naming the first t at which every state has zero
+    predictive likelihood.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
@@ -76,23 +172,25 @@ def hamilton_filter(
         pi0 = np.asarray(pi0, dtype=float)
         if pi0.shape != (m,) or np.any(pi0 < 0) or not np.isclose(pi0.sum(), 1.0):
             raise ParameterError("pi0 must be a length-M probability vector")
-    probs = np.empty((t_len, m))
-    loglik = 0.0
-    pred = pi0
-    for t in range(t_len):
-        mx = logem[t].max()
-        c = 0.0
-        if np.isfinite(mx):
-            w = pred * np.exp(logem[t] - mx)
-            c = w.sum()
-        if not c > 0.0:
-            raise FilterDegeneracyError(
-                f"every state has zero likelihood at t={t}; check emissions/parameters"
-            )
-        probs[t] = w / c
-        loglik += np.log(c) + mx
-        pred = probs[t] @ p
-    return FilteredProbs(probs=probs, loglik=float(loglik))
+    mx = logem.max(axis=1)
+    live = np.isfinite(mx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.array(logem.T, order="C")
+        e -= np.where(live, mx, 0.0)
+        np.exp(e, out=e)
+        e[:, ~live] = 0.0
+        # element t is P·diag(e_t); element 0 has every row equal to pi0·e_0
+        s = p[:, :, None] * e
+        s[:, :, 0] = pi0 * e[:, 0]
+        s, d, g = _rescaled(s, np.zeros((m, t_len)), np.zeros(t_len))
+        _prefix_scan(s, d, g)
+    dead = ~(g > -np.inf)
+    if dead.any():
+        raise FilterDegeneracyError(
+            f"every state has zero likelihood at t={int(np.argmax(dead))}; "
+            "check emissions/parameters"
+        )
+    return FilteredProbs(probs=s[0].T.copy(), loglik=float(g[-1] + d[0, -1] + mx.sum()))
 
 
 def sample_state_path(
@@ -102,23 +200,31 @@ def sample_state_path(
 
     S_T comes from the last filtered row; earlier states use
     P(S_t = i | S_{t+1}, y_1..y_t) proportional to p[i, S_{t+1}] * filtered[t, i].
-    Returns labels 1..M.
+    Each state is the inverse-CDF pick for one uniform (T of them, drawn in
+    one call); the pick is made for every (t, next state) pair at once and the
+    path then follows the picks back from S_T.  Returns labels 1..M.
     """
     probs = filt.probs if isinstance(filt, FilteredProbs) else np.asarray(filt, dtype=float)
     p = validate_transition_matrix(p)
     t_len = probs.shape[0]
     uniforms = rng.random(t_len)
-    path = np.empty(t_len, dtype=np.int64)
-    weights = probs[t_len - 1]
-    path[t_len - 1] = np.searchsorted(np.cumsum(weights), uniforms[t_len - 1] * weights.sum())
+    # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s]
+    cdf = probs[:-1].T[:, None, :] * p[:, :, None]
+    np.cumsum(cdf, axis=0, out=cdf)
+    total = cdf[-1]
+    picks = (cdf < uniforms[:-1] * total).sum(axis=0).tolist()  # picks[s][t]
+    last = np.cumsum(probs[-1])
+    state = int((last < uniforms[-1] * last[-1]).sum())
+    path = [state] * t_len
     for t in range(t_len - 2, -1, -1):
-        weights = probs[t] * p[:, path[t + 1]]
-        total = weights.sum()
-        if not total > 0.0:
-            raise FilterDegeneracyError(
-                f"backward sampling hit a zero-probability row at t={t}"
-            )
-        path[t] = np.searchsorted(np.cumsum(weights), uniforms[t] * total)
+        state = picks[state][t]
+        path[t] = state
+    path = np.array(path, dtype=np.int64)
+    zero = ~(total[path[1:], np.arange(t_len - 1)] > 0.0)
+    if zero.any():
+        raise FilterDegeneracyError(
+            f"backward sampling hit a zero-probability row at t={int(np.flatnonzero(zero)[-1])}"
+        )
     return path + 1
 
 

@@ -130,6 +130,154 @@ def test_backward_sampling_time_marginals():
 
 
 # ---------------------------------------------------------------------------
+# sequential oracles: the filter and the backward draw one time step at a
+# time, the arithmetic of the prefix scan and the vectorised draw in step order
+
+
+def _loop_filter(logem, p, pi0):
+    t_len, m = logem.shape
+    probs = np.empty((t_len, m))
+    loglik = 0.0
+    pred = pi0
+    for t in range(t_len):
+        mx = logem[t].max()
+        c = 0.0
+        if np.isfinite(mx):
+            w = pred * np.exp(logem[t] - mx)
+            c = w.sum()
+        if not c > 0.0:
+            raise FilterDegeneracyError(
+                f"every state has zero likelihood at t={t}; check emissions/parameters"
+            )
+        probs[t] = w / c
+        loglik += np.log(c) + mx
+        pred = probs[t] @ p
+    return probs, float(loglik)
+
+
+def _loop_path(probs, p, rng):
+    t_len = probs.shape[0]
+    uniforms = rng.random(t_len)
+    path = np.empty(t_len, dtype=np.int64)
+    weights = probs[t_len - 1]
+    path[t_len - 1] = np.searchsorted(np.cumsum(weights), uniforms[t_len - 1] * weights.sum())
+    for t in range(t_len - 2, -1, -1):
+        weights = probs[t] * p[:, path[t + 1]]
+        total = weights.sum()
+        if not total > 0.0:
+            raise FilterDegeneracyError(
+                f"backward sampling hit a zero-probability row at t={t}"
+            )
+        path[t] = np.searchsorted(np.cumsum(weights), uniforms[t] * total)
+    return path + 1
+
+
+def _oracle_cases(m, t_len, rng):
+    """Transition matrices of every kind the oracle comparison covers, each
+    with log emissions whose level moves over 1000 nats along the series.
+
+    Dirichlet rows with concentrations 1 and 5 have no entry near zero and
+    come with within-row spreads of 1000 nats, so emissions underflow to
+    exact zeros; concentration 0.3 comes with 100 nats and 20 with 1.
+    Matrices with exact zeros (random zeros, an absorbing state, the
+    identity) come with spreads of 30 nats, 5 at T = 5000, and rows with
+    concentration 0.05, whose entries fall to 1e-30 and below, with 10 nats:
+    the log-odds between states that P barely mixes then stay within a few
+    hundred nats.  Past about 708 nats a filtered probability is subnormal and
+    the loop loses it for good, so it is no oracle there.
+    """
+    level = rng.uniform(-1000.0, 0.0, (t_len, 1))
+    for conc, spread in [(0.05, 10.0), (0.3, 100.0), (1.0, 1000.0), (5.0, 1000.0), (20.0, 1.0)]:
+        p = rng.dirichlet(np.full(m, conc), size=m)
+        yield f"dirichlet{conc}", p, rng.dirichlet(np.ones(m)), level - spread * rng.random((t_len, m))
+    zeros = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.6)
+    zeros[np.arange(m), rng.integers(0, m, m)] += 0.1
+    absorbing = rng.dirichlet(np.ones(m), size=m)
+    absorbing[0] = np.eye(m)[0]
+    for name, p in [("zeros", zeros), ("absorbing", absorbing), ("identity", np.eye(m))]:
+        p = p / p.sum(axis=1, keepdims=True)
+        spread = 30.0 if t_len <= 300 else 5.0
+        yield name, p, rng.dirichlet(np.ones(m)), level - spread * rng.random((t_len, m))
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 3, 7, 300, 5000])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_filter_and_path_match_loop_oracles(m, t_len):
+    rng = np.random.default_rng(1000 * m + t_len)
+    for name, p, pi0, logem in _oracle_cases(m, t_len, rng):
+        probs, loglik = _loop_filter(logem, p, pi0)
+        filt = hamilton_filter(logem, t_len, p, pi0)
+        shown = probs > 1e-200
+        np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0, err_msg=name)
+        assert filt.loglik == pytest.approx(loglik, rel=1e-12), name
+
+        seed = int(rng.integers(2**32))
+        loop_rng, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _loop_path(probs, p, loop_rng)
+        np.testing.assert_array_equal(sample_state_path(probs, p, rng_new), expected, err_msg=name)
+        assert rng_new.bit_generator.state == loop_rng.bit_generator.state, name
+
+
+def test_filter_keeps_subnormal_mass_that_later_dominates():
+    # state 1 starts at 2**-1030, a subnormal; over t = 2, 3 state 2 falls
+    # 800 nats behind, so the scan composes a subnormal row entry with a
+    # segment whose row scales differ by more than the exponent range
+    logem = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -400.0], [0.0, -400.0]])
+    p, pi0 = np.eye(2), np.array([2.0**-1030, 1.0])
+    probs, loglik = _loop_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 4, p, pi0)
+    np.testing.assert_allclose(filt.probs[2:], probs[2:], rtol=1e-12, atol=0)
+    assert filt.probs[3, 0] == pytest.approx(1.0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+def _same_error(fn, oracle):
+    with pytest.raises(FilterDegeneracyError) as expected:
+        oracle()
+    with pytest.raises(FilterDegeneracyError) as got:
+        fn()
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("t_len, bad_t", [(1, 0), (4, 2), (9, 0), (9, 8), (300, 171), (300, 299)])
+@pytest.mark.parametrize("bad", [-np.inf, np.nan, np.inf])
+def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
+    rng = np.random.default_rng(t_len + bad_t)
+    logem, p, pi0 = _random_instance(rng, t_len, 3)
+    logem[bad_t] = -np.inf
+    logem[bad_t, 1] = bad
+    message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
+                          lambda: _loop_filter(logem, p, pi0))
+    assert f"t={bad_t};" in message
+
+
+@pytest.mark.parametrize("t_len, bad_t", [(9, 5), (300, 5), (300, 250)])
+def test_filter_zero_predictive_mass_matches_oracle(t_len, bad_t):
+    # S_t stays in state 1; its emission vanishes at bad_t while state 2's does not
+    logem = np.zeros((t_len, 2))
+    logem[bad_t, 0] = -np.inf
+    p, pi0 = np.eye(2), np.array([1.0, 0.0])
+    message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
+                          lambda: _loop_filter(logem, p, pi0))
+    assert f"t={bad_t};" in message
+
+
+def test_backward_zero_probability_row_matches_oracle():
+    # S_T = 2 and P = I: row 7 puts no mass on state 2 and row 3 none on any
+    # state; the loop meets t = 7 first
+    probs = np.full((10, 2), 0.5)
+    probs[3] = [0.0, 0.0]
+    probs[7] = [1.0, 0.0]
+    probs[-1] = [0.0, 1.0]
+    rng_loop, rng_new = np.random.default_rng(9), np.random.default_rng(9)
+    message = _same_error(lambda: sample_state_path(probs, np.eye(2), rng_new),
+                          lambda: _loop_path(probs, np.eye(2), rng_loop))
+    assert message.endswith("t=7")
+    assert rng_new.bit_generator.state == rng_loop.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # transition counting and sampling
 
 
