@@ -276,6 +276,7 @@ def gaussian_logpdf(y, mu, var):
 _GL_ORDER = 96
 _GL_NODES, _GL_WEIGHTS = roots_legendre(_GL_ORDER)
 _MAX_BATCH_JUMPS = 100  # Gauss-Legendre accuracy budget; see _half_log_integral
+_GL_BLOCK = 128  # rows per block: a 96 KiB buffer of 128 x 96 float64
 
 
 def _check_convolution_params(sigma: float, n_jumps: int, b: float) -> int:
@@ -329,6 +330,12 @@ def _half_log_integral(mt: np.ndarray, n: int) -> np.ndarray:
     single Gauss-Legendre panel over the +-sqrt(delta^2 + 120) window around
     the peak (delta the peak-to-mean distance) captures the mass to ~1e-7
     relative up to n ~ 100, which bounds usable jump counts here.
+
+    The node grid is worked through in blocks of _GL_BLOCK rows with two
+    reused buffers, so the working set stays in cache and allocates no fresh
+    pages however long ``mt`` is.  Each value goes through the same
+    operations in the same order as on the whole grid, so the result is the
+    same to the bit.
     """
     if n == 1:
         return 0.5 * math.log(2.0 * math.pi) + log_ndtr(mt)
@@ -338,11 +345,28 @@ def _half_log_integral(mt: np.ndarray, n: int) -> np.ndarray:
     hi = mt + span
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    with np.errstate(divide="ignore"):
-        logf = (n - 1) * np.log(t) - 0.5 * (t - mt[:, None]) ** 2
-    peak = np.max(logf, axis=1)
-    return peak + np.log(np.sum(np.exp(logf - peak[:, None]) * _GL_WEIGHTS[None, :], axis=1) * half)
+    out = np.empty_like(mt)
+    rows = min(_GL_BLOCK, mt.size)
+    t_buf = np.empty((rows, _GL_ORDER))
+    f_buf = np.empty((rows, _GL_ORDER))
+    for i in range(0, mt.size, _GL_BLOCK):
+        j = min(i + _GL_BLOCK, mt.size)
+        t, logf = t_buf[: j - i], f_buf[: j - i]
+        np.multiply(half[i:j, None], _GL_NODES, out=t)
+        t += mid[i:j, None]
+        with np.errstate(divide="ignore"):
+            np.log(t, out=logf)
+        logf *= n - 1
+        t -= mt[i:j, None]
+        np.square(t, out=t)
+        t *= 0.5
+        logf -= t
+        peak = logf.max(axis=1)
+        logf -= peak[:, None]
+        np.exp(logf, out=logf)
+        logf *= _GL_WEIGHTS
+        out[i:j] = peak + np.log(logf.sum(axis=1) * half[i:j])
+    return out
 
 
 def jump_convolved_logpdf(z, mu: float, sigma: float, n_jumps: int, b: float) -> np.ndarray:

@@ -21,7 +21,12 @@ from regimevol import (
     sample_transition_matrix,
     stable_sample,
 )
-from regimevol.distributions import frechet_logpdf
+from regimevol.distributions import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _half_log_integral,
+    frechet_logpdf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +251,30 @@ def test_convolved_batch_agrees_with_reference():
                     if ref > 0:
                         worst = max(worst, abs(math.exp(lb) - ref) / ref)
     assert worst < 1e-6
+
+
+def _half_log_integral_whole_grid(mt, n):
+    """_half_log_integral for n >= 2 with every node of every value in one array."""
+    tstar = 0.5 * (mt + np.sqrt(mt * mt + 4.0 * (n - 1)))
+    span = np.sqrt((tstar - mt) ** 2 + 120.0)
+    lo = np.maximum(0.0, mt - span)
+    hi = mt + span
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    with np.errstate(divide="ignore"):
+        logf = (n - 1) * np.log(t) - 0.5 * (t - mt[:, None]) ** 2
+    peak = np.max(logf, axis=1)
+    return peak + np.log(np.sum(np.exp(logf - peak[:, None]) * _GL_WEIGHTS[None, :], axis=1) * half)
+
+
+@pytest.mark.parametrize("size", [0, 1, 127, 128, 129, 1000])
+def test_half_log_integral_blocks_match_whole_grid(size):
+    # the blocked evaluation must give the whole-grid values to the bit, on
+    # either side of a block edge, so fixed-seed draws do not depend on it
+    mt = np.random.default_rng(size).normal(0.0, 20.0, size)
+    for n in (2, 5, 40):
+        assert np.array_equal(_half_log_integral(mt, n), _half_log_integral_whole_grid(mt, n))
 
 
 def test_convolved_pdf_rejects_bad_params():
