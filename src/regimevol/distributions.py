@@ -8,8 +8,13 @@ and shifted-Frechet priors, and the numerically evaluated density of
 
 which is the single-observation likelihood of the jump-diffusion model when
 N >= 1 jumps are present.  symGamma(N, b) is a Gamma(N, b) magnitude times a
-fair random sign; ``jump_convolved_logpdf`` is the samplers' route and
-``jump_convolved_pdf`` its adaptive-quadrature reference.
+fair random sign.  The samplers' route, ``jump_convolved_logpdf`` and
+``jump_convolved_logpdf_counts``, reduces it to the half-line integrals
+K_n(m) = int_0^inf t^(n-1) exp(-(t-m)^2/2) dt and gets K_1..K_n in one pass
+from the exact three-term recurrence K_{n+1} = m K_n + (n-1) K_{n-1}, run
+forwards or backwards (Miller's algorithm) by the sign of m; its log is
+within 1e-12 of a 40-digit reference for n <= 100.  ``jump_convolved_pdf``
+is the adaptive-quadrature reference.
 
 Conventions
 -----------
@@ -21,13 +26,14 @@ samplers take a numpy Generator and are reproducible given its seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln, log_ndtr, roots_legendre
+from scipy.special import gammaln, log_ndtr
 
 from .errors import NumericalError, ParameterError
 
@@ -44,6 +50,7 @@ __all__ = [
     "gaussian_logpdf",
     "jump_convolved_pdf",
     "jump_convolved_logpdf",
+    "jump_convolved_logpdf_counts",
 ]
 
 
@@ -190,6 +197,9 @@ def _positive_stable_tail_logpdf(z: float, a: float) -> float:
     return math.log(total / math.pi)
 
 
+# A sampler's lambda step evaluates the density at the current value and at
+# the proposal; the current value was one of the two a sweep earlier.
+@functools.lru_cache(maxsize=2)
 def _positive_stable_logpdf_scalar(x: float, a: float) -> float:
     if not x > 0 or not math.isfinite(x):
         return -math.inf
@@ -273,10 +283,10 @@ def gaussian_logpdf(y, mu, var):
 # ---------------------------------------------------------------------------
 # Normal (x) symGamma convolution density
 
-_GL_ORDER = 96
-_GL_NODES, _GL_WEIGHTS = roots_legendre(_GL_ORDER)
-_MAX_BATCH_JUMPS = 100  # Gauss-Legendre accuracy budget; see _half_log_integral
-_GL_BLOCK = 128  # rows per block: a 96 KiB buffer of 128 x 96 float64
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_MAX_BATCH_JUMPS = 100  # the recurrence's accuracy is tested up to here
+_FORWARD_SWITCH = 4.6  # forward ratios for m >= -_FORWARD_SWITCH / sqrt(n_top)
+_MILLER_DAMPING = 20.0  # backward run-in: damp the start's error by e^-20
 
 
 def _check_convolution_params(sigma: float, n_jumps: int, b: float) -> int:
@@ -322,81 +332,125 @@ def jump_convolved_pdf(z: float, mu: float, sigma: float, n_jumps: int, b: float
     return math.exp(n * math.log(b) - gammaln(n) - math.log(2.0)) * val
 
 
-def _half_log_integral(mt: np.ndarray, n: int) -> np.ndarray:
-    """log of K(m) = int_0^inf t^(n-1) exp(-(t-m)^2/2) dt, vectorized over m.
+def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
+    """log K_n(m) for n = 1..n_top in one pass over m; row n - 1 holds log K_n.
 
-    n = 1 is the exact Gaussian tail integral.  For n >= 2 the integrand is
-    entire and single-peaked; its log-curvature is at least 1 everywhere, so a
-    single Gauss-Legendre panel over the +-sqrt(delta^2 + 120) window around
-    the peak (delta the peak-to-mean distance) captures the mass to ~1e-7
-    relative up to n ~ 100, which bounds usable jump counts here.
+    K_n(m) = int_0^inf t^(n-1) exp(-(t-m)^2/2) dt.  K_1 = sqrt(2 pi) Phi(m)
+    comes from ``log_ndtr``.  Integration by parts gives
+    K_2 = exp(-m^2/2) + m K_1 and K_{n+1} = m K_n + (n-1) K_{n-1}, so the rest
+    follows from the ratios R_n = K_{n+1}/K_n:
 
-    The node grid is worked through in blocks of _GL_BLOCK rows with two
-    reused buffers, so the working set stays in cache and allocates no fresh
-    pages however long ``mt`` is.  Each value goes through the same
-    operations in the same order as on the whole grid, so the result is the
-    same to the bit.
+    * forward, R_1 = m + exp(-m^2/2)/K_1 and R_n = m + (n-1)/R_{n-1}, for
+      m >= -4.6/sqrt(n_top), where K_n is the dominant solution or close to it
+      (a start error grows at most ~exp(2 |m| sqrt(n)) <= e^9.2 times);
+    * backward below that, where K_n is the minimal solution and forward
+      steps would lose its digits (Miller's algorithm): R_{n-1} = (n-1)/(R_n - m),
+      started from a two-term asymptotic value of R.  Step n damps the
+      start's error by R_n/(R_n - m) ~ exp(-2 asinh(-m / (2 sqrt(n)))), least
+      at the largest m that goes backwards, so the run-in starts far enough
+      above n_top to damp it by e^-20 there.  (A fixed ceil(200/m_max^2)
+      extra terms suffices only when m_max lies near the switch.)
+
+    Over m in [-40, 40] (and every 0.01 in [-6, 1]) and every
+    n <= n_top <= 100 the result is within 1e-12 of a 40-digit reference,
+    K_n(m) = Gamma(n) exp(-m^2/4) D_{-n}(-m) with D the parabolic cylinder
+    function; the tests hold it to 1e-10 against adaptive quadrature.
     """
-    if n == 1:
-        return 0.5 * math.log(2.0 * math.pi) + log_ndtr(mt)
-    tstar = 0.5 * (mt + np.sqrt(mt * mt + 4.0 * (n - 1)))
-    span = np.sqrt((tstar - mt) ** 2 + 120.0)
-    lo = np.maximum(0.0, mt - span)
-    hi = mt + span
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    out = np.empty_like(mt)
-    rows = min(_GL_BLOCK, mt.size)
-    t_buf = np.empty((rows, _GL_ORDER))
-    f_buf = np.empty((rows, _GL_ORDER))
-    for i in range(0, mt.size, _GL_BLOCK):
-        j = min(i + _GL_BLOCK, mt.size)
-        t, logf = t_buf[: j - i], f_buf[: j - i]
-        np.multiply(half[i:j, None], _GL_NODES, out=t)
-        t += mid[i:j, None]
-        with np.errstate(divide="ignore"):
-            np.log(t, out=logf)
-        logf *= n - 1
-        t -= mt[i:j, None]
-        np.square(t, out=t)
-        t *= 0.5
-        logf -= t
-        peak = logf.max(axis=1)
-        logf -= peak[:, None]
-        np.exp(logf, out=logf)
-        logf *= _GL_WEIGHTS
-        out[i:j] = peak + np.log(logf.sum(axis=1) * half[i:j])
+    out = np.empty((n_top, m.size))
+    out[0] = _HALF_LOG_2PI + log_ndtr(m)
+    if n_top == 1:
+        return out
+    # row n holds R_n until the logs are taken.  Forward ratios go everywhere
+    # first (below the switch they may overflow; those columns are replaced)
+    with np.errstate(all="ignore"):
+        out[1] = m + np.exp(-0.5 * m * m - out[0])
+        for n in range(2, n_top):
+            np.divide(n - 1, out[n - 1], out=out[n])
+            out[n] += m
+    back = np.flatnonzero(m < -_FORWARD_SWITCH / math.sqrt(n_top))
+    if back.size:
+        mb = m[back]
+        # the start's error is damped least where m is largest: run in until
+        # the damping there, prod R_n/(R_n - m), reaches exp(-_MILLER_DAMPING)
+        half_a = -0.5 * float(mb.max())
+        start, damping = n_top, 0.0
+        while damping < _MILLER_DAMPING:
+            start += 1
+            damping += 2.0 * math.asinh(half_a / math.sqrt(start))
+        # R_start ~ the fixed point of R = m + (start - 1)/(R - R'), R' = dR/dn
+        slope = 1.0 / np.sqrt(mb * mb + 4.0 * start)
+        r = 0.5 * (mb + slope + np.sqrt((mb - slope) ** 2 + 4.0 * (start - 1)))
+        for n in range(start, n_top, -1):
+            r -= mb
+            np.divide(n - 1, r, out=r)
+        rb = np.empty((n_top, back.size))  # rb[n - 1] = R_n
+        rb[-1] = r
+        for n in range(n_top - 1, 0, -1):
+            np.subtract(rb[n], mb, out=rb[n - 1])
+            np.divide(n, rb[n - 1], out=rb[n - 1])
+        out[1:, back] = rb[:-1]
+    np.log(out[1:], out=out[1:])
+    for n in range(1, n_top):
+        out[n] += out[n - 1]
     return out
 
 
-def jump_convolved_logpdf(z, mu: float, sigma: float, n_jumps: int, b: float) -> np.ndarray:
-    """Vectorized log density of Normal(mu, sigma^2) + symGamma(n_jumps, b).
+def _convolved_rows(zs: np.ndarray, mu: float, sigma: float, n_lo: int, n_top: int,
+                    b: float) -> np.ndarray:
+    """Log density of Normal(mu, sigma^2) + symGamma(n, b) at every zs, one row
+    per n = n_lo..n_top, from one ``_log_k_rows`` pass.
 
-    This is the sampler-facing likelihood path: after exponentially tilting
-    each half-line integral the remaining kernel is t^(n-1) times a unit
-    Gaussian, evaluated on scaled Gauss-Legendre nodes (exact log-Phi form for
-    a single jump).  Agrees with jump_convolved_pdf to ~1e-7 relative; all
-    arithmetic stays in log space so tail observations never underflow.
+    Each half-line integral of the jump density against the Gaussian is
+    exponentially tilted into a K_n: the positive jumps give K_n(d - b sigma)
+    e^(-b sigma d), the negative ones K_n(-d - b sigma) e^(b sigma d), with
+    d = (z - mu)/sigma.  All arithmetic stays in log space, so tail
+    observations never underflow.
     """
-    n = _check_convolution_params(sigma, n_jumps, b)
-    if n > _MAX_BATCH_JUMPS:
-        raise NumericalError(
-            f"batch evaluator supports jump counts up to {_MAX_BATCH_JUMPS}, got {n}; "
-            "use jump_convolved_pdf for larger counts"
-        )
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
     d = (zs - mu) / sigma
     bs = b * sigma
-    both = _half_log_integral(np.concatenate([d - bs, -d - bs]), n)
-    tilt = bs * d
-    m = zs.size
+    log_k = _log_k_rows(np.concatenate([d - bs, -d - bs]), n_top)[n_lo - 1:]
+    n = np.arange(n_lo, n_top + 1, dtype=float)[:, None]
     log_const = (
         n * math.log(b)
         - gammaln(n)
         - math.log(2.0)
         + (n - 1) * math.log(sigma)
-        - 0.5 * math.log(2.0 * math.pi)
+        - _HALF_LOG_2PI
         + 0.5 * bs * bs
     )
-    out = log_const + np.logaddexp(both[:m] - tilt, both[m:] + tilt)
+    tilt = bs * d
+    return log_const + np.logaddexp(log_k[:, : zs.size] - tilt, log_k[:, zs.size:] + tilt)
+
+
+def _check_batch_jumps(n: int) -> None:
+    if n > _MAX_BATCH_JUMPS:
+        raise NumericalError(
+            f"batch evaluator supports jump counts up to {_MAX_BATCH_JUMPS}, got {n}; "
+            "use jump_convolved_pdf for larger counts"
+        )
+
+
+def jump_convolved_logpdf(z, mu: float, sigma: float, n_jumps: int, b: float) -> np.ndarray:
+    """Vectorized log density of Normal(mu, sigma^2) + symGamma(n_jumps, b).
+
+    This is the sampler-facing likelihood path: the last row of one
+    three-term-recurrence pass (``_log_k_rows``, within 1e-12 of exact in
+    log K_n), exact log-Phi for a single jump.  All arithmetic stays in log
+    space so tail observations never underflow.
+    """
+    n = _check_convolution_params(sigma, n_jumps, b)
+    _check_batch_jumps(n)
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    out = _convolved_rows(zs, mu, sigma, n, n, b)[0]
     return out if np.ndim(z) else float(out[0])
+
+
+def jump_convolved_logpdf_counts(z, mu: float, sigma: float, n_top: int, b: float) -> np.ndarray:
+    """``jump_convolved_logpdf`` for every jump count 1..n_top from one pass.
+
+    Returns shape (n_top, len(z)); row n - 1 is the log density at n jumps.
+    Rows agree with the single-count values to better than 1e-10.
+    """
+    n_top = _check_convolution_params(sigma, n_top, b)
+    _check_batch_jumps(n_top)
+    return _convolved_rows(np.atleast_1d(np.asarray(z, dtype=float)), mu, sigma, 1, n_top, b)

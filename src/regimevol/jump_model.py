@@ -12,9 +12,11 @@ conditionals for sigma1^2 and h*_j use state-j data only, with the derived
 variances of all higher states moving along; that is the scheme the model
 defines.
 
-Every likelihood evaluation (the emission matrix, the MH targets and the
-jump-count weights) goes through ``_obs_logpdf``: Gaussian without jumps, the
-Normal (x) jump-sum convolution with them.  Without jumps the h*_j target is
+The emission matrix and the MH targets evaluate the likelihood through
+``_obs_logpdf``: Gaussian without jumps, the Normal (x) jump-sum convolution
+with them.  The jump-count weights take every count's convolution from one
+``jump_convolved_logpdf_counts`` pass, whose rows agree with the single-count
+values to 1e-10.  Without jumps the h*_j target is
 ``mcmc.gaussian_h_star_target``, the one the stable model uses.
 """
 
@@ -33,6 +35,7 @@ from .distributions import (
     frechet_sample,
     gaussian_logpdf,
     jump_convolved_logpdf,
+    jump_convolved_logpdf_counts,
 )
 from .errors import ParameterError
 from .mcmc import (
@@ -315,6 +318,23 @@ def _poisson_n_max(theta: float) -> int:
     return max(int(quantile) + 1, 4)
 
 
+def _stop_count(log_w: np.ndarray, theta: float) -> int | None:
+    """First count at which the enumeration may stop: past theta, three
+    declines since the running maximum, and 46 nats below it.  None if no
+    count in ``log_w`` qualifies."""
+    best = -math.inf
+    declines = 0
+    for n, lw in enumerate(log_w.tolist()):
+        if lw > best:
+            best = lw
+            declines = 0
+        else:
+            declines += 1
+        if n > theta and declines >= 3 and lw < best - 46.0:
+            return n
+    return None
+
+
 def jump_count_weights(
     data_j: np.ndarray, j: int, params: JumpParams, priors: JumpPriors
 ) -> np.ndarray:
@@ -325,31 +345,37 @@ def jump_count_weights(
     enumeration stops early once the weights have fallen 46 nats below the
     running maximum and keep falling, which leaves relative mass below
     categorical-draw resolution.
+
+    The likelihoods of counts 1..n come from one three-term-recurrence pass
+    over the state's data (``jump_convolved_logpdf_counts``), first for
+    n = N_j + 4 (the current count) and, only if the stopping rule has not
+    fired by then, again for twice as many counts, up to N_max.  A pass's
+    cost grows with n, and the rule usually fires three counts past the mode.
     """
     data_j = np.asarray(data_j, dtype=float)
     theta = float(params.theta[j - 1])
     var = float(params.sigma_sq[j - 1])
     mu = float(params.mu[j - 1])
     n_max = _poisson_n_max(theta)
-    log_w = np.full(n_max + 1, -np.inf)
-    log_pois = -theta
-    best = -math.inf
-    declines = 0
-    last = n_max
-    for n in range(n_max + 1):
-        if n > 0:
-            log_pois += math.log(theta) - math.log(n)
-        loglik = float(np.sum(_obs_logpdf(data_j, mu, var, n, params.b))) if data_j.size else 0.0
-        log_w[n] = log_pois + loglik
-        if log_w[n] > best:
-            best = log_w[n]
-            declines = 0
-        else:
-            declines += 1
-        if n > theta and declines >= 3 and log_w[n] < best - 46.0:
-            last = n
-            break
-    log_w = log_w[: last + 1]
+    log_pois = np.empty(n_max + 1)
+    log_pois[0] = -theta
+    for n in range(1, n_max + 1):
+        log_pois[n] = log_pois[n - 1] + (math.log(theta) - math.log(n))
+    if data_j.size:
+        gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
+        n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
+        while True:
+            rows = jump_convolved_logpdf_counts(data_j, mu, math.sqrt(var), n_top, params.b)
+            log_w = log_pois[: n_top + 1] + np.concatenate(([gauss], rows.sum(axis=1)))
+            last = _stop_count(log_w, theta)
+            if last is not None or n_top == n_max:
+                break
+            n_top = min(n_max, 2 * n_top)
+    else:
+        log_w = log_pois
+        last = _stop_count(log_w, theta)
+    if last is not None:
+        log_w = log_w[: last + 1]
     w = np.exp(log_w - log_w.max())
     return w / w.sum()
 
@@ -361,9 +387,14 @@ def sample_n_jumps_j(
     priors: JumpPriors,
     rng: np.random.Generator,
 ) -> int:
-    """Exact draw from the truncated discrete conditional of the state-j jump count."""
+    """Exact draw from the truncated discrete conditional of the state-j jump count.
+
+    The uniform is scaled by the cumulative sum's last entry, which can fall
+    short of 1 by rounding, so the draw always indexes a weighed count.
+    """
     w = jump_count_weights(data_j, j, params, priors)
-    return int(np.searchsorted(np.cumsum(w), rng.random()))
+    cdf = np.cumsum(w)
+    return int(np.searchsorted(cdf, rng.random() * cdf[-1]))
 
 
 def sample_theta_j(

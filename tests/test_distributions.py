@@ -22,10 +22,9 @@ from regimevol import (
     stable_sample,
 )
 from regimevol.distributions import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _half_log_integral,
+    _log_k_rows,
     frechet_logpdf,
+    jump_convolved_logpdf_counts,
 )
 
 
@@ -253,28 +252,56 @@ def test_convolved_batch_agrees_with_reference():
     assert worst < 1e-6
 
 
-def _half_log_integral_whole_grid(mt, n):
-    """_half_log_integral for n >= 2 with every node of every value in one array."""
-    tstar = 0.5 * (mt + np.sqrt(mt * mt + 4.0 * (n - 1)))
-    span = np.sqrt((tstar - mt) ** 2 + 120.0)
-    lo = np.maximum(0.0, mt - span)
-    hi = mt + span
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    with np.errstate(divide="ignore"):
-        logf = (n - 1) * np.log(t) - 0.5 * (t - mt[:, None]) ** 2
-    peak = np.max(logf, axis=1)
-    return peak + np.log(np.sum(np.exp(logf - peak[:, None]) * _GL_WEIGHTS[None, :], axis=1) * half)
+def _log_k_quad(m, n):
+    """log of K_n(m) = int_0^inf t^(n-1) exp(-(t-m)^2/2) dt by adaptive
+    quadrature of the integrand scaled by its peak value.  The log-integrand
+    has curvature <= -1, so nothing beyond 40 of the peak counts."""
+    peak = max(0.0, 0.5 * (m + math.sqrt(m * m + 4.0 * (n - 1))))
+
+    def log_f(t):
+        return (n - 1) * math.log(t) - 0.5 * (t - m) ** 2 if n > 1 else -0.5 * (t - m) ** 2
+
+    lo, hi = max(0.0, peak - 40.0), peak + 40.0
+    val, _ = quad(lambda t: math.exp(log_f(t) - log_f(peak)), lo, hi,
+                  points=[peak] if lo < peak else None, epsabs=0.0, epsrel=1e-13, limit=200)
+    return log_f(peak) + math.log(val)
 
 
-@pytest.mark.parametrize("size", [0, 1, 127, 128, 129, 1000])
-def test_half_log_integral_blocks_match_whole_grid(size):
-    # the blocked evaluation must give the whole-grid values to the bit, on
-    # either side of a block edge, so fixed-seed draws do not depend on it
-    mt = np.random.default_rng(size).normal(0.0, 20.0, size)
-    for n in (2, 5, 40):
-        assert np.array_equal(_half_log_integral(mt, n), _half_log_integral_whole_grid(mt, n))
+LOG_K_GRID = np.unique(np.concatenate([np.linspace(-40.0, 40.0, 161), np.linspace(-3.0, 1.0, 81)]))
+LOG_K_COUNTS = (1, 2, 3, 5, 10, 25, 40, 60, 100)
+
+
+def test_log_k_recurrence_matches_quadrature():
+    # every row of every pass, forward and backward (Miller) sides of the
+    # switch alike, against an independent quadrature.  The backward run-in
+    # is set by the largest m that goes backwards, so passes over the whole
+    # grid, over its far-negative part only and over each value alone differ
+    ref = {n: np.array([_log_k_quad(m, n) for m in LOG_K_GRID]) for n in LOG_K_COUNTS}
+    for n_top in LOG_K_COUNTS:
+        passes = [(LOG_K_GRID, slice(None))]
+        passes += [(LOG_K_GRID[LOG_K_GRID < cut], LOG_K_GRID < cut) for cut in (-5.0, -30.0)]
+        passes += [(LOG_K_GRID[i:i + 1], slice(i, i + 1)) for i in range(LOG_K_GRID.size)]
+        for m, where in passes:
+            rows = _log_k_rows(m, n_top)
+            assert rows.shape == (n_top, m.size)
+            for n in (n for n in LOG_K_COUNTS if n <= n_top):
+                err = np.abs(rows[n - 1] - ref[n][where])
+                assert np.all(err <= 1e-10), (n_top, n, m[np.argmax(err)], err.max())
+
+
+def test_convolved_count_rows_match_single_count():
+    # row n of a pass to a larger count is the single-count density: the
+    # jump-count enumeration and the emission matrix agree
+    rng = np.random.default_rng(25)
+    for sigma, b in ((0.02, 40.0), (0.3, 1.0), (1.5, 40.0)):
+        zs = np.concatenate([rng.normal(0.0, 3.0 * sigma + 0.1, 40), [0.0, 25 * sigma]])
+        for n_top in (1, 4, 27, 100):
+            rows = jump_convolved_logpdf_counts(zs, 0.1, sigma, n_top, b)
+            assert rows.shape == (n_top, zs.size)
+            for n in (1, 2, 3, 8, 26, 27, 99, 100):
+                if n <= n_top:
+                    single = jump_convolved_logpdf(zs, 0.1, sigma, n, b)
+                    np.testing.assert_allclose(rows[n - 1], single, rtol=0, atol=1e-10)
 
 
 def test_convolved_pdf_rejects_bad_params():

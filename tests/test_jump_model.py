@@ -17,6 +17,7 @@ from regimevol import (
     jump_convolved_pdf,
     simulate_jump_model,
 )
+from regimevol import jump_model
 from regimevol.jump_model import (
     JumpGibbsSampler,
     _poisson_n_max,
@@ -380,6 +381,25 @@ def test_n_jump_weights_normalized():
     w = jump_count_weights(data, 1, p, priors)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0)
+
+
+class _TopUniform:
+    """Generator stand-in whose uniform is the largest double below 1."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_n_jumps_draw_stays_in_weighed_support(monkeypatch):
+    # normalised weights whose cumulative sum ends a rounding step short of 1:
+    # compared with the bare uniform, the top uniform would pick count 19,
+    # which was never weighed
+    w = next(w / w.sum() for w in (np.random.default_rng(s).random(19) for s in range(100))
+             if (w / w.sum()).cumsum()[-1] < 1.0)
+    assert np.searchsorted(np.cumsum(w), _TopUniform().random()) == w.size
+    monkeypatch.setattr(jump_model, "jump_count_weights", lambda *args: w)
+    p = _params([0.0], [1.0], [2.0], [0])
+    assert sample_n_jumps_j(np.zeros(3), 1, p, _priors(1), _TopUniform()) == w.size - 1
 
 
 def test_poisson_n_max_matches_scipy_isf():

@@ -81,45 +81,45 @@ JUMP_TRANSITION = [
 JUMP_PARAMS = {
     "mu_1": -0.10023142238200251, "sigma_sq_1": 0.1480280109549036,
     "theta_1": 0.2377740939661235, "n_jumps_1": 0.0,
-    "mu_2": 0.018852506884810397, "sigma_sq_2": 2.979347448131292,
-    "theta_2": 2.871411899653853, "n_jumps_2": 0.0, "h_star_2": 20.126916716046015,
+    "mu_2": 0.018852506884809578, "sigma_sq_2": 2.9793474481313584,
+    "theta_2": 2.871411899653853, "n_jumps_2": 0.0, "h_star_2": 20.126916716046466,
 }
 JUMP_ACCEPTANCE = {
     "sigma1_sq": (1, 1), "h_star_2": (9, 25), "theta_1": (12, 25), "mu_1": (1, 1),
     "theta_2": (10, 25), "mu_2": (9, 23),
 }
-JUMP_DIGEST = "b8b032e20c382854829c4c7c11a3b7d2095c1a2c3bd6e5b0e6f3c8328dcdb86d"
+JUMP_DIGEST = "63b07c68ac1d0c417863ab7ab556bf2c4fc59cfa98baa8708a6a9a6227f466c2"
 JUMP_MEAN_FILTERED = np.array([
-    0.18815798779689794, 0.8118420122031021, 0.3156533535432858, 0.6843466464567141,
-    0.019145842839712237, 0.9808541571602877, 0.5286441113027557, 0.4713558886972444,
-    0.4487526414806728, 0.5512473585193273, 0.34117354483187534, 0.6588264551681247,
-    0.49257879575234326, 0.5074212042476566, 0.4332794889252044, 0.5667205110747955,
-    0.46372285662049867, 0.5362771433795014, 0.24826139647888307, 0.7517386035211169,
-    0.36363910359677526, 0.6363608964032248, 0.024009382014164624, 0.9759906179858354,
-    0.045247822440578664, 0.9547521775594213, 0.17832383408867555, 0.8216761659113244,
-    0.5162544860517502, 0.4837455139482499, 0.5384995209513145, 0.4615004790486854,
-    0.06309653963508684, 0.9369034603649131, 0.027733787847351962, 0.9722662121526481,
-    0.3956831296745641, 0.604316870325436, 0.3126562645836936, 0.6873437354163066,
-    0.4166883995205207, 0.5833116004794793, 0.5641174487637933, 0.43588255123620673,
-    0.5528072191049855, 0.44719278089501446, 0.23557235177478855, 0.7644276482252114,
-    0.5608445237810415, 0.4391554762189583, 0.006880573037209857, 0.9931194269627901,
-    0.09384608093592206, 0.9061539190640779, 0.3205287345027796, 0.6794712654972205,
-    0.00032155679859500915, 0.9996784432014051, 0.5183108346229921, 0.48168916537700796,
-    0.16067607583450702, 0.8393239241654931, 0.008817374217919045, 0.9911826257820808,
-    0.19901678835082587, 0.8009832116491743, 0.0006990435846180672, 0.9993009564153819,
-    0.006199297919173645, 0.9938007020808264, 0.5057052212603372, 0.49429477873966265,
-    0.5324427257237301, 0.46755727427627, 0.47293759072918456, 0.5270624092708155,
-    0.052290678906869545, 0.9477093210931304, 0.01862304798733378, 0.9813769520126663,
-    0.010584500377409687, 0.9894154996225902, 0.49355711095778276, 0.5064428890422171,
-    0.5560957074170843, 0.4439042925829158, 0.5506034973757734, 0.4493965026242267,
-    0.10223429476117231, 0.8977657052388276, 0.4698379649667636, 0.5301620350332362,
-    0.4591439780334425, 0.5408560219665576, 0.49784612776382137, 0.5021538722361787,
-    0.5418059769631133, 0.4581940230368867, 0.5338360478006833, 0.4661639521993167,
-    0.5432250584178273, 0.4567749415821727, 0.004876507047245904, 0.995123492952754,
-    0.4042885128872522, 0.5957114871127478, 0.0018212683629724234, 0.9981787316370276,
-    0.4080206174041275, 0.5919793825958725, 0.5104277774667607, 0.48957222253323923,
-    0.038283918751411315, 0.9617160812485888, 0.021583865081463864, 0.9784161349185361,
-    0.10923528814700155, 0.8907647118529984, 0.5415603273205899, 0.45843967267941016,
+    0.18815798779692555, 0.8118420122030745, 0.3156533535433174, 0.6843466464566826,
+    0.019145842839699032, 0.9808541571603009, 0.5286441113028195, 0.47135588869718054,
+    0.44875264148069954, 0.5512473585193004, 0.3411735448318994, 0.6588264551681006,
+    0.4925787957523842, 0.5074212042476156, 0.4332794889252519, 0.5667205110747481,
+    0.4637228566205022, 0.5362771433794978, 0.24826139647890347, 0.7517386035210963,
+    0.363639103596818, 0.6363608964031819, 0.024009382014169866, 0.9759906179858303,
+    0.045247822440591626, 0.9547521775594084, 0.1783238340887197, 0.8216761659112802,
+    0.5162544860517736, 0.4837455139482264, 0.5384995209513554, 0.46150047904864455,
+    0.0630965396351124, 0.9369034603648878, 0.027733787847352104, 0.9722662121526479,
+    0.3956831296745998, 0.6043168703254002, 0.31265626458372514, 0.6873437354162749,
+    0.41668839952055264, 0.5833116004794474, 0.5641174487638266, 0.43588255123617353,
+    0.552807219105001, 0.44719278089499886, 0.23557235177481856, 0.7644276482251815,
+    0.5608445237810767, 0.43915547621892315, 0.006880573037211465, 0.9931194269627884,
+    0.09384608093595773, 0.9061539190640424, 0.32052873450284175, 0.6794712654971582,
+    0.0003215567985947934, 0.9996784432014051, 0.518310834623019, 0.48168916537698103,
+    0.16067607583453108, 0.8393239241654691, 0.008817374217924345, 0.9911826257820757,
+    0.19901678835084624, 0.8009832116491538, 0.0006990435846183376, 0.9993009564153816,
+    0.0061992979191749535, 0.9938007020808253, 0.5057052212603784, 0.4942947787396215,
+    0.5324427257237855, 0.4675572742762145, 0.47293759072921915, 0.5270624092707809,
+    0.05229067890688092, 0.9477093210931191, 0.018623047987337434, 0.9813769520126627,
+    0.010584500377411127, 0.989415499622589, 0.49355711095783467, 0.5064428890421654,
+    0.5560957074171018, 0.44390429258289815, 0.5506034973758275, 0.4493965026241725,
+    0.10223429476117625, 0.8977657052388238, 0.4698379649667907, 0.5301620350332092,
+    0.4591439780334632, 0.5408560219665368, 0.4978461277638537, 0.5021538722361464,
+    0.5418059769631307, 0.4581940230368693, 0.5338360478007063, 0.4661639521992938,
+    0.5432250584178907, 0.45677494158210924, 0.004876507047246263, 0.9951234929527537,
+    0.4042885128872888, 0.5957114871127112, 0.001821268362972345, 0.9981787316370275,
+    0.4080206174041925, 0.5919793825958075, 0.5104277774667885, 0.48957222253321137,
+    0.03828391875140948, 0.9617160812485906, 0.02158386508146832, 0.9784161349185315,
+    0.1092352881470022, 0.8907647118529979, 0.5415603273206313, 0.45843967267936864,
 ]).reshape(60, 2)
 
 STABLE_PATH = [
