@@ -35,7 +35,6 @@ from .distributions import (
     gaussian_logpdf,
     inv_gamma_sample,
     jump_convolved_logpdf,
-    jump_convolved_pdf,
     positive_stable_logpdf,
     positive_stable_sample,
     stable_sample,
@@ -78,9 +77,6 @@ from .stable_model import (
 )
 from .synthetic import (
     SyntheticDataset,
-    enumerate_filtered_probs,
-    enumerate_path_posterior,
-    grid_posterior,
     simulate_jump_model,
     simulate_stable_model,
 )

@@ -160,7 +160,8 @@ def sample_lambda(
 
     Target is the positive-stable prior density times the conditional Gaussian
     likelihood.  The per-state residual statistics are precomputed so each
-    target evaluation is O(M) plus one prior-density quadrature.
+    target evaluation is O(M) plus one prior-density evaluation (a fixed
+    tanh-sinh rule; the current value's comes from the density's cache).
     """
     data = np.asarray(data, dtype=float)
     counts, rss = _group_stats(data, np.asarray(path), params.mu)

@@ -1,25 +1,20 @@
-"""Forward simulators for both models and the brute-force oracles (path
-enumeration, grid posteriors) that tests and the verify command check the
-samplers against.
+"""Forward simulators for both models.
 
 The jump simulator is faithful to the generative model: every observation
 draws its own Poisson jump count (inference works with a single per-state
 count; the mismatch is deliberate and the recovery tolerances absorb it).
-The oracles share no numerics with the modules they check beyond the basic
-density functions.
+The brute-force oracles the samplers are checked against (path enumeration,
+grid posteriors) live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import StableParams, stable_sample
-from .errors import NumericalError, ParameterError
 from .jump_model import JumpParams
 from .regime import validate_transition_matrix
 from .stable_model import StableModelParams
@@ -28,13 +23,7 @@ __all__ = [
     "SyntheticDataset",
     "simulate_jump_model",
     "simulate_stable_model",
-    "EnumeratedPosterior",
-    "enumerate_path_posterior",
-    "enumerate_filtered_probs",
-    "grid_posterior",
 ]
-
-_MAX_ENUMERATION = 10_000
 
 
 @dataclass
@@ -121,135 +110,3 @@ def simulate_stable_model(
     return SyntheticDataset(
         observations=values, true_path=path, true_params=params, seed=seed
     )
-
-
-# ---------------------------------------------------------------------------
-# enumeration oracles
-
-
-@dataclass
-class EnumeratedPosterior:
-    """Exact joint posterior over all M^T state paths."""
-
-    paths: np.ndarray  # (K, T) labels 1..M
-    probs: np.ndarray  # (K,) normalized joint posterior
-    marginals: np.ndarray  # (T, M) smoothed marginals
-    loglik: float
-
-
-def _check_enumeration_size(t_len: int, m: int) -> None:
-    if m**t_len > _MAX_ENUMERATION:
-        raise ParameterError(
-            f"refusing to enumerate {m}^{t_len} paths (limit {_MAX_ENUMERATION})"
-        )
-
-
-def enumerate_path_posterior(
-    log_emissions: np.ndarray, p: np.ndarray, pi0: np.ndarray
-) -> EnumeratedPosterior:
-    """Brute force over every path: joint probabilities, smoothed marginals
-    and the data log likelihood.  Tractable only for M^T <= 10^4."""
-    log_emissions = np.asarray(log_emissions, dtype=float)
-    t_len, m = log_emissions.shape
-    _check_enumeration_size(t_len, m)
-    p = validate_transition_matrix(p)
-    pi0 = np.asarray(pi0, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-        log_pi0 = np.log(pi0)
-    grids = np.meshgrid(*[np.arange(m)] * t_len, indexing="ij")
-    paths0 = np.stack([g.ravel() for g in grids], axis=1)  # (K, T), 0-based
-    log_w = log_pi0[paths0[:, 0]] + log_emissions[0, paths0[:, 0]]
-    for t in range(1, t_len):
-        log_w += log_p[paths0[:, t - 1], paths0[:, t]] + log_emissions[t, paths0[:, t]]
-    loglik = float(logsumexp(log_w))
-    probs = np.exp(log_w - loglik)
-    probs /= probs.sum()
-    marginals = np.zeros((t_len, m))
-    for t in range(t_len):
-        np.add.at(marginals[t], paths0[:, t], probs)
-    return EnumeratedPosterior(
-        paths=paths0 + 1, probs=probs, marginals=marginals, loglik=loglik
-    )
-
-
-def enumerate_filtered_probs(
-    log_emissions: np.ndarray, p: np.ndarray, pi0: np.ndarray
-) -> np.ndarray:
-    """Exact filtered distributions g(S_t | y_1..y_t) by expanding all M^t
-    prefixes per step (no collapsed forward recursion is reused, so this is
-    an independent check of the filter)."""
-    log_emissions = np.asarray(log_emissions, dtype=float)
-    t_len, m = log_emissions.shape
-    _check_enumeration_size(t_len, m)
-    p = validate_transition_matrix(p)
-    pi0 = np.asarray(pi0, dtype=float)
-    out = np.empty((t_len, m))
-    # weights over all prefixes, flattened; entry order is lexicographic with
-    # the latest state fastest, so reshape(-1, m) groups by terminal state
-    weights = pi0 * np.exp(log_emissions[0] - log_emissions[0].max())
-    norm = weights.sum()
-    if not norm > 0:
-        raise NumericalError("all prefixes have zero probability at t=0")
-    out[0] = weights / norm
-    for t in range(1, t_len):
-        lik = np.exp(log_emissions[t] - log_emissions[t].max())
-        by_prev = weights.reshape(-1, m)  # terminal state of each prefix on the last axis
-        weights = (by_prev[:, :, None] * p[None, :, :] * lik[None, None, :]).ravel()
-        total = weights.sum()
-        if not total > 0:
-            raise NumericalError(f"all prefixes have zero probability at t={t}")
-        weights /= total  # rescale to dodge underflow; filtering is scale-free
-        by_terminal = weights.reshape(-1, m).sum(axis=0)
-        out[t] = by_terminal / by_terminal.sum()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# grid posterior oracle
-
-
-def grid_posterior(
-    log_prior: Callable[[float], float],
-    log_lik: Callable[[float], float],
-    grid: np.ndarray,
-    support: tuple[float, float] = (-math.inf, math.inf),
-) -> np.ndarray:
-    """Normalized prior x likelihood on a uniform 1-D lattice; each node
-    stands for the equal-width cell centred on it.
-
-    ``support = (lo, hi)`` states where the target lives.  A grid end is
-    *closed* when its support bound lies within one grid spacing of the end
-    node: the target is cut off there, so mass in the end cell is real.  Every
-    other end is *open* and its cell must carry negligible mass (< 1e-10 after
-    normalization), otherwise the grid is judged too narrow on that side and
-    the caller is told to widen it.  With the default unbounded support both
-    ends are open.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 10:
-        raise ParameterError("grid must be a 1-D lattice with at least 10 points")
-    lo, hi = (float(b) for b in support)
-    if not lo < hi:
-        raise ParameterError(f"support must satisfy lo < hi, got ({lo}, {hi})")
-    log_post = np.array([log_prior(x) + log_lik(x) for x in grid])
-    if not np.any(np.isfinite(log_post)):
-        raise NumericalError("posterior is zero everywhere on the grid")
-    probs = np.exp(log_post - logsumexp(log_post))
-    probs /= probs.sum()
-    ends = (
-        ("left", 0, grid[0] - lo > grid[1] - grid[0]),
-        ("right", -1, hi - grid[-1] > grid[-1] - grid[-2]),
-    )
-    failed = [
-        f"{side} end x={grid[i]:.6g} holds mass {probs[i]:.3g}"
-        for side, i, is_open in ends
-        if is_open and probs[i] > 1e-10
-    ]
-    if failed:
-        raise NumericalError(
-            "grid end cells carry non-negligible posterior mass (> 1e-10): "
-            + "; ".join(failed)
-            + "; widen the grid on that side"
-        )
-    return probs

@@ -15,17 +15,19 @@ from regimevol import (
     frechet_sample,
     inv_gamma_sample,
     jump_convolved_logpdf,
-    jump_convolved_pdf,
     positive_stable_logpdf,
     positive_stable_sample,
     sample_transition_matrix,
     stable_sample,
 )
+from regimevol import distributions
 from regimevol.distributions import (
     _log_k_rows,
     frechet_logpdf,
     jump_convolved_logpdf_counts,
 )
+
+from oracles import jump_convolved_pdf, positive_stable_logpdf_quad
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,50 @@ def test_positive_stable_logpdf_matches_draws():
 def test_positive_stable_logpdf_left_edge():
     assert positive_stable_logpdf(0.0, 1.7) == -math.inf
     assert positive_stable_logpdf(-1.0, 1.7) == -math.inf
+
+
+STABLE_ALPHAS = (1.05, 1.2, 1.4, 1.5, 1.7, 1.8, 1.9, 1.95)
+STABLE_LAMBDAS = np.logspace(-6, 6, 241)
+
+
+def test_positive_stable_logpdf_matches_quadrature():
+    # the fixed tanh-sinh rule against adaptive quadrature of the peak-scaled
+    # integrand, wherever that reference can be trusted (it declines the
+    # boundary layer at pi, which the tail series serves).  Where the density
+    # is not astronomically small the bound is absolute; further out the log
+    # itself runs to -1e15 and only its relative error means anything
+    checked = 0
+    for alpha in STABLE_ALPHAS:
+        for lam in STABLE_LAMBDAS:
+            ref = positive_stable_logpdf_quad(lam, alpha)
+            if ref is None:
+                continue
+            got = positive_stable_logpdf(lam, alpha)
+            bound = 1e-10 if abs(ref) < 1e3 else 1e-11 * abs(ref)
+            assert abs(got - ref) <= bound, (alpha, lam, got, ref)
+            checked += 1
+    assert checked > 800
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.3, 0.36])
+def test_positive_stable_logpdf_finite_where_integral_underflows(lam):
+    # the integral itself is below 1e-308 here; summing in log space keeps
+    # the density finite instead of a false -inf (-7821.07 at lam = 0.25)
+    ref = positive_stable_logpdf_quad(lam, 1.7)
+    assert ref < -900.0
+    assert positive_stable_logpdf(lam, 1.7) == pytest.approx(ref, rel=1e-12)
+
+
+def test_positive_stable_logpdf_raises_when_rules_disagree(monkeypatch):
+    # dropping every odd node halves the h = 1/32 sum but leaves the h = 1/16
+    # sum as it is, so the two differ by log 2
+    weights = distributions._TS_LOG_WEIGHTS.copy()
+    weights[1::2] = -np.inf
+    monkeypatch.setattr(distributions, "_TS_LOG_WEIGHTS", weights)
+    distributions._positive_stable_logpdf_scalar.cache_clear()
+    with pytest.raises(NumericalError, match=r"x=1\.2345"):
+        positive_stable_logpdf(1.2345, 1.7)
+    distributions._positive_stable_logpdf_scalar.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from regimevol import (
     JumpPriors,
     ParameterError,
     frechet_sample,
-    grid_posterior,
     inv_gamma_normal_update,
-    jump_convolved_pdf,
     simulate_jump_model,
 )
 from regimevol import jump_model
@@ -32,6 +30,8 @@ from regimevol.jump_model import (
     sample_theta_j,
 )
 from regimevol.mcmc import AdaptiveRw, run_chain
+
+from oracles import grid_posterior, jump_convolved_pdf
 
 
 def _params(mu, sigma_sq, theta, n_jumps, b=40.0):

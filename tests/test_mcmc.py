@@ -11,13 +11,14 @@ from regimevol import (
     NumericalError,
     ParameterError,
     chain_summary,
-    grid_posterior,
     inv_gamma_normal_update,
     inv_gamma_sample,
     normal_normal_update,
     run_chain,
 )
 from regimevol.mcmc import AdaptiveRw, NormalNormalPosterior
+
+from oracles import grid_posterior
 
 
 def _tv(p, q):

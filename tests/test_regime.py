@@ -9,12 +9,12 @@ from regimevol import (
     FilterDegeneracyError,
     ParameterError,
     count_transitions,
-    enumerate_filtered_probs,
-    enumerate_path_posterior,
     hamilton_filter,
     sample_state_path,
     sample_transition_matrix,
 )
+
+from oracles import enumerate_filtered_probs, enumerate_path_posterior
 
 
 def _random_instance(rng, t_len, m, spread=2.0):

@@ -10,11 +10,12 @@ from regimevol import (
     ParameterError,
     StableModelParams,
     StableParams,
-    grid_posterior,
     simulate_jump_model,
     simulate_stable_model,
     stable_sample,
 )
+
+from oracles import grid_posterior
 
 
 def _jump_params(mu, sigma_sq, theta, b=40.0):
