@@ -6,10 +6,19 @@ alpha-stable law handled through its Gaussian scale-mixture representation.
 Fitting is Metropolis-within-Gibbs with a Hamilton filter / backward-sampling
 state step; post-fit analytics produce expected regime durations and a
 VIX-style expected-volatility indicator.
+
+The package namespace holds what a fit uses, in pipeline order: config and
+priors, price and reference loading, the two samplers with their parameter
+and prior types and starting states, the chain runner and its summary, the
+duration and indicator analytics, the error classes (each maps to a CLI exit
+code), the state-step and density kernels, and the two simulators.
+Everything else (the per-parameter updates, the conjugate draws, samplers
+for the distributions, chain and state containers, transition counting) is
+imported from its submodule, e.g. ``regimevol.mcmc`` or
+``regimevol.distributions``.
 """
 
 from .analysis import (
-    DurationReport,
     IndicatorSeries,
     affine_align,
     durations_from_draws,
@@ -21,7 +30,6 @@ from .analysis import (
 from .config import RunConfig, build_jump_priors, build_stable_priors, load_config
 from .dataio import (
     DatedSeries,
-    ReturnSeries,
     align_series,
     load_prices_csv,
     load_reference_csv,
@@ -30,14 +38,8 @@ from .dataio import (
 from .distributions import (
     FrechetParams,
     InvGammaParams,
-    StableParams,
-    frechet_sample,
-    gaussian_logpdf,
-    inv_gamma_sample,
     jump_convolved_logpdf,
     positive_stable_logpdf,
-    positive_stable_sample,
-    stable_sample,
 )
 from .errors import (
     ConfigError,
@@ -53,32 +55,14 @@ from .jump_model import (
     JumpPriors,
     initial_jump_state,
 )
-from .mcmc import (
-    Chain,
-    ModelState,
-    NormalNormalPosterior,
-    chain_summary,
-    inv_gamma_normal_update,
-    normal_normal_update,
-    run_chain,
-)
-from .regime import (
-    FilteredProbs,
-    count_transitions,
-    hamilton_filter,
-    sample_state_path,
-    sample_transition_matrix,
-)
+from .mcmc import chain_summary, run_chain
+from .regime import hamilton_filter, sample_state_path
 from .stable_model import (
     StableGibbsSampler,
     StableModelParams,
     StablePriors,
     initial_stable_state,
 )
-from .synthetic import (
-    SyntheticDataset,
-    simulate_jump_model,
-    simulate_stable_model,
-)
+from .synthetic import simulate_jump_model, simulate_stable_model
 
 __version__ = "0.1.0"

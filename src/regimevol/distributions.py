@@ -93,11 +93,12 @@ class InvGammaParams:
 
 @dataclass
 class FrechetParams:
-    """Shifted Frechet prior for the variance multipliers; support is (location, inf)."""
+    """Frechet prior for the variance multipliers, shifted by 1 so that its
+    support is (1, inf): the multipliers h* keep the state variances
+    increasing, and their walks step in log(h* - 1)."""
 
     shape: float
     scale: float
-    location: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.shape > 0 or not self.scale > 0:
@@ -299,10 +300,10 @@ def inv_gamma_sample(params: InvGammaParams, rng: np.random.Generator, size=None
 
 
 def frechet_logpdf(h_star: float, params: FrechetParams) -> float:
-    """Shifted Frechet log density on (location, inf); -inf at and below the shift."""
-    if not h_star > params.location:
+    """Frechet log density shifted by 1, on (1, inf); -inf at and below 1."""
+    if not h_star > 1.0:
         return -math.inf
-    z = (h_star - params.location) / params.scale
+    z = (h_star - 1.0) / params.scale
     return (
         math.log(params.shape / params.scale)
         - (1.0 + params.shape) * math.log(z)
@@ -311,9 +312,9 @@ def frechet_logpdf(h_star: float, params: FrechetParams) -> float:
 
 
 def frechet_sample(params: FrechetParams, rng: np.random.Generator, size=None):
-    """Exact inverse-CDF draw: location + scale * (-ln U)^(-1/shape)."""
+    """Exact inverse-CDF draw from the Frechet shifted by 1: 1 + scale * (-ln U)^(-1/shape)."""
     u = rng.random(size)
-    return params.location + params.scale * (-np.log(u)) ** (-1.0 / params.shape)
+    return 1.0 + params.scale * (-np.log(u)) ** (-1.0 / params.shape)
 
 
 # ---------------------------------------------------------------------------

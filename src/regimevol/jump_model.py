@@ -42,7 +42,6 @@ from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
     ModelState,
-    NormalNormalPosterior,
     gaussian_h_star_target,
     inv_gamma_normal_update,
     normal_normal_update,
@@ -212,16 +211,15 @@ def sample_mu_j(
     params: JumpParams,
     priors: JumpPriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """State-j mean: exact conjugate draw when N_j = 0, otherwise one MH step."""
     data_j = np.asarray(data_j, dtype=float)
     var = float(params.sigma_sq[j - 1])
     n_jumps = int(params.n_jumps[j - 1])
     if n_jumps == 0:
-        post = NormalNormalPosterior.from_data(data_j, var, priors.k)
-        return normal_normal_update(post, rng)
+        return normal_normal_update(data_j, var, priors.k, rng)
 
     def log_target(mu: float) -> float:
         prior = -0.5 * priors.k * mu * mu
@@ -229,7 +227,6 @@ def sample_mu_j(
             return prior
         return prior + float(np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b)))
 
-    sampler = sampler or AdaptiveRw(scale=0.25)
     return sampler.step(float(params.mu[j - 1]), log_target, rng, adapt)
 
 
@@ -238,8 +235,8 @@ def sample_sigma1_sq(
     params: JumpParams,
     priors: JumpPriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """Base variance: conjugate inverse-Gamma draw when state 1 has no jumps,
     else a log-scale MH step against prior x state-1 likelihood.  The caller's
@@ -259,7 +256,6 @@ def sample_sigma1_sq(
             np.sum(_obs_logpdf(data_1, mu1, s, n1, params.b))
         )
 
-    sampler = sampler or AdaptiveRw(scale=0.4, transform="log")
     return sampler.step(float(params.sigma1_sq), log_target, rng, adapt)
 
 
@@ -269,8 +265,8 @@ def sample_h_star_j(
     params: JumpParams,
     priors: JumpPriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """Variance multiplier of state j >= 2; always > 1 on exit.
 
@@ -300,7 +296,6 @@ def sample_h_star_j(
                 np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
             )
 
-    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift")
     return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
 
 
@@ -402,8 +397,8 @@ def sample_theta_j(
     params: JumpParams,
     priors: JumpPriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """Poisson rate of state j: log-scale MH on the interval (u_{j-1}, u_j].
 
@@ -419,7 +414,6 @@ def sample_theta_j(
             return -math.inf
         return n_j * math.log(theta) - theta
 
-    sampler = sampler or AdaptiveRw(scale=0.5, transform="log")
     return sampler.step(float(params.theta[j - 1]), log_target, rng, adapt)
 
 
@@ -455,9 +449,7 @@ class JumpGibbsSampler(GibbsSampler):
     def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
         params: JumpParams = state.params
         self.stage = "state_path"
-        filt = hamilton_filter(
-            self.emission_matrix(params), self.data.size, state.transition, self.pi0
-        )
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, state.transition)
         path = sample_state_path(filt, state.transition, rng)
 
         self.stage = "transition_matrix"

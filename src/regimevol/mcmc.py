@@ -20,7 +20,6 @@ from .errors import ParameterError, RegimevolError
 
 __all__ = [
     "AdaptiveRw",
-    "NormalNormalPosterior",
     "normal_normal_update",
     "inv_gamma_normal_update",
     "gaussian_h_star_target",
@@ -120,47 +119,19 @@ class AdaptiveRw:
 # conjugate updates
 
 
-@dataclass
-class NormalNormalPosterior:
-    """Sufficient statistics for the known-variance Gaussian mean update.
+def normal_normal_update(
+    data: np.ndarray, var: float, k: float, rng: np.random.Generator
+) -> float:
+    """One exact draw of a Gaussian mean from its conjugate posterior.
 
-    Data y_i ~ N(mu, sigma_sq) with sigma_sq known and prior
-    mu ~ N(mu0, 1/k); the posterior is
-    N((n ybar + mu0 k sigma_sq)/(n + k sigma_sq), sigma_sq/(n + k sigma_sq)).
+    The observations ``data`` are N(mu, var) with var known, and the prior is
+    mu ~ N(0, 1/k); the posterior is N(n ybar/(n + k var), var/(n + k var)).
     """
-
-    n: int
-    ybar: float
-    sigma_sq: float
-    k: float
-    mu0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterError("observation count must be >= 0")
-        if not self.sigma_sq > 0 or not self.k > 0:
-            raise ParameterError("sigma_sq and prior precision k must be > 0")
-
-    @classmethod
-    def from_data(cls, data: np.ndarray, sigma_sq: float, k: float) -> "NormalNormalPosterior":
-        """Statistics of the observations ``data`` under the prior N(0, 1/k)."""
-        n = data.size
-        return cls(n=n, ybar=float(data.mean()) if n else 0.0, sigma_sq=sigma_sq, k=k)
-
-    @property
-    def posterior_mean(self) -> float:
-        return (self.n * self.ybar + self.mu0 * self.k * self.sigma_sq) / (
-            self.n + self.k * self.sigma_sq
-        )
-
-    @property
-    def posterior_var(self) -> float:
-        return self.sigma_sq / (self.n + self.k * self.sigma_sq)
-
-
-def normal_normal_update(post: NormalNormalPosterior, rng: np.random.Generator) -> float:
-    """One exact draw from the conjugate posterior of the Gaussian mean."""
-    return post.posterior_mean + math.sqrt(post.posterior_var) * rng.normal()
+    if not var > 0 or not k > 0:
+        raise ParameterError("variance and prior precision k must be > 0")
+    n = data.size
+    ybar = float(data.mean()) if n else 0.0
+    return n * ybar / (n + k * var) + math.sqrt(var / (n + k * var)) * rng.normal()
 
 
 def inv_gamma_normal_update(
@@ -236,10 +207,11 @@ class GibbsSampler:
       walks move a state mean and start at a quarter of the data's standard
       deviation.
     - ``emission_matrix(params)``: the (T, M) log emission densities.
-    - ``update(state, rng, adapt)``: the state step (filter, path, counts,
-      transition matrix), then the parameter updates.  It sets ``self.stage``
-      before each stage and returns the filtered probabilities, the path, the
-      transition matrix and the parameters.
+    - ``update(state, rng, adapt)``: the state step (filter from the uniform
+      initial law, path, counts, transition matrix), then the parameter
+      updates, each MH step handed its walk from ``self.samplers``.  It sets
+      ``self.stage`` before each stage and returns the filtered
+      probabilities, the path, the transition matrix and the parameters.
 
     ``sweep`` is handed to run_chain.  Adaptation runs for the first
     ``adapt_iters`` sweeps (the burn-in) and freezes afterwards, from when the
@@ -252,7 +224,6 @@ class GibbsSampler:
         self,
         data: np.ndarray,
         priors: Any,
-        pi0: np.ndarray | None = None,
         adapt_iters: int = 0,
         step_scale: float = 0.4,
     ) -> None:
@@ -262,7 +233,6 @@ class GibbsSampler:
         self.priors = priors
         m = priors.n_states
         self.n_states = m
-        self.pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
         self.adapt_iters = adapt_iters
         location_scale = 0.25 * math.sqrt(np.var(self.data))
         self.samplers: dict[str, AdaptiveRw] = {}

@@ -31,7 +31,6 @@ from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
     ModelState,
-    NormalNormalPosterior,
     gaussian_h_star_target,
     inv_gamma_normal_update,
     normal_normal_update,
@@ -128,43 +127,28 @@ class StablePriors:
 
 
 # ---------------------------------------------------------------------------
-# likelihood
-
-
-def _group_stats(data: np.ndarray, path: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state counts and residual sums of squares around the state means."""
-    m = mu.size
-    counts = np.empty(m)
-    rss = np.empty(m)
-    for j in range(m):
-        sel = data[path == j + 1]
-        counts[j] = sel.size
-        rss[j] = float(np.sum((sel - mu[j]) ** 2)) if sel.size else 0.0
-    return counts, rss
-
-
-# ---------------------------------------------------------------------------
 # updates
 
 
 def sample_lambda(
-    data: np.ndarray,
-    path: np.ndarray,
+    groups: list[np.ndarray],
     params: StableModelParams,
     priors: StablePriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """One MH step on the mixing variable; proposals below the floor auto-reject.
 
-    Target is the positive-stable prior density times the conditional Gaussian
-    likelihood.  The per-state residual statistics are precomputed so each
-    target evaluation is O(M) plus one prior-density evaluation (a fixed
-    tanh-sinh rule; the current value's comes from the density's cache).
+    ``groups[j]`` holds the observations the current path puts in state
+    j + 1.  The target is the positive-stable prior density times the
+    conditional Gaussian likelihood, written from each state's count and
+    residual sum of squares so that a target evaluation is O(M) plus one
+    prior-density evaluation (a fixed tanh-sinh rule; the current value's
+    comes from the density's cache) rather than a pass over the series.
     """
-    data = np.asarray(data, dtype=float)
-    counts, rss = _group_stats(data, np.asarray(path), params.mu)
+    counts = np.array([g.size for g in groups], dtype=float)
+    rss = np.array([np.sum((g - mu) ** 2) for g, mu in zip(groups, params.mu)])
     gam = params.gamma_sq
 
     def log_target(lam: float) -> float:
@@ -176,7 +160,6 @@ def sample_lambda(
         var = lam * gam
         return lp + float(np.sum(-0.5 * counts * np.log(2.0 * np.pi * var) - 0.5 * rss / var))
 
-    sampler = sampler or AdaptiveRw(scale=0.3, transform="log")
     return sampler.step(float(params.lam), log_target, rng, adapt)
 
 
@@ -206,7 +189,7 @@ def sample_stable_mu_j(
     """Exact conjugate draw of the state-j mean with variance lambda gamma_j^2."""
     data_j = np.asarray(data_j, dtype=float)
     var = float(params.lam * params.gamma_sq[j - 1])
-    return normal_normal_update(NormalNormalPosterior.from_data(data_j, var, priors.k), rng)
+    return normal_normal_update(data_j, var, priors.k, rng)
 
 
 def sample_stable_h_star_j(
@@ -215,8 +198,8 @@ def sample_stable_h_star_j(
     params: StableModelParams,
     priors: StablePriors,
     rng: np.random.Generator,
-    sampler: AdaptiveRw | None = None,
-    adapt: bool = False,
+    sampler: AdaptiveRw,
+    adapt: bool,
 ) -> float:
     """Scale multiplier of state j >= 2: the jump model's h* update with
     lambda gamma^2 in place of sigma^2 (the likelihood is Gaussian here, so
@@ -229,7 +212,6 @@ def sample_stable_h_star_j(
         return float(frechet_sample(priors.frechet, rng))
     lower_var = float(params.lam * params.gamma_sq[j - 2])
     log_target = gaussian_h_star_target(data_j, params.mu[j - 1], lower_var, priors.frechet)
-    sampler = sampler or AdaptiveRw(scale=0.4, transform="log_shift")
     return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
 
 
@@ -256,9 +238,7 @@ class StableGibbsSampler(GibbsSampler):
     def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
         params: StableModelParams = state.params
         self.stage = "state_path"
-        filt = hamilton_filter(
-            self.emission_matrix(params), self.data.size, state.transition, self.pi0
-        )
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, state.transition)
         path = sample_state_path(filt, state.transition, rng)
 
         self.stage = "transition_matrix"
@@ -268,9 +248,7 @@ class StableGibbsSampler(GibbsSampler):
         groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
 
         self.stage = "lambda"
-        lam = sample_lambda(
-            self.data, path, params, self.priors, rng, self.samplers["lambda"], adapt
-        )
+        lam = sample_lambda(groups, params, self.priors, rng, self.samplers["lambda"], adapt)
         params = replace(params, lam=lam)
 
         self.stage = "gamma1_sq"

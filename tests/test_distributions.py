@@ -11,21 +11,21 @@ from regimevol import (
     InvGammaParams,
     NumericalError,
     ParameterError,
-    StableParams,
-    frechet_sample,
-    inv_gamma_sample,
     jump_convolved_logpdf,
     positive_stable_logpdf,
-    positive_stable_sample,
-    sample_transition_matrix,
-    stable_sample,
 )
 from regimevol import distributions
 from regimevol.distributions import (
+    StableParams,
     _log_k_rows,
     frechet_logpdf,
+    frechet_sample,
+    inv_gamma_sample,
     jump_convolved_logpdf_counts,
+    positive_stable_sample,
+    stable_sample,
 )
+from regimevol.regime import sample_transition_matrix
 
 from oracles import jump_convolved_pdf, positive_stable_logpdf_quad
 
@@ -295,7 +295,8 @@ def test_convolved_batch_agrees_with_reference():
                     ref = jump_convolved_pdf(z, 0.1, sigma, n, b)
                     if ref > 0:
                         worst = max(worst, abs(math.exp(lb) - ref) / ref)
-    assert worst < 1e-6
+    # measured worst 9.3e-13 (n = 40, sigma = 1.5, b = 40, z = 14)
+    assert worst < 1e-9
 
 
 def _log_k_quad(m, n):

@@ -11,11 +11,10 @@ from regimevol import (
     JumpParams,
     JumpPriors,
     ParameterError,
-    frechet_sample,
-    inv_gamma_normal_update,
     simulate_jump_model,
 )
 from regimevol import jump_model
+from regimevol.distributions import frechet_sample
 from regimevol.jump_model import (
     JumpGibbsSampler,
     _poisson_n_max,
@@ -29,7 +28,7 @@ from regimevol.jump_model import (
     sample_sigma1_sq,
     sample_theta_j,
 )
-from regimevol.mcmc import AdaptiveRw, run_chain
+from regimevol.mcmc import AdaptiveRw, inv_gamma_normal_update, run_chain
 
 from oracles import grid_posterior, jump_convolved_pdf
 
@@ -202,7 +201,8 @@ def test_state_loglik_is_sum_of_emissions():
 def test_mu_no_data_no_jumps_is_prior_draw():
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors(k=4.0, fix_mean_zero=False)
-    draw = sample_mu_j(np.array([]), 1, p, priors, np.random.default_rng(5))
+    draw = sample_mu_j(np.array([]), 1, p, priors, np.random.default_rng(5),
+                       AdaptiveRw(0.25), False)
     expected = math.sqrt(1.0 / 4.0) * np.random.default_rng(5).normal()
     assert draw == pytest.approx(expected)
 
@@ -265,7 +265,7 @@ def test_sigma_no_jumps_delegates_to_conjugate_update():
     data = rng_data.normal(0.0, 0.7, 80)
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors()
-    a = sample_sigma1_sq(data, p, priors, np.random.default_rng(10))
+    a = sample_sigma1_sq(data, p, priors, np.random.default_rng(10), AdaptiveRw(0.4, "log"), False)
     b = inv_gamma_normal_update(
         float(np.sum(data**2)), data.size, priors.sigma_prior, np.random.default_rng(10)
     )
@@ -276,7 +276,8 @@ def test_sigma_no_data_is_prior_draw():
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors()
     draws = [
-        sample_sigma1_sq(np.array([]), p, priors, np.random.default_rng(s))
+        sample_sigma1_sq(np.array([]), p, priors, np.random.default_rng(s),
+                         AdaptiveRw(0.4, "log"), False)
         for s in range(200)
     ]
     # moments of invGamma(2, 0.5): mean 0.5, no finite variance; check support/median
@@ -320,7 +321,8 @@ def test_sigma_mh_with_jumps_matches_grid_oracle():
 def test_h_star_prior_draw_when_no_data():
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors()
-    draw = sample_h_star_j(np.array([]), 2, p, priors, np.random.default_rng(13))
+    draw = sample_h_star_j(np.array([]), 2, p, priors, np.random.default_rng(13),
+                           AdaptiveRw(0.4, "log_shift"), False)
     expected = float(frechet_sample(priors.frechet, np.random.default_rng(13)))
     assert draw == expected and draw > 1.0
 

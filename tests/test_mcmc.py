@@ -5,18 +5,20 @@ import pytest
 from scipy.stats import chisquare, invgamma, norm
 
 from regimevol import (
-    Chain,
     InvGammaParams,
-    ModelState,
     NumericalError,
     ParameterError,
     chain_summary,
-    inv_gamma_normal_update,
-    inv_gamma_sample,
-    normal_normal_update,
     run_chain,
 )
-from regimevol.mcmc import AdaptiveRw, NormalNormalPosterior
+from regimevol.distributions import inv_gamma_sample
+from regimevol.mcmc import (
+    AdaptiveRw,
+    Chain,
+    ModelState,
+    inv_gamma_normal_update,
+    normal_normal_update,
+)
 
 from oracles import grid_posterior
 
@@ -118,30 +120,51 @@ def test_adaptive_rw_shifted_log_respects_support():
 # conjugate updates
 
 
+class _FixedNormal:
+    """Stands in for a Generator whose normal variates are all ``z``, so a
+    draw mean + sd * z reads off the posterior mean (z = 0) and sd (z = 1)."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def normal(self):
+        return self.z
+
+
 def test_normal_normal_no_data_is_prior():
-    post = NormalNormalPosterior(n=0, ybar=0.0, sigma_sq=2.0, k=4.0, mu0=1.5)
-    assert post.posterior_mean == pytest.approx(1.5)
-    assert post.posterior_var == pytest.approx(0.25)
+    # prior N(0, 1/4); the variance 2 of the (absent) data plays no part
+    mean = normal_normal_update(np.array([]), 2.0, 4.0, _FixedNormal(0.0))
+    sd = normal_normal_update(np.array([]), 2.0, 4.0, _FixedNormal(1.0)) - mean
+    assert mean == 0.0
+    assert sd == pytest.approx(0.5)
 
 
 def test_normal_normal_dogmatic_prior():
-    post = NormalNormalPosterior(n=25, ybar=3.0, sigma_sq=1.0, k=1e12, mu0=0.0)
+    data = np.full(25, 3.0)
     rng = np.random.default_rng(8)
-    draws = np.array([normal_normal_update(post, rng) for _ in range(200)])
+    draws = np.array([normal_normal_update(data, 1.0, 1e12, rng) for _ in range(200)])
     assert np.all(np.abs(draws) < 1e-5)
 
 
+def test_normal_normal_rejects_nonpositive_variance_or_precision():
+    for var, k in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            normal_normal_update(np.ones(3), var, k, np.random.default_rng(0))
+
+
 def test_normal_normal_posterior_mean_and_grid_oracle():
-    post = NormalNormalPosterior(n=100, ybar=1.0, sigma_sq=1.0, k=1.0, mu0=0.0)
-    assert post.posterior_mean == pytest.approx(100.0 / 101.0)
-    sd = math.sqrt(post.posterior_var)
-    grid = np.linspace(post.posterior_mean - 9 * sd, post.posterior_mean + 9 * sd, 4001)
+    data = np.full(100, 1.0)
+    mean = normal_normal_update(data, 1.0, 1.0, _FixedNormal(0.0))
+    sd = normal_normal_update(data, 1.0, 1.0, _FixedNormal(1.0)) - mean
+    assert mean == pytest.approx(100.0 / 101.0)
+    assert sd == pytest.approx(math.sqrt(1.0 / 101.0))
+    grid = np.linspace(mean - 9 * sd, mean + 9 * sd, 4001)
     oracle = grid_posterior(
         log_prior=lambda mu: -0.5 * mu * mu,
         log_lik=lambda mu: -0.5 * 100.0 * (1.0 - mu) ** 2,
         grid=grid,
     )
-    closed = np.exp(-0.5 * ((grid - post.posterior_mean) / sd) ** 2)
+    closed = np.exp(-0.5 * ((grid - mean) / sd) ** 2)
     closed /= closed.sum()
     assert _tv(oracle, closed) < 1e-3
 

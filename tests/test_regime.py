@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from regimevol import (
     FilterDegeneracyError,
     ParameterError,
-    count_transitions,
     hamilton_filter,
     sample_state_path,
-    sample_transition_matrix,
 )
+from regimevol.regime import count_transitions, sample_transition_matrix
 
 from oracles import enumerate_filtered_probs, enumerate_path_posterior
 

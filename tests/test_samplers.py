@@ -277,16 +277,20 @@ def test_stable_sweep_deterministic_given_seed():
 # stage tagging: sweep failures keep their class and their object
 
 
-def test_bad_pi0_fails_at_iteration_0_as_parameter_error():
+def test_state_step_parameter_error_fails_at_iteration_0_as_parameter_error(monkeypatch):
+    def failing_filter(*args, **kwargs):
+        raise ParameterError("transition matrix rows must sum to 1")
+
+    monkeypatch.setattr(jump_model, "hamilton_filter", failing_filter)
     data, priors, init = _jump_case()
-    sampler = JumpGibbsSampler(data, priors, pi0=np.array([0.7, 0.7]))
+    sampler = JumpGibbsSampler(data, priors)
     with pytest.raises(ParameterError) as info:
         run_chain(sampler.sweep, init, 5, 0, np.random.default_rng(0))
     exc = info.value
     assert type(exc) is ParameterError
     assert exc.stage == "state_path" and exc.iteration == 0
     assert str(exc) == (
-        "sweep failed at iteration 0, stage state_path: pi0 must be a length-M probability vector"
+        "sweep failed at iteration 0, stage state_path: transition matrix rows must sum to 1"
     )
 
 

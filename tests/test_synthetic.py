@@ -9,11 +9,10 @@ from regimevol import (
     NumericalError,
     ParameterError,
     StableModelParams,
-    StableParams,
     simulate_jump_model,
     simulate_stable_model,
-    stable_sample,
 )
+from regimevol.distributions import StableParams, stable_sample
 
 from oracles import grid_posterior
 
