@@ -11,7 +11,12 @@ from regimevol import (
     hamilton_filter,
     sample_state_path,
 )
-from regimevol.regime import count_transitions, sample_transition_matrix
+from regimevol import regime
+from regimevol.regime import (
+    count_transitions,
+    sample_transition_matrix,
+    validate_transition_matrix,
+)
 
 from oracles import enumerate_filtered_probs, enumerate_path_posterior
 
@@ -199,7 +204,7 @@ def _oracle_cases(m, t_len, rng):
         yield name, p, rng.dirichlet(np.ones(m)), level - spread * rng.random((t_len, m))
 
 
-@pytest.mark.parametrize("t_len", [1, 2, 3, 7, 300, 5000])
+@pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 300, 5000])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_filter_and_path_match_loop_oracles(m, t_len):
     rng = np.random.default_rng(1000 * m + t_len)
@@ -227,6 +232,51 @@ def test_filter_keeps_subnormal_mass_that_later_dominates():
     filt = hamilton_filter(logem, 4, p, pi0)
     np.testing.assert_allclose(filt.probs[2:], probs[2:], rtol=1e-12, atol=0)
     assert filt.probs[3, 0] == pytest.approx(1.0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+def _counting_compose(monkeypatch):
+    """Count the elements the exact per-row-shift compose is called on."""
+    calls = []
+    exact = regime._compose
+
+    def counted(*args):
+        calls.append(args[0].shape[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(regime, "_compose", counted)
+    return calls
+
+
+def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
+    calls = _counting_compose(monkeypatch)
+    logem = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -400.0], [0.0, -400.0]])
+    p, pi0 = np.eye(2), np.array([2.0**-1030, 1.0])
+    probs, loglik = _loop_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 4, p, pi0)
+    assert calls
+    np.testing.assert_allclose(filt.probs[2:], probs[2:], rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+    calls.clear()
+    rng = np.random.default_rng(4300)
+    _, p, pi0, logem = next(c for c in _oracle_cases(4, 300, rng) if c[0] == "identity")
+    probs, loglik = _loop_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 300, p, pi0)
+    assert calls
+    shown = probs > 1e-200
+    np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+def test_exact_shift_never_runs_on_fit_like_input(monkeypatch):
+    calls = _counting_compose(monkeypatch)
+    rng = np.random.default_rng(5000)
+    logem, p, pi0 = _random_instance(rng, 5000, 4)
+    filt = hamilton_filter(logem, 5000, p, pi0)
+    assert calls == []
+    probs, loglik = _loop_filter(logem, p, pi0)
+    np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
@@ -274,6 +324,23 @@ def test_backward_zero_probability_row_matches_oracle():
                           lambda: _loop_path(probs, np.eye(2), rng_loop))
     assert message.endswith("t=7")
     assert rng_new.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("excess", [1e-6, -1e-6, np.nan])
+def test_row_sums_off_by_more_than_1e_9_are_rejected(excess):
+    p = np.array([[0.5, 0.5 + excess], [0.25, 0.75]])
+    with pytest.raises(ParameterError, match="rows must sum to 1"):
+        validate_transition_matrix(p)
+    with pytest.raises(ParameterError, match="pi0"):
+        hamilton_filter(np.zeros((3, 2)), 3, np.full((2, 2), 0.5), np.array([0.5, 0.5 + excess]))
+
+
+def test_row_sums_within_1e_9_are_accepted():
+    p = np.array([[0.5, 0.5 + 1e-12], [0.25, 0.75]])
+    np.testing.assert_array_equal(validate_transition_matrix(p), p)
+    pi0 = np.array([0.5, 0.5 + 1e-12])
+    filt = hamilton_filter(np.zeros((3, 2)), 3, p, pi0)
+    np.testing.assert_allclose(filt.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
