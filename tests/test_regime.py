@@ -189,6 +189,16 @@ def _oracle_cases(m, t_len, rng):
     the log-odds between states that P barely mixes then stay within a few
     hundred nats.  Past about 708 nats a filtered probability is subnormal and
     the loop loses it for good, so it is no oracle there.
+
+    For M >= 2 two more cases follow.  In one, a random set of states, never
+    all of them, has -inf emissions in each row, so the row maxima come from
+    the live states only.  In the other (T >= 4), P = I and the first state
+    starts at 2^-1030, a subnormal; the emissions are equal across states
+    until a seeded offset, and over that row and the next the other states
+    fall 800 to 1100 nats behind.  The first state then dominates, and the
+    others keep filtered probabilities of about 1e-38 to 1e-168, which the
+    loop computes to full precision; the scan's plain weights lose them, so
+    this case fails unless the exact per-row shift runs.
     """
     level = rng.uniform(-1000.0, 0.0, (t_len, 1))
     for conc, spread in [(0.05, 10.0), (0.3, 100.0), (1.0, 1000.0), (5.0, 1000.0), (20.0, 1.0)]:
@@ -202,6 +212,18 @@ def _oracle_cases(m, t_len, rng):
         p = p / p.sum(axis=1, keepdims=True)
         spread = 30.0 if t_len <= 300 else 5.0
         yield name, p, rng.dirichlet(np.ones(m)), level - spread * rng.random((t_len, m))
+    if m >= 2:
+        logem = level - 30.0 * rng.random((t_len, m))
+        dead = rng.random((t_len, m)) < 0.5
+        dead[np.arange(t_len), rng.integers(0, m, t_len)] = False
+        logem[dead] = -np.inf
+        yield "partly_dead", rng.dirichlet(np.ones(m), size=m), rng.dirichlet(np.ones(m)), logem
+    if m >= 2 and t_len >= 4:
+        pi0 = np.concatenate([[2.0**-1030], rng.dirichlet(np.ones(m - 1))])
+        t0 = int(rng.integers(1, t_len - 1))
+        logem = np.repeat(level, m, axis=1)
+        logem[t0:t0 + 2, 1:] -= rng.uniform(400.0, 550.0)
+        yield "subnormal", np.eye(m), pi0, logem
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 300, 5000])
@@ -294,11 +316,15 @@ def _same_error(fn, oracle):
 def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
     rng = np.random.default_rng(t_len + bad_t)
     logem, p, pi0 = _random_instance(rng, t_len, 3)
-    logem[bad_t] = -np.inf
-    logem[bad_t, 1] = bad
-    message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
-                          lambda: _loop_filter(logem, p, pi0))
-    assert f"t={bad_t};" in message
+    finite = logem[bad_t].copy()
+    rows = [[-np.inf, bad, -np.inf]]
+    if not bad < 0:  # a NaN or +inf entry kills a row whose other entries are live
+        rows += [[finite[0], bad, finite[2]], [-np.inf, bad, finite[2]]]
+    for row in rows:
+        logem[bad_t] = row
+        message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
+                              lambda: _loop_filter(logem, p, pi0))
+        assert f"t={bad_t};" in message, row
 
 
 @pytest.mark.parametrize("t_len, bad_t", [(9, 5), (300, 5), (300, 250)])
@@ -324,6 +350,53 @@ def test_backward_zero_probability_row_matches_oracle():
                           lambda: _loop_path(probs, np.eye(2), rng_loop))
     assert message.endswith("t=7")
     assert rng_new.bit_generator.state == rng_loop.bit_generator.state
+
+
+def _zeros_and_absorbing(m, rng):
+    """Random P with zero entries and state 1 absorbing; every column is nonzero."""
+    p = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.6)
+    p[np.arange(m), np.arange(m)] += 0.1
+    p[0] = np.eye(m)[0]
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("t_len", [2, 320, 321, 322, 641, 642, 1281, 2561, 5000])
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
+def test_path_matches_loop_across_doubling_levels(m, t_len):
+    # T - 1 pick maps: up to 319 are walked with no doubling level; 320 and
+    # 321 take one level, 640 and 641 two, 1280 three, 2560 and 4999 four; the
+    # second of each pair and 4999 are padded with identity maps
+    rng = np.random.default_rng(10 * t_len + m)
+    p = _zeros_and_absorbing(m, rng)
+    probs = rng.dirichlet(np.full(m, 0.5), size=t_len)
+    seed = int(rng.integers(2**32))
+    loop_rng, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _loop_path(probs, p, loop_rng)
+    np.testing.assert_array_equal(sample_state_path(probs, p, rng_new), expected)
+    assert rng_new.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_path_zero_row_inside_a_coarse_block_matches_loop():
+    # at T = 5000 the Python walk steps over blocks of 16 pick maps; the zero
+    # rows at t = 1000 and 2345 lie inside blocks, and the loop meets 2345 first
+    rng = np.random.default_rng(2345)
+    p = _zeros_and_absorbing(4, rng)
+    probs = rng.dirichlet(np.ones(4), size=5000)
+    probs[[1000, 2345]] = 0.0
+    rng_loop, rng_new = np.random.default_rng(11), np.random.default_rng(11)
+    message = _same_error(lambda: sample_state_path(probs, p, rng_new),
+                          lambda: _loop_path(probs, p, rng_loop))
+    assert message.endswith("t=2345")
+    assert rng_new.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (10, 5), (10,), (0, 4)])
+def test_path_rejects_malformed_probs(shape):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError) as info:
+        sample_state_path(np.full(shape, 0.25), np.full((4, 4), 0.25), rng)
+    assert str(shape) in str(info.value) and "(4, 4)" in str(info.value)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("excess", [1e-6, -1e-6, np.nan])
