@@ -367,13 +367,11 @@ def run_chain(
 class ParamSummary:
     mean: float
     sd: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
     acceptance_rate: float | None = None
 
 
 def chain_summary(chain: Chain) -> dict[str, ParamSummary]:
-    """Post-burn-in mean, sd, 40-bin histogram and acceptance rate per scalar parameter.
+    """Post-burn-in mean, sd and acceptance rate per scalar parameter.
 
     Draws may be ModelState objects or plain name->value mappings.
     """
@@ -383,13 +381,10 @@ def chain_summary(chain: Chain) -> dict[str, ParamSummary]:
     out: dict[str, ParamSummary] = {}
     for name in rows[0]:
         values = np.array([r[name] for r in rows], dtype=float)
-        counts, edges = np.histogram(values, bins=40)
         rate = chain.acceptance_rate(name) if name in chain.acceptance else None
         out[name] = ParamSummary(
             mean=float(values.mean()),
             sd=float(values.std()),
-            hist_counts=counts,
-            hist_edges=edges,
             acceptance_rate=rate,
         )
     return out

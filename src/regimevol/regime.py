@@ -8,27 +8,29 @@ for every t, where e_t holds the emission densities at t divided by their
 row maximum.  The product is associative, so all T prefixes come out of one
 parallel prefix scan (Särkkä & García-Fernández, IEEE TAC 2021; Hassan,
 Särkkä & García-Fernández, IEEE TSP 2021) in 2·ceil(log2 T) rounds instead
-of one Python step per observation.  On the way up, neighbouring factors are
-multiplied in pairs as M×M matrices, T/2 + T/4 + ... products in all.  Every
-prefix starts from the row vector pi0·diag(e_0), so on the way down each
-prefix is kept as one row and costs one vector × matrix product: about T
-matrix and T vector products per filter.
+of one Python step per observation.  The first level is formed from the e_t
+and P, with no (M, M, T) stack of factors P·diag(e_t): entry (a, c) of
+element i = P·diag(e_{2i})·P·diag(e_{2i+1}) is sum_b P_ab·P_bc·e_{2i,b}·
+e_{2i+1,c}, and element 0 has every row equal to (pi0∘e_0)·P·diag(e_1).
+Higher levels multiply neighbouring elements in pairs as M×M matrices.
+Every prefix starts from the row pi0·diag(e_0), so on the way down each
+prefix is kept as one row: (prefix_{t-1}·P)∘e_t for even t at the first
+level, a row × matrix product above it.
 
-Every element of the scan is kept rescaled: each row normalised to sum 1, the
-log of each row's scale relative to the largest row, and one log scale for the
-whole element.  A product X·Y weights row j of Y by exp of its log row scale,
-at most 1, so it needs M exponentials per element and nothing overflows.
-Terms of these plain weights that underflow are below 2^-1074, so where each
-nonzero row of X gives a row of X·Y totalling at least 2^-300 they are less
-than 2^-774 of their row, and the product is kept.  Only the elements with a
-smaller row total are recomputed with an exact per-row shift that brings the
-largest term of each row to 1; fits do not reach it, but P with zeros or with
-entries far below 1, where the rows of a long segment drift thousands of nats
-apart, do.  So no row of a product underflows, and the log-likelihood is never
-a difference of large numbers.  All products are of nonnegative numbers, so
-nothing cancels.  A prefix goes through at most 2·ceil(log2 T) products, and a
-filtered probability well above the subnormal range carries a relative error
-of O(M·log2 T·ε) against exact arithmetic on the same e_t, plus ε times the
+Every element is kept rescaled: each row normalised to sum 1, the log of each
+row's scale relative to the largest row, and one log scale for the whole
+element.  A product X·Y weights row j of Y by exp of its log row scale, at
+most 1.  So every term, here and at the first level, is a product of numbers
+at most 1 and nothing overflows; a term that underflows or turns subnormal is
+below 2^-1022, under 2^-722 of a row totalling 2^-300 or more, and such rows
+are kept.  A row with a smaller total and a nonzero left part takes the
+fallback: a first-level element or row is recomputed from its normalised
+factors as a product X·Y, and such a product with an exact per-row shift
+that brings the largest term of each row to 1.  Fits do not reach it;
+P with zeros or entries far below 1, where rows drift thousands of nats
+apart, do.  All terms are nonnegative, so nothing cancels, and a filtered
+probability well above the subnormal range carries a relative error of
+O(M·log2 T·ε) against exact arithmetic on the same e_t, plus ε times the
 log-range of the row scales in a segment.
 
 The backward draw takes one uniform per time step from the caller's
@@ -97,10 +99,11 @@ class FilteredProbs:
 # shapes (R, M, n), (R, n) and (n,), time on the last axis: matrix k equals
 # exp(g[k]) · diag(exp(d[:, k])) · s[:, :, k], every nonzero row of s sums to
 # 1 and max_i d[i, k] = 0.  A zero row has d = -inf; a zero matrix has
-# g = -inf and s = 0.  The factors P·diag(e_t) are M×M; the prefixes have
-# equal rows and are kept as single rows, R = 1.
+# g = -inf and s = 0.  The elements above the first level are M×M; the
+# prefixes have equal rows and are kept as single rows, R = 1.
 
-# smallest row total of a plain-weight product that is kept (see _product)
+# smallest row total of a first-level element or row, or of a plain-weight
+# product, that is kept (see _pairs, _filter_rows and _product)
 _TINY = 2.0**-300
 
 
@@ -195,6 +198,71 @@ def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray):
     return us, ud, ug
 
 
+def _factors(p: np.ndarray, e: np.ndarray, pi0: np.ndarray | None = None):
+    """The rescaled elements P·diag(e_t) for the columns of e; with pi0, the
+    first has every row pi0∘e_t."""
+    s = p[:, :, None] * e
+    if pi0 is not None:
+        s[:, :, 0] = pi0 * e[:, 0]
+    n = e.shape[1]
+    return _rescaled(s, s.sum(axis=1), np.zeros((p.shape[0], n)), np.zeros(n))
+
+
+def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
+    """The first-level elements from the even and odd columns of e (see the
+    module docstring); an element with a row total below 2^-300 and a nonzero
+    left part sum_b P_ab e_{2i,b} is recomputed from its factors."""
+    m, k = od.shape
+    ev = ev[:, :k]
+    # row (a, c) of q holds P_ab P_bc over b, so the sum over b runs along time
+    q = (p[:, :, None] * p).transpose(0, 2, 1).reshape(m * m, m)
+    z = np.einsum("xb,bi->xi", q, ev).reshape(m, m, k)
+    z[:, :, 0] = np.einsum("b,bc->c", pi0 * ev[:, 0], p)
+    z *= od
+    r = z.sum(axis=1)
+    low = ()
+    if r.min() < _TINY:
+        left = np.einsum("ab,bi->ai", p, ev)
+        left[:, 0] = (pi0 * ev[:, 0]).sum()
+        low = np.flatnonzero(((r < _TINY) & (left > 0.0)).any(axis=0))
+    s, d, g = _rescaled(z, r, np.zeros((m, k)), np.zeros(k))
+    if len(low):
+        s[..., low], d[:, low], g[low] = _product(
+            *_factors(p, ev[:, low], pi0 if low[0] == 0 else None), *_factors(p, od[:, low])
+        )
+    return s, d, g
+
+
+def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
+    """All prefix rows, as an R = 1 stack: the odd ones from _prefixes on
+    _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t.
+    An even row with a total below 2^-300 after a nonzero prefix t - 1 is
+    recomputed from the factor P·diag(e_t)."""
+    m, n = e.shape
+    h = (n + 1) // 2
+    # contiguous copies run the sums along time about twice as fast
+    ev, od = np.ascontiguousarray(e[:, 0::2]), np.ascontiguousarray(e[:, 1::2])
+    # column j of z and of the scales dx, gx is even prefix 2j, before e_2j
+    z, dx, gx = np.empty((m, h)), np.zeros((1, h)), np.zeros(h)
+    z[:, 0] = pi0
+    if n > 1:
+        ps, pd, pg = _prefixes(*_pairs(ev, od, p, pi0))
+        np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[:, 1:])
+        dx[:, 1:], gx[1:] = pd[:, :h - 1], pg[:h - 1]
+    z *= ev
+    r = z.sum(axis=0)
+    low = np.flatnonzero((r[1:] < _TINY) & (dx[0, 1:] > -np.inf)) + 1 if r.min() < _TINY else ()
+    us, ud, ug = np.empty((1, m, n)), np.empty((1, n)), np.empty(n)
+    us[..., 0::2], ud[:, 0::2], ug[0::2] = _rescaled(z[None], r[None], dx, gx)
+    if len(low):
+        us[..., 2 * low], ud[:, 2 * low], ug[2 * low] = _product(
+            ps[..., low - 1], pd[:, low - 1], pg[low - 1], *_factors(p, ev[:, low])
+        )
+    if n > 1:
+        us[..., 1::2], ud[:, 1::2], ug[1::2] = ps, pd, pg
+    return us, ud, ug
+
+
 # ---------------------------------------------------------------------------
 # backward walk by pointer doubling
 #
@@ -252,14 +320,12 @@ def hamilton_filter(
 
     The unnormalised filter at t is pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t),
     with e_t the emission densities divided by their row maximum.  All T
-    prefixes come from one rescaled prefix scan (see the module docstring):
-    pair products of M×M factors on the way up, each prefix a row vector with
-    one log scale on the way down.  Products use plain weights, at most 1; an
-    element where a nonzero row of the left factor gives a row total below
-    2^-300 is recomputed with the exact per-row shift, so what underflow drops
-    is below 2^-774 of its row.  Row t of ``probs`` is the normalised prefix
-    t, and ``loglik`` is the log scale of the last prefix plus the sum of the
-    row maxima.  Raises FilterDegeneracyError naming the first t at which
+    prefixes come from one rescaled prefix scan (see the module docstring),
+    whose first level is formed from e and P with no (M, M, T) factor stack.
+    Rows whose total falls below 2^-300 take the fallback, so what underflow
+    drops is below 2^-722 of its row.  Row t of ``probs`` is the normalised
+    prefix t, and ``loglik`` is the log scale of the last prefix plus the sum
+    of the row maxima.  Raises FilterDegeneracyError naming the first t at which
     every state has zero predictive likelihood.
     """
     p = validate_transition_matrix(p)
@@ -284,10 +350,7 @@ def hamilton_filter(
         e -= np.where(live, mx, 0.0)
         np.exp(e, out=e)
         e[:, ~live] = 0.0
-        # element t is P·diag(e_t); element 0 has every row equal to pi0·e_0
-        s = p[:, :, None] * e
-        s[:, :, 0] = pi0 * e[:, 0]
-        s, d, g = _prefixes(*_rescaled(s, s.sum(axis=1), np.zeros((m, t_len)), np.zeros(t_len)))
+        s, d, g = _filter_rows(e, p, pi0)
     dead = ~(g > -np.inf)
     if dead.any():
         raise FilterDegeneracyError(
@@ -310,10 +373,11 @@ def sample_state_path(
     maps.  The path follows them back from S_T by pointer doubling (see the
     module docstring): the same lookups as a T-step loop, so the same path
     and the same Generator state.  ``filt`` must hold at least one row of M
-    probabilities, M the size of ``p``, or ParameterError is raised.  Raises
-    FilterDegeneracyError naming the largest t at which the path meets a
-    zero-probability row, the t a step-by-step loop stops at.  Returns
-    labels 1..M.
+    probabilities, M the size of ``p``, each finite and nonnegative, or
+    ParameterError naming the first bad row is raised before any uniform is
+    drawn.  Raises FilterDegeneracyError naming the largest t at which the
+    path meets a zero-probability row, the t a step-by-step loop stops at.
+    Returns labels 1..M.
     """
     probs = filt.probs if isinstance(filt, FilteredProbs) else np.asarray(filt, dtype=float)
     p = validate_transition_matrix(p)
@@ -324,17 +388,26 @@ def sample_state_path(
             f"for a transition matrix of shape {p.shape}"
         )
     t_len = probs.shape[0]
+    rows = np.ascontiguousarray(probs[:-1].T)
+    last = probs[-1]
+    # a NaN is its array's min and max, and fails both comparisons
+    if not (rows.min(initial=0.0) >= 0.0 and last.min() >= 0.0
+            and rows.max(initial=0.0) < np.inf and last.max() < np.inf):
+        bad = int(np.argmax(~((probs >= 0.0) & (probs < np.inf)).all(axis=1)))
+        raise ParameterError(
+            f"filtered probabilities must be finite and nonnegative; row t={bad} is {probs[bad]}"
+        )
     uniforms = rng.random(t_len)
     # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s], the sums of
     # np.cumsum(axis=0) in the same order, one whole row at a time
-    cdf = np.ascontiguousarray(probs[:-1].T)[:, None, :] * p[:, :, None]
+    cdf = rows[:, None, :] * p[:, :, None]
     for i in range(1, m):
         cdf[i] += cdf[i - 1]
     total = cdf[-1]
     # picks[s, t] is S_t given S_{t+1} = s; the last row, total itself, never
     # lies below uniform * total, so it is left out of the count
     picks = (cdf[:-1] < uniforms[:-1] * total).sum(axis=0)
-    last = np.cumsum(probs[-1])
+    last = np.cumsum(last)
     path = _follow(picks, int((last < uniforms[-1] * last[-1]).sum()))
     zero = ~(total[path[1:], np.arange(t_len - 1)] > 0.0)
     if zero.any():

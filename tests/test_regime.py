@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,17 +258,29 @@ def test_filter_keeps_subnormal_mass_that_later_dominates():
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
-def _counting_compose(monkeypatch):
-    """Count the elements the exact per-row-shift compose is called on."""
+def _counting(monkeypatch, name, arg):
+    """Count the calls of regime.<name>, each by the length of the last axis
+    of its argument number arg: the elements or emission columns it is given."""
     calls = []
-    exact = regime._compose
+    exact = getattr(regime, name)
 
     def counted(*args):
-        calls.append(args[0].shape[-1])
+        calls.append(args[arg].shape[-1])
         return exact(*args)
 
-    monkeypatch.setattr(regime, "_compose", counted)
+    monkeypatch.setattr(regime, name, counted)
     return calls
+
+
+def _counting_compose(monkeypatch):
+    """Count the elements the exact per-row-shift compose is called on."""
+    return _counting(monkeypatch, "_compose", 0)
+
+
+def _counting_fallback(monkeypatch):
+    """Count the emission columns whose factors P·diag(e_t) the first level
+    forms, which it does only to recompute an element or row by _product."""
+    return _counting(monkeypatch, "_factors", 1)
 
 
 def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
@@ -291,12 +304,75 @@ def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
+def _subnormal_case(m, t_len):
+    """The subnormal oracle case of test_filter_and_path_match_loop_oracles
+    at (m, t_len), with the offset t0 of its two shifted rows."""
+    rng = np.random.default_rng(1000 * m + t_len)
+    _, p, pi0, logem = next(c for c in _oracle_cases(m, t_len, rng) if c[0] == "subnormal")
+    return p, pi0, logem, int(np.argmax(logem[:, 1] != logem[:, 0]))
+
+
+def test_first_level_fallback_runs_inside_a_pair(monkeypatch):
+    # rows t0, t0 + 1 form the first-level element t0 / 2; for states 2..M
+    # its entries e_t0 · e_t0+1 lie 800-1100 nats down and underflow, while
+    # their left part e_t0 does not
+    p, pi0, logem, t0 = _subnormal_case(4, 33)
+    assert t0 % 2 == 0
+    calls = _counting_fallback(monkeypatch)
+    compose_calls = _counting_compose(monkeypatch)
+    filt = hamilton_filter(logem, 33, p, pi0)
+    # the two factors of element t0 / 2, and the factor P·diag(e_t0) of prefix
+    # row t0, which state 1 leads at 2^-1030 of the total before t0
+    assert calls == [1, 1, 1]
+    assert compose_calls
+    probs, loglik = _loop_filter(logem, p, pi0)
+    assert probs[t0 + 1:, 1:].max() < 1e-30
+    np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+def _exact_filter(logem, p, pi0):
+    """The filter in exact rational arithmetic on the scaled emissions
+    exp(logem_t - max logem_t), so no product is rounded or underflows;
+    every row maximum must be finite."""
+    m = p.shape[0]
+    probs = np.empty(logem.shape)
+    loglik = 0.0
+    pred = [Fraction(x) for x in pi0]
+    for t, row in enumerate(logem):
+        w = [a * Fraction(x) for a, x in zip(pred, np.exp(row - row.max()))]
+        c = sum(w)
+        probs[t] = [float(x / c) for x in w]
+        loglik += math.log(c.numerator) - math.log(c.denominator) + row.max()
+        pred = [sum(w[i] * Fraction(p[i, j]) for i in range(m)) / c for j in range(m)]
+    return probs, loglik
+
+
+def test_even_row_fallback_keeps_subnormal_mass_exact():
+    # prefix 1 gives state 1 the subnormal weight 2^-1030 and row 2 scales it
+    # by 1e-3: a plain product keeps about 34 bits of it, the exact per-row
+    # shift all of them; state 1 then leads, so the error would show in state
+    # 2 (state 3, dead from the start, carries the row maxima)
+    p, pi0 = np.eye(3), np.array([2.0**-1030, 1.0, 0.0])
+    logem = np.zeros((6, 3))
+    logem[2] = [math.log(1e-3), -450.0, 0.0]
+    logem[4] = [0.0, -450.0, 0.0]
+    probs, loglik = _exact_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 6, p, pi0)
+    shown = probs > 1e-300
+    assert 1e-300 < probs[5, 1] < 1e-30
+    np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
 def test_exact_shift_never_runs_on_fit_like_input(monkeypatch):
     calls = _counting_compose(monkeypatch)
+    fallback_calls = _counting_fallback(monkeypatch)
     rng = np.random.default_rng(5000)
     logem, p, pi0 = _random_instance(rng, 5000, 4)
     filt = hamilton_filter(logem, 5000, p, pi0)
     assert calls == []
+    assert fallback_calls == []
     probs, loglik = _loop_filter(logem, p, pi0)
     np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
@@ -325,6 +401,39 @@ def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
         message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
                               lambda: _loop_filter(logem, p, pi0))
         assert f"t={bad_t};" in message, row
+
+
+def _first_pair_cases(t_len):
+    """Short series whose first element, first pair and first even row meet
+    pi0 with zero entries, P with zeros and emission rows all -inf."""
+    rng = np.random.default_rng(t_len)
+    logem, p, _ = _random_instance(rng, t_len, 3)
+    for pi0 in ([1 / 3, 1 / 3, 1 / 3], [0.0, 0.4, 0.6], [0.0, 1.0, 0.0]):
+        for pm in (p, np.eye(3)):
+            for dead_t in [None] + list(range(min(t_len, 3))):
+                case = logem.copy()
+                if dead_t is not None:
+                    case[dead_t] = -np.inf
+                yield case, pm, np.array(pi0)
+            # state 2's emission vanishes at the last t; under pi0 = (0, 1, 0)
+            # and P = I that leaves no state
+            case = logem.copy()
+            case[-1, 1] = -np.inf
+            yield case, pm, np.array(pi0)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 3])
+def test_first_element_and_pairs_match_loop_oracle(t_len):
+    for logem, p, pi0 in _first_pair_cases(t_len):
+        try:
+            probs, loglik = _loop_filter(logem, p, pi0)
+        except FilterDegeneracyError:
+            _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
+                        lambda: _loop_filter(logem, p, pi0))
+            continue
+        filt = hamilton_filter(logem, t_len, p, pi0)
+        np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
+        assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
 @pytest.mark.parametrize("t_len, bad_t", [(9, 5), (300, 5), (300, 250)])
@@ -396,6 +505,19 @@ def test_path_rejects_malformed_probs(shape):
     with pytest.raises(ParameterError) as info:
         sample_state_path(np.full(shape, 0.25), np.full((4, 4), 0.25), rng)
     assert str(shape) in str(info.value) and "(4, 4)" in str(info.value)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.2, np.inf])
+@pytest.mark.parametrize("rows", [(3, 5), (5,)])
+def test_path_rejects_bad_probability_values(bad, rows):
+    # the first bad row is named, the last row included, before any uniform
+    probs = np.full((6, 2), 0.5)
+    for t in rows:
+        probs[t, 1] = bad
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match=f"finite and nonnegative; row t={rows[0]} "):
+        sample_state_path(probs, np.full((2, 2), 0.5), rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
