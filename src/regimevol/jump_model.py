@@ -16,14 +16,14 @@ The emission matrix and the MH targets evaluate the likelihood through
 ``_obs_logpdf``: Gaussian without jumps, the Normal (x) jump-sum convolution
 with them.  The jump-count weights take every count's convolution from one
 ``jump_convolved_logpdf_counts`` pass, whose rows agree with the single-count
-values to 1e-10.  Without jumps the h*_j target is
-``mcmc.gaussian_h_star_target``, the one the stable model uses.
+values to 1e-10.  An h*_j update without jumps, or on an empty state, is
+``mcmc.gaussian_h_star_step``, the one the stable model uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import pdtr, pdtrik
@@ -32,7 +32,6 @@ from .distributions import (
     FrechetParams,
     InvGammaParams,
     frechet_logpdf,
-    frechet_sample,
     gaussian_logpdf,
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
@@ -42,7 +41,8 @@ from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
     ModelState,
-    gaussian_h_star_target,
+    check_scale_ladder,
+    gaussian_h_star_step,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
@@ -93,21 +93,17 @@ class JumpParams:
         self.h_star = np.asarray(self.h_star, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
         self.n_jumps = np.asarray(self.n_jumps, dtype=int)
+        check_scale_ladder(self.mu, "sigma1_sq", self.sigma1_sq, self.h_star)
         m = self.mu.size
-        if self.h_star.size != m - 1:
-            raise ParameterError(f"need {m - 1} variance multipliers for {m} states")
         if self.theta.size != m or self.n_jumps.size != m:
             raise ParameterError("theta and n_jumps must have one entry per state")
-        if not self.sigma1_sq > 0:
-            raise ParameterError(f"sigma1_sq must be > 0, got {self.sigma1_sq}")
-        if np.any(self.h_star <= 1.0):
-            raise ParameterError("every variance multiplier h* must exceed 1")
-        if np.any(self.theta < 0) or np.any(np.diff(self.theta) < 0):
-            raise ParameterError("jump intensities must be nonnegative and nondecreasing")
+        # nonnegative and nondecreasing, so a finite last entry bounds them all
+        if not (np.all(np.diff(self.theta, prepend=0.0) >= 0) and self.theta[-1] < math.inf):
+            raise ParameterError(f"jump intensities must be finite, sorted, >= 0; got {self.theta}")
         if np.any(self.n_jumps < 0):
             raise ParameterError("jump counts must be nonnegative")
-        if not self.b > 0:
-            raise ParameterError(f"jump amplitude rate b must be > 0, got {self.b}")
+        if not 0.0 < self.b < math.inf:
+            raise ParameterError(f"jump amplitude rate b must be finite and > 0, got {self.b}")
 
     @property
     def n_states(self) -> int:
@@ -270,33 +266,30 @@ def sample_h_star_j(
 ) -> float:
     """Variance multiplier of state j >= 2; always > 1 on exit.
 
-    With no observations the Frechet prior is drawn exactly.  With N_j = 0
-    the target is the analytic h^(-n/2) exp(-ss/(2h)) x Frechet form on the
-    residuals scaled by the state-(j-1) variance; with jumps present the
-    convolution likelihood replaces it.  Proposals walk log(h* - 1), so
+    An empty state or N_j = 0 takes the shared Gaussian step,
+    ``mcmc.gaussian_h_star_step``; with jumps the convolution likelihood
+    times the Frechet prior is the target.  Proposals walk log(h* - 1), so
     values at or below 1 cannot be proposed and carry zero density anyway.
     """
     if not 2 <= j <= params.n_states:
         raise ParameterError(f"h* index must lie in 2..{params.n_states}, got {j}")
     data_j = np.asarray(data_j, dtype=float)
-    if data_j.size == 0:
-        return float(frechet_sample(priors.frechet, rng))
     lower_var = float(params.sigma_sq[j - 2])
     mu_j = float(params.mu[j - 1])
     n_jumps = int(params.n_jumps[j - 1])
-    if n_jumps == 0:
-        log_target = gaussian_h_star_target(data_j, mu_j, lower_var, priors.frechet)
-    else:
+    current = float(params.h_star[j - 2])
+    if n_jumps == 0 or data_j.size == 0:
+        return gaussian_h_star_step(
+            data_j, mu_j, lower_var, current, priors.frechet, rng, sampler, adapt
+        )
 
-        def log_target(h: float) -> float:
-            base = frechet_logpdf(h, priors.frechet)
-            if base == -math.inf:
-                return base
-            return base + float(
-                np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
-            )
+    def log_target(h: float) -> float:
+        base = frechet_logpdf(h, priors.frechet)
+        if base == -math.inf:
+            return base
+        return base + float(np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b)))
 
-    return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
+    return sampler.step(current, log_target, rng, adapt)
 
 
 def _poisson_n_max(theta: float) -> int:
@@ -446,11 +439,12 @@ class JumpGibbsSampler(GibbsSampler):
             )
         return logem
 
-    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
-        params: JumpParams = state.params
+    def update(
+        self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator, adapt: bool
+    ):
         self.stage = "state_path"
-        filt = hamilton_filter(self.emission_matrix(params), self.data.size, state.transition)
-        path = sample_state_path(filt, state.transition, rng)
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
+        path = sample_state_path(filt, transition, rng)
 
         self.stage = "transition_matrix"
         counts = count_transitions(path, self.n_states)
@@ -459,44 +453,35 @@ class JumpGibbsSampler(GibbsSampler):
         groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
 
         if not self.priors.fix_mean_zero:
-            mu = params.mu.copy()
             for j in range(1, self.n_states + 1):
                 self.stage = f"mu_{j}"
-                mu[j - 1] = sample_mu_j(
+                params.mu[j - 1] = sample_mu_j(
                     groups[j - 1], j, params, self.priors, rng,
                     self.samplers[f"mu_{j}"], adapt,
                 )
-                params = replace(params, mu=mu.copy())
 
         self.stage = "sigma1_sq"
-        sigma1_sq = sample_sigma1_sq(
+        params.sigma1_sq = sample_sigma1_sq(
             groups[0], params, self.priors, rng, self.samplers["sigma1_sq"], adapt
         )
-        params = replace(params, sigma1_sq=sigma1_sq)
 
         for j in range(2, self.n_states + 1):
             self.stage = f"h_star_{j}"
-            h = params.h_star.copy()
-            h[j - 2] = sample_h_star_j(
+            params.h_star[j - 2] = sample_h_star_j(
                 groups[j - 1], j, params, self.priors, rng,
                 self.samplers[f"h_star_{j}"], adapt,
             )
-            params = replace(params, h_star=h)
 
-        n_jumps = params.n_jumps.copy()
         for j in range(1, self.n_states + 1):
             self.stage = f"n_jumps_{j}"
-            n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, self.priors, rng)
-            params = replace(params, n_jumps=n_jumps.copy())
+            params.n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, self.priors, rng)
 
-        theta = params.theta.copy()
         for j in range(1, self.n_states + 1):
             self.stage = f"theta_{j}"
-            theta[j - 1] = sample_theta_j(
+            params.theta[j - 1] = sample_theta_j(
                 j, params, self.priors, rng, self.samplers[f"theta_{j}"], adapt
             )
-            params = replace(params, theta=theta.copy())
-        return filt, path, transition, params
+        return filt, path, transition
 
 
 def initial_jump_state(

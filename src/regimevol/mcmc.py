@@ -1,5 +1,6 @@
 """Shared MCMC machinery: adaptive random-walk Metropolis steps, conjugate
-updates, the Gibbs engine both samplers run on, chain storage and summaries.
+updates, the Gaussian h* step and parameter checks both models share, the
+Gibbs engine both samplers run on, chain storage and summaries.
 
 All target evaluations happen in log space.  Positive-constrained parameters
 are proposed with a Gaussian random walk on a log (or shifted-log) scale with
@@ -9,20 +10,24 @@ acceptance during burn-in only (Robbins-Monro) and are frozen afterwards.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .distributions import FrechetParams, InvGammaParams, frechet_logpdf, inv_gamma_sample
+from .distributions import (
+    FrechetParams, InvGammaParams, frechet_logpdf, frechet_sample, inv_gamma_sample,
+)
 from .errors import ParameterError, RegimevolError
 
 __all__ = [
     "AdaptiveRw",
     "normal_normal_update",
     "inv_gamma_normal_update",
-    "gaussian_h_star_target",
+    "gaussian_h_star_step",
+    "check_scale_ladder",
     "ModelState",
     "GibbsSampler",
     "quantile_start",
@@ -150,15 +155,20 @@ def inv_gamma_normal_update(
     return float(inv_gamma_sample(post, rng))
 
 
-def gaussian_h_star_target(
-    data: np.ndarray, mu: float, lower_var: float, prior: FrechetParams
-) -> Callable[[float], float]:
-    """Log target of a variance multiplier h* whose state holds Gaussian data.
+def gaussian_h_star_step(
+    data: np.ndarray, mu: float, lower_var: float, current: float, prior: FrechetParams,
+    rng: np.random.Generator, sampler: AdaptiveRw, adapt: bool,
+) -> float:
+    """One update of a variance multiplier h* whose state holds Gaussian data.
 
-    The observations are N(mu, lower_var * h*), with lower_var the variance of
-    the state below, so the target is the Frechet prior times
-    h^(-n/2) exp(-ss / (2h)), ss the residual sum of squares over lower_var.
+    An empty state draws h* from its Frechet prior.  Otherwise the
+    observations are N(mu, lower_var * h*), with lower_var the variance of the
+    state below, and ``sampler`` takes one step from ``current`` on the
+    Frechet prior times h^(-n/2) exp(-ss / (2h)), ss the residual sum of
+    squares over lower_var.
     """
+    if data.size == 0:
+        return float(frechet_sample(prior, rng))
     ss = float(np.sum((data - mu) ** 2)) / lower_var
     n = data.size
 
@@ -168,7 +178,21 @@ def gaussian_h_star_target(
             return base
         return base - 0.5 * n * math.log(h) - 0.5 * ss / h
 
-    return log_target
+    return sampler.step(current, log_target, rng, adapt)
+
+
+def check_scale_ladder(mu: np.ndarray, base_name: str, base: float, h_star: np.ndarray) -> None:
+    """Checks both models' parameters share: M finite state means, a finite
+    base variance > 0 and M - 1 finite multipliers h* > 1.  NaN fails each."""
+    m = mu.size
+    if h_star.size != m - 1:
+        raise ParameterError(f"need {m - 1} variance multipliers for {m} states")
+    if not np.all(np.isfinite(mu)):
+        raise ParameterError(f"state means must be finite, got {mu}")
+    if not 0.0 < base < math.inf:
+        raise ParameterError(f"{base_name} must be finite and > 0, got {base}")
+    if not np.all((h_star > 1.0) & (h_star < math.inf)):
+        raise ParameterError(f"every multiplier h* must be finite and exceed 1, got {h_star}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +231,17 @@ class GibbsSampler:
       walks move a state mean and start at a quarter of the data's standard
       deviation.
     - ``emission_matrix(params)``: the (T, M) log emission densities.
-    - ``update(state, rng, adapt)``: the state step (filter from the uniform
-      initial law, path, counts, transition matrix), then the parameter
-      updates, each MH step handed its walk from ``self.samplers``.  It sets
-      ``self.stage`` before each stage and returns the filtered
-      probabilities, the path, the transition matrix and the parameters.
+    - ``update(params, transition, rng, adapt)``: the state step (filter from
+      the uniform initial law, path, counts, transition matrix), then the
+      parameter updates, each MH step handed its walk from ``self.samplers``.
+      It writes each new value into ``params`` in place, sets ``self.stage``
+      before each stage and returns the filtered probabilities, the path and
+      the new transition matrix.
 
-    ``sweep`` is handed to run_chain.  Adaptation runs for the first
+    ``sweep`` is handed to run_chain and keeps every returned draw unchanged:
+    ``update`` writes into a deep copy of the previous parameters, which the
+    sweep then rebuilds once, under stage ``validate``, so that their
+    dataclass checks run once per draw.  Adaptation runs for the first
     ``adapt_iters`` sweeps (the burn-in) and freezes afterwards, from when the
     per-sweep filtered probabilities also start accumulating into
     ``mean_filtered_probs``.  A RegimevolError raised inside a sweep leaves
@@ -230,6 +258,9 @@ class GibbsSampler:
         self.data = np.asarray(data, dtype=float)
         if self.data.ndim != 1 or self.data.size < 2:
             raise ParameterError("need a 1-D series of at least two observations")
+        if not np.all(np.isfinite(self.data)):
+            t = int(np.argmin(np.isfinite(self.data)))
+            raise ParameterError(f"observations must be finite; index {t} is {self.data[t]}")
         self.priors = priors
         m = priors.n_states
         self.n_states = m
@@ -250,13 +281,16 @@ class GibbsSampler:
     def emission_matrix(self, params: Any) -> np.ndarray:
         raise NotImplementedError
 
-    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
+    def update(self, params: Any, transition: np.ndarray, rng: np.random.Generator, adapt: bool):
         raise NotImplementedError
 
     def sweep(self, state: ModelState, rng: np.random.Generator) -> ModelState:
         adapt = self._sweeps < self.adapt_iters
+        params = copy.deepcopy(state.params)
         try:
-            filt, path, transition, params = self.update(state, rng, adapt)
+            filt, path, transition = self.update(params, state.transition, rng, adapt)
+            self.stage = "validate"
+            params = replace(params)
         except RegimevolError as exc:
             exc.stage = self.stage
             raise
@@ -308,20 +342,13 @@ def quantile_start(
 class Chain:
     """Post-burn-in draws plus acceptance tallies.
 
-    ``draws`` holds exactly the last ``total - burn_in`` states produced by
-    the sweep; ``acceptance`` maps parameter names to (accepted, attempted).
+    ``draws`` holds the states the sweep produced after the first ``burn_in``;
+    ``acceptance`` maps parameter names to (accepted, attempted).
     """
 
     draws: list
     burn_in: int
-    total: int
     acceptance: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.burn_in < self.total:
-            raise ParameterError(
-                f"burn-in ({self.burn_in}) must be smaller than total iterations ({self.total})"
-            )
 
     def acceptance_rate(self, name: str) -> float:
         acc, att = self.acceptance[name]
@@ -358,7 +385,6 @@ def run_chain(
     return Chain(
         draws=draws,
         burn_in=burn_in,
-        total=n_iter,
         acceptance=dict(acceptance()) if acceptance is not None else {},
     )
 

@@ -15,14 +15,13 @@ values are expected behaviour of this model, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     FrechetParams,
     InvGammaParams,
-    frechet_sample,
     gaussian_logpdf,
     positive_stable_logpdf,
 )
@@ -31,7 +30,8 @@ from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
     ModelState,
-    gaussian_h_star_target,
+    check_scale_ladder,
+    gaussian_h_star_step,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
@@ -73,16 +73,9 @@ class StableModelParams:
     def __post_init__(self) -> None:
         self.mu = np.asarray(self.mu, dtype=float)
         self.h_star = np.asarray(self.h_star, dtype=float)
-        if self.h_star.size != self.mu.size - 1:
-            raise ParameterError(
-                f"need {self.mu.size - 1} scale multipliers for {self.mu.size} states"
-            )
-        if not self.gamma1_sq > 0:
-            raise ParameterError(f"gamma1_sq must be > 0, got {self.gamma1_sq}")
-        if np.any(self.h_star <= 1.0):
-            raise ParameterError("every scale multiplier h* must exceed 1")
-        if not self.lam > 0:
-            raise ParameterError(f"mixing variable lambda must be > 0, got {self.lam}")
+        check_scale_ladder(self.mu, "gamma1_sq", self.gamma1_sq, self.h_star)
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"mixing variable lambda must be finite and > 0, got {self.lam}")
         if not 1.0 < self.alpha < 2.0:
             raise ParameterError(f"stability index must lie in (1, 2), got {self.alpha}")
 
@@ -201,18 +194,18 @@ def sample_stable_h_star_j(
     sampler: AdaptiveRw,
     adapt: bool,
 ) -> float:
-    """Scale multiplier of state j >= 2: the jump model's h* update with
-    lambda gamma^2 in place of sigma^2 (the likelihood is Gaussian here, so
-    the analytic residual form always applies).
+    """Scale multiplier of state j >= 2: the shared Gaussian h* step,
+    ``mcmc.gaussian_h_star_step``, with lambda gamma^2 in place of the jump
+    model's sigma^2 (the likelihood is Gaussian here, so the analytic residual
+    form always applies).
     """
     if not 2 <= j <= params.n_states:
         raise ParameterError(f"h* index must lie in 2..{params.n_states}, got {j}")
-    data_j = np.asarray(data_j, dtype=float)
-    if data_j.size == 0:
-        return float(frechet_sample(priors.frechet, rng))
-    lower_var = float(params.lam * params.gamma_sq[j - 2])
-    log_target = gaussian_h_star_target(data_j, params.mu[j - 1], lower_var, priors.frechet)
-    return sampler.step(float(params.h_star[j - 2]), log_target, rng, adapt)
+    return gaussian_h_star_step(
+        np.asarray(data_j, dtype=float), params.mu[j - 1],
+        float(params.lam * params.gamma_sq[j - 2]), float(params.h_star[j - 2]),
+        priors.frechet, rng, sampler, adapt,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +228,13 @@ class StableGibbsSampler(GibbsSampler):
         var = params.lam * params.gamma_sq
         return gaussian_logpdf(self.data[:, None], params.mu[None, :], var[None, :])
 
-    def update(self, state: ModelState, rng: np.random.Generator, adapt: bool):
-        params: StableModelParams = state.params
+    def update(
+        self, params: StableModelParams, transition: np.ndarray, rng: np.random.Generator,
+        adapt: bool,
+    ):
         self.stage = "state_path"
-        filt = hamilton_filter(self.emission_matrix(params), self.data.size, state.transition)
-        path = sample_state_path(filt, state.transition, rng)
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
+        path = sample_state_path(filt, transition, rng)
 
         self.stage = "transition_matrix"
         counts = count_transitions(path, self.n_states)
@@ -248,29 +243,22 @@ class StableGibbsSampler(GibbsSampler):
         groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
 
         self.stage = "lambda"
-        lam = sample_lambda(groups, params, self.priors, rng, self.samplers["lambda"], adapt)
-        params = replace(params, lam=lam)
+        params.lam = sample_lambda(groups, params, self.priors, rng, self.samplers["lambda"], adapt)
 
         self.stage = "gamma1_sq"
-        params = replace(
-            params, gamma1_sq=sample_gamma1_sq(groups[0], params, self.priors, rng)
-        )
+        params.gamma1_sq = sample_gamma1_sq(groups[0], params, self.priors, rng)
 
         for j in range(2, self.n_states + 1):
             self.stage = f"h_star_{j}"
-            h = params.h_star.copy()
-            h[j - 2] = sample_stable_h_star_j(
+            params.h_star[j - 2] = sample_stable_h_star_j(
                 groups[j - 1], j, params, self.priors, rng,
                 self.samplers[f"h_star_{j}"], adapt,
             )
-            params = replace(params, h_star=h)
 
-        mu = params.mu.copy()
         for j in range(1, self.n_states + 1):
             self.stage = f"mu_{j}"
-            mu[j - 1] = sample_stable_mu_j(groups[j - 1], j, params, self.priors, rng)
-            params = replace(params, mu=mu.copy())
-        return filt, path, transition, params
+            params.mu[j - 1] = sample_stable_mu_j(groups[j - 1], j, params, self.priors, rng)
+        return filt, path, transition
 
 
 def initial_stable_state(

@@ -214,7 +214,7 @@ def _dict_sweep(state, rng):
 def test_run_chain_keeps_exactly_last_draws():
     chain = run_chain(_dict_sweep, {"x": 0.0}, n_iter=10, burn_in=9, rng=np.random.default_rng(11))
     assert len(chain.draws) == 1
-    assert chain.total == 10 and chain.burn_in == 9
+    assert chain.burn_in == 9
 
 
 def test_run_chain_identity_sweep():
@@ -245,24 +245,24 @@ def test_run_chain_tags_failing_iteration():
 
 
 def test_chain_summary_constant_and_two_point():
-    chain = Chain(draws=[{"a": 2.0}] * 5, burn_in=0, total=5)
+    chain = Chain(draws=[{"a": 2.0}] * 5, burn_in=0)
     summary = chain_summary(chain)
     assert summary["a"].mean == 2.0 and summary["a"].sd == 0.0
 
-    chain2 = Chain(draws=[{"a": 0.0}, {"a": 2.0}], burn_in=0, total=2)
+    chain2 = Chain(draws=[{"a": 0.0}, {"a": 2.0}], burn_in=0)
     assert chain_summary(chain2)["a"].mean == 1.0
 
 
 def test_chain_summary_gaussian_mean():
     rng = np.random.default_rng(14)
     draws = [{"x": float(v)} for v in rng.normal(0, 1, 100_000)]
-    chain = Chain(draws=draws, burn_in=0, total=100_000)
+    chain = Chain(draws=draws, burn_in=0)
     s = chain_summary(chain)["x"]
     assert abs(s.mean) < 3 / math.sqrt(100_000)
 
 
 def test_chain_summary_empty_raises():
-    chain = Chain(draws=[], burn_in=0, total=1)
+    chain = Chain(draws=[], burn_in=0)
     with pytest.raises(ParameterError):
         chain_summary(chain)
 

@@ -1,7 +1,9 @@
 """Whole-sampler tests for both models: golden fixed-seed draws, invariants
-over many sweeps, determinism and stage tagging of sweep failures."""
+over many sweeps, determinism, the engine's copy-and-check rule for draws,
+parameter and data validation, and stage tagging of sweep failures."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -337,3 +339,138 @@ def test_foreign_exception_passes_through_unchanged(monkeypatch):
         run_chain(sampler.sweep, init, 5, 0, np.random.default_rng(0))
     assert info.value is err
     assert info.value.args == ((80, 3), "float64")
+
+
+# ---------------------------------------------------------------------------
+# the engine's draw rule: update writes into a copy, the sweep checks it once
+
+CASES = [(JumpGibbsSampler, _jump_case), (StableGibbsSampler, _stable_case)]
+CASE_IDS = ["jump", "stable"]
+
+
+def _snapshot(state):
+    arrays = {k: np.array(v, copy=True) for k, v in vars(state.params).items()}
+    return state.path.copy(), state.transition.copy(), arrays
+
+
+def _assert_unchanged(state, snapshot):
+    path, transition, arrays = snapshot
+    np.testing.assert_array_equal(state.path, path)
+    np.testing.assert_array_equal(state.transition, transition)
+    assert vars(state.params).keys() == arrays.keys()
+    for name, value in vars(state.params).items():
+        np.testing.assert_array_equal(value, arrays[name], err_msg=name)
+
+
+@pytest.mark.parametrize("sampler_cls, case", CASES, ids=CASE_IDS)
+def test_returned_draws_are_never_changed(sampler_cls, case):
+    # the jump case frees the state means, so the mu loop writes too
+    data, priors, init = case()
+    sampler = sampler_cls(data, priors, adapt_iters=5)
+    returned = [(init, _snapshot(init))]
+
+    def sweep(state, rng):
+        out = sampler.sweep(state, rng)
+        returned.append((out, _snapshot(out)))
+        return out
+
+    chain = run_chain(sweep, init, 15, 5, np.random.default_rng(3))
+    assert [d for d, _ in returned[-10:]] == chain.draws
+    for state, snapshot in returned:
+        _assert_unchanged(state, snapshot)
+
+
+@pytest.mark.parametrize(
+    "sampler_cls, case, module, name",
+    [
+        (JumpGibbsSampler, _jump_case, jump_model, "sample_h_star_j"),
+        (StableGibbsSampler, _stable_case, stable_model, "sample_stable_h_star_j"),
+    ],
+    ids=CASE_IDS,
+)
+def test_invalid_update_is_caught_by_the_sweep_check(monkeypatch, sampler_cls, case, module,
+                                                     name):
+    data, priors, init = case()
+    per_sweep = priors.n_states - 1
+    original = getattr(module, name)
+    calls = []
+
+    def bad_at_iteration_2(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2 * per_sweep + 1:  # first h* update of iteration 2
+            return 1.0
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, bad_at_iteration_2)
+    sampler = sampler_cls(data, priors)
+    with pytest.raises(ParameterError, match="multiplier h\\* must be finite and exceed 1") as info:
+        run_chain(sampler.sweep, init, 5, 0, np.random.default_rng(0))
+    assert type(info.value) is ParameterError
+    assert info.value.stage == "validate" and info.value.iteration == 2
+
+
+@pytest.mark.parametrize("sampler_cls, case", CASES, ids=CASE_IDS)
+def test_a_sweep_builds_at_most_two_parameter_objects(monkeypatch, sampler_cls, case):
+    data, priors, state = case()
+    params_cls = type(state.params)
+    original = params_cls.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(None)
+        original(self)
+
+    monkeypatch.setattr(params_cls, "__post_init__", counting)
+    sampler = sampler_cls(data, priors, adapt_iters=3)
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        before = len(built)
+        state = sampler.sweep(state, rng)
+        assert len(built) - before <= 2
+
+
+# ---------------------------------------------------------------------------
+# parameter and data validation
+
+_JUMP_FIELDS = dict(mu=[0.0, 0.0], sigma1_sq=0.5, h_star=[5.0], theta=[0.1, 2.0],
+                    n_jumps=[0, 0], b=40.0)
+_STABLE_FIELDS = dict(mu=[0.0, 0.0, 0.0], gamma1_sq=0.3, h_star=[3.0, 3.0], lam=1.0,
+                      alpha=1.7)
+
+
+_BAD_FIELDS = [
+    (JumpParams, _JUMP_FIELDS, "mu", [np.nan, 0.0]),
+    (JumpParams, _JUMP_FIELDS, "sigma1_sq", np.inf),
+    (JumpParams, _JUMP_FIELDS, "h_star", [np.nan]),
+    (JumpParams, _JUMP_FIELDS, "theta", [0.1, np.nan]),
+    (JumpParams, _JUMP_FIELDS, "b", np.inf),
+    (StableModelParams, _STABLE_FIELDS, "mu", [0.0, np.inf, 0.0]),
+    (StableModelParams, _STABLE_FIELDS, "gamma1_sq", np.nan),
+    (StableModelParams, _STABLE_FIELDS, "h_star", [3.0, np.nan]),
+    (StableModelParams, _STABLE_FIELDS, "lam", np.inf),
+    (StableModelParams, _STABLE_FIELDS, "alpha", np.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "params_cls, fields, name, value", _BAD_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in _BAD_FIELDS],
+)
+def test_parameters_reject_nan_and_inf(params_cls, fields, name, value):
+    params_cls(**fields)  # the valid base
+    with pytest.raises(ParameterError):
+        params_cls(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("sampler_cls, case", CASES, ids=CASE_IDS)
+def test_sampler_rejects_non_finite_observations(sampler_cls, case, bad):
+    _, priors, _ = case()
+    data = np.random.default_rng(5).normal(0.0, 1.0, 200)
+    data[50] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match=f"index 50 is {bad}$") as info:
+            sampler_cls(data, priors)
+    assert type(info.value) is ParameterError
+    assert caught == []
