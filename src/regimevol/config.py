@@ -10,6 +10,7 @@ return scale.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -35,14 +36,20 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_real(value) and math.isfinite(value)
+
+
 # a field's declared type, less any "| None" -> (check, what the message asks
-# for); a bool is neither an integer nor a number here
+# for); a bool is neither an integer nor a number here, and a number must be
+# finite, as JSON parses NaN and Infinity
 _TYPE_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (lambda v: _is_real(v) and isinstance(v, numbers.Integral), "an integer"),
-    "float": (_is_real, "a number"),
+    "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                    "a list of finite numbers"),
 }
 
 

@@ -85,9 +85,10 @@ class InvGammaParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.shape > 0 or not self.rate > 0:
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
             raise ParameterError(
-                f"inverse-Gamma parameters must be > 0, got shape={self.shape} rate={self.rate}"
+                "inverse-Gamma parameters must be finite and > 0, "
+                f"got shape={self.shape} rate={self.rate}"
             )
 
 
@@ -101,9 +102,10 @@ class FrechetParams:
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.shape > 0 or not self.scale > 0:
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
             raise ParameterError(
-                f"Frechet parameters must be > 0, got shape={self.shape} scale={self.scale}"
+                "Frechet parameters must be finite and > 0, "
+                f"got shape={self.shape} scale={self.scale}"
             )
 
 

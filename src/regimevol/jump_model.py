@@ -92,7 +92,11 @@ class JumpParams:
         self.mu = np.asarray(self.mu, dtype=float)
         self.h_star = np.asarray(self.h_star, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
-        self.n_jumps = np.asarray(self.n_jumps, dtype=int)
+        counts = np.asarray(self.n_jumps)
+        # checked before the cast, which would truncate 1.5 and fail on NaN
+        if not np.all((counts >= 0) & np.isfinite(counts) & (counts == np.trunc(counts))):
+            raise ParameterError(f"jump counts must be nonnegative integers, got {counts}")
+        self.n_jumps = counts.astype(int, copy=False)
         check_scale_ladder(self.mu, "sigma1_sq", self.sigma1_sq, self.h_star)
         m = self.mu.size
         if self.theta.size != m or self.n_jumps.size != m:
@@ -100,8 +104,6 @@ class JumpParams:
         # nonnegative and nondecreasing, so a finite last entry bounds them all
         if not (np.all(np.diff(self.theta, prepend=0.0) >= 0) and self.theta[-1] < math.inf):
             raise ParameterError(f"jump intensities must be finite, sorted, >= 0; got {self.theta}")
-        if np.any(self.n_jumps < 0):
-            raise ParameterError("jump counts must be nonnegative")
         if not 0.0 < self.b < math.inf:
             raise ParameterError(f"jump amplitude rate b must be finite and > 0, got {self.b}")
 
@@ -164,12 +166,17 @@ class JumpPriors:
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)
         self.dirichlet_rows = np.asarray(self.dirichlet_rows, dtype=float)
-        if not self.k > 0:
-            raise ParameterError(f"mean-prior precision k must be > 0, got {self.k}")
-        if np.any(self.u <= 0) or np.any(np.diff(self.u) <= 0):
-            raise ParameterError("intensity interval endpoints u must be positive and increasing")
-        if self.dirichlet_rows.ndim != 2 or np.any(self.dirichlet_rows <= 0):
-            raise ParameterError("Dirichlet prior rows must be a positive matrix")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.k < math.inf:
+            raise ParameterError(f"mean-prior precision k must be finite and > 0, got {self.k}")
+        if not (np.all((self.u > 0) & (self.u < math.inf)) and np.all(np.diff(self.u) > 0)):
+            raise ParameterError(
+                f"intensity endpoints u must be finite, positive and increasing; got {self.u}"
+            )
+        if self.dirichlet_rows.ndim != 2 or not np.all(
+            (self.dirichlet_rows > 0) & (self.dirichlet_rows < math.inf)
+        ):
+            raise ParameterError("Dirichlet prior rows must be a finite positive matrix")
 
     @property
     def n_states(self) -> int:

@@ -21,17 +21,22 @@ Every element is kept rescaled: each row normalised to sum 1, the log of each
 row's scale relative to the largest row, and one log scale for the whole
 element.  A product X·Y weights row j of Y by exp of its log row scale, at
 most 1.  So every term, here and at the first level, is a product of numbers
-at most 1 and nothing overflows; a term that underflows or turns subnormal is
-below 2^-1022, under 2^-722 of a row totalling 2^-300 or more, and such rows
-are kept.  A row with a smaller total and a nonzero left part takes the
-fallback: a first-level element or row is recomputed from its normalised
-factors as a product X·Y, and such a product with an exact per-row shift
-that brings the largest term of each row to 1.  Fits do not reach it;
-P with zeros or entries far below 1, where rows drift thousands of nats
-apart, do.  All terms are nonnegative, so nothing cancels, and a filtered
-probability well above the subnormal range carries a relative error of
-O(M·log2 T·ε) against exact arithmetic on the same e_t, plus ε times the
-log-range of the row scales in a segment.
+at most 1 and nothing overflows.  Let δ be the smallest entry of P and pi0;
+each live column of e has its maximum at 1.  A first-level row totals at
+least δ², element 0's included.  An even prefix row (q·P)∘e_t, with q summing
+to 1, totals at least δ.  Above the first level every right factor Y starts
+with P·diag(e_t), so its row totals lie within a factor δ of each other,
+exp(dy_j) >= δ and each normalised row of X·Y totals at least δ.  With
+δ >= 2^-150 every row total is thus at least 2^-300, and a term that
+underflows or turns subnormal, below 2^-1022, is under 2^-722 of its row.
+Any smaller δ, as in P with zeros, an absorbing state or the identity, takes
+the exact path instead: the same scan over the factors P·diag(e_t), each
+product with an exact per-row shift that brings the largest term of each row
+to 1.  Fits draw Dirichlet rows and take the first path.  All terms are
+nonnegative, so nothing cancels, and a filtered probability well above the
+subnormal range carries a relative error of O(M·log2 T·ε) against exact
+arithmetic on the same e_t, plus ε times the log-range of the row scales in
+a segment.
 
 The backward draw takes one uniform per time step from the caller's
 Generator, so a path is a function of the filtered probabilities, the
@@ -102,11 +107,6 @@ class FilteredProbs:
 # g = -inf and s = 0.  The elements above the first level are M×M; the
 # prefixes have equal rows and are kept as single rows, R = 1.
 
-# smallest row total of a first-level element or row, or of a plain-weight
-# product, that is kept (see _pairs, _filter_rows and _product)
-_TINY = 2.0**-300
-
-
 def _finite_or_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > -np.inf, x, 0.0)
 
@@ -126,8 +126,8 @@ def _rescaled(z: np.ndarray, r: np.ndarray, d: np.ndarray, g: np.ndarray):
 
 
 def _compose(sx, dx, gx, sy, dy, gy):
-    """Products X·Y with an exact per-row shift, for the elements _product
-    cannot take with plain weights.
+    """Products X·Y with an exact per-row shift, the product of the exact
+    path (see the module docstring).
 
     Row i of X·Y is sum_j sx[i, j] exp(dy[j]) sy[j, :], times the scales of
     row i of X.  The shift c[i] = max_j(log sx[i, j] + dy[j]) brings the
@@ -151,28 +151,20 @@ def _compose(sx, dx, gx, sy, dy, gy):
 
 
 def _product(sx, dx, gx, sy, dy, gy):
-    """Products X·Y of two element stacks.
+    """Products X·Y of two element stacks with plain weights.
 
     Row i of X·Y is sum_j sx[i, j] exp(dy[j]) sy[j, :], times the scales of
-    row i of X.  As max_j dy[j] = 0, these plain weights are at most 1 and
-    cost M exponentials per element.  A term lost to underflow is below
-    2^-1074, so where every nonzero row of X gives a row total of at least
-    2^-300 the loss is below 2^-774 of the row, and the product is kept.
-    The other elements are recomputed by _compose.
+    row i of X.  As max_j dy[j] = 0, these weights are at most 1 and cost M
+    exponentials per element; the module docstring bounds what underflow
+    drops when no entry of P and pi0 is below 2^-150.
     """
     z = np.einsum("ijn,jkn->ikn", sx * np.exp(dy), sy)
-    r = z.sum(axis=1)
-    low = np.flatnonzero(((r < _TINY) & (dx > -np.inf)).any(axis=0)) if r.min() < _TINY else ()
-    z, d, g = _rescaled(z, r, dx, gx + gy)
-    if len(low):
-        z[..., low], d[:, low], g[low] = _compose(
-            sx[..., low], dx[:, low], gx[low], sy[..., low], dy[:, low], gy[low]
-        )
-    return z, d, g
+    return _rescaled(z, z.sum(axis=1), dx, gx + gy)
 
 
-def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray):
-    """The products of elements 0..t for every t, as R = 1 stacks.
+def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray, product):
+    """The products of elements 0..t for every t, as R = 1 stacks, each
+    product taken by product, _product or _compose.
 
     Element 0 must have equal rows, so every prefix does too.  Pairs (0,1),
     (2,3), ... are multiplied as matrices, their prefixes found by the same
@@ -184,34 +176,32 @@ def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray):
     if n == 1:
         return s[:1], d[:1], g
     k = n // 2
-    ps, pd, pg = _prefixes(*_product(
+    ps, pd, pg = _prefixes(*product(
         s[..., 0:2 * k:2], d[:, 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], d[:, 1::2], g[1::2]
-    ))
+    ), product)
     us, ud, ug = np.empty((1,) + s.shape[1:]), np.empty((1, n)), np.empty(n)
     us[..., 0], ud[:, 0], ug[0] = s[:1, :, 0], d[:1, 0], g[0]
     us[..., 1::2], ud[:, 1::2], ug[1::2] = ps, pd, pg
     h = (n - 1) // 2
     if h:
-        us[..., 2::2], ud[:, 2::2], ug[2::2] = _product(
+        us[..., 2::2], ud[:, 2::2], ug[2::2] = product(
             ps[..., :h], pd[:, :h], pg[:h], s[..., 2::2], d[:, 2::2], g[2::2]
         )
     return us, ud, ug
 
 
-def _factors(p: np.ndarray, e: np.ndarray, pi0: np.ndarray | None = None):
-    """The rescaled elements P·diag(e_t) for the columns of e; with pi0, the
-    first has every row pi0∘e_t."""
+def _factors(p: np.ndarray, e: np.ndarray, pi0: np.ndarray):
+    """The rescaled elements P·diag(e_t) for the columns of e, the first with
+    every row pi0∘e_0."""
     s = p[:, :, None] * e
-    if pi0 is not None:
-        s[:, :, 0] = pi0 * e[:, 0]
+    s[:, :, 0] = pi0 * e[:, 0]
     n = e.shape[1]
     return _rescaled(s, s.sum(axis=1), np.zeros((p.shape[0], n)), np.zeros(n))
 
 
 def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
     """The first-level elements from the even and odd columns of e (see the
-    module docstring); an element with a row total below 2^-300 and a nonzero
-    left part sum_b P_ab e_{2i,b} is recomputed from its factors."""
+    module docstring)."""
     m, k = od.shape
     ev = ev[:, :k]
     # row (a, c) of q holds P_ab P_bc over b, so the sum over b runs along time
@@ -219,25 +209,12 @@ def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
     z = np.einsum("xb,bi->xi", q, ev).reshape(m, m, k)
     z[:, :, 0] = np.einsum("b,bc->c", pi0 * ev[:, 0], p)
     z *= od
-    r = z.sum(axis=1)
-    low = ()
-    if r.min() < _TINY:
-        left = np.einsum("ab,bi->ai", p, ev)
-        left[:, 0] = (pi0 * ev[:, 0]).sum()
-        low = np.flatnonzero(((r < _TINY) & (left > 0.0)).any(axis=0))
-    s, d, g = _rescaled(z, r, np.zeros((m, k)), np.zeros(k))
-    if len(low):
-        s[..., low], d[:, low], g[low] = _product(
-            *_factors(p, ev[:, low], pi0 if low[0] == 0 else None), *_factors(p, od[:, low])
-        )
-    return s, d, g
+    return _rescaled(z, z.sum(axis=1), np.zeros((m, k)), np.zeros(k))
 
 
 def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
     """All prefix rows, as an R = 1 stack: the odd ones from _prefixes on
-    _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t.
-    An even row with a total below 2^-300 after a nonzero prefix t - 1 is
-    recomputed from the factor P·diag(e_t)."""
+    _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t."""
     m, n = e.shape
     h = (n + 1) // 2
     # contiguous copies run the sums along time about twice as fast
@@ -246,18 +223,12 @@ def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
     z, dx, gx = np.empty((m, h)), np.zeros((1, h)), np.zeros(h)
     z[:, 0] = pi0
     if n > 1:
-        ps, pd, pg = _prefixes(*_pairs(ev, od, p, pi0))
+        ps, pd, pg = _prefixes(*_pairs(ev, od, p, pi0), _product)
         np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[:, 1:])
         dx[:, 1:], gx[1:] = pd[:, :h - 1], pg[:h - 1]
     z *= ev
-    r = z.sum(axis=0)
-    low = np.flatnonzero((r[1:] < _TINY) & (dx[0, 1:] > -np.inf)) + 1 if r.min() < _TINY else ()
     us, ud, ug = np.empty((1, m, n)), np.empty((1, n)), np.empty(n)
-    us[..., 0::2], ud[:, 0::2], ug[0::2] = _rescaled(z[None], r[None], dx, gx)
-    if len(low):
-        us[..., 2 * low], ud[:, 2 * low], ug[2 * low] = _product(
-            ps[..., low - 1], pd[:, low - 1], pg[low - 1], *_factors(p, ev[:, low])
-        )
+    us[..., 0::2], ud[:, 0::2], ug[0::2] = _rescaled(z[None], z.sum(axis=0)[None], dx, gx)
     if n > 1:
         us[..., 1::2], ud[:, 1::2], ug[1::2] = ps, pd, pg
     return us, ud, ug
@@ -322,11 +293,13 @@ def hamilton_filter(
     with e_t the emission densities divided by their row maximum.  All T
     prefixes come from one rescaled prefix scan (see the module docstring),
     whose first level is formed from e and P with no (M, M, T) factor stack.
-    Rows whose total falls below 2^-300 take the fallback, so what underflow
-    drops is below 2^-722 of its row.  Row t of ``probs`` is the normalised
-    prefix t, and ``loglik`` is the log scale of the last prefix plus the sum
-    of the row maxima.  Raises FilterDegeneracyError naming the first t at which
-    every state has zero predictive likelihood.
+    When no entry of P and pi0 is below 2^-150, every row total is at least
+    2^-300 and what underflow drops is below 2^-722 of its row; otherwise
+    the scan runs over the factors P·diag(e_t) with an exact per-row shift.
+    Row t of ``probs`` is the normalised prefix t, and ``loglik`` is the log
+    scale of the last prefix plus the sum of the row maxima.  Raises
+    FilterDegeneracyError naming the first t at which every state has zero
+    predictive likelihood.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
@@ -350,7 +323,11 @@ def hamilton_filter(
         e -= np.where(live, mx, 0.0)
         np.exp(e, out=e)
         e[:, ~live] = 0.0
-        s, d, g = _filter_rows(e, p, pi0)
+        # the row-total bound of the module docstring
+        if min(p.min(), pi0.min()) >= 2.0**-150:
+            s, d, g = _filter_rows(e, p, pi0)
+        else:
+            s, d, g = _prefixes(*_factors(p, e, pi0), _compose)
     dead = ~(g > -np.inf)
     if dead.any():
         raise FilterDegeneracyError(

@@ -109,10 +109,15 @@ class StablePriors:
 
     def __post_init__(self) -> None:
         self.dirichlet_rows = np.asarray(self.dirichlet_rows, dtype=float)
-        if not self.k > 0 or not self.lambda_floor > 0:
-            raise ParameterError("k and lambda_floor must be > 0")
-        if self.dirichlet_rows.ndim != 2 or np.any(self.dirichlet_rows <= 0):
-            raise ParameterError("Dirichlet prior rows must be a positive matrix")
+        # each check is written so that NaN fails it
+        if not (0.0 < self.k < math.inf and 0.0 < self.lambda_floor < math.inf):
+            raise ParameterError(
+                f"k and lambda_floor must be finite and > 0, got {self.k} and {self.lambda_floor}"
+            )
+        if self.dirichlet_rows.ndim != 2 or not np.all(
+            (self.dirichlet_rows > 0) & (self.dirichlet_rows < math.inf)
+        ):
+            raise ParameterError("Dirichlet prior rows must be a finite positive matrix")
 
     @property
     def n_states(self) -> int:

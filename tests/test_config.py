@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -34,6 +35,32 @@ def test_wrong_field_type_is_config_error_naming_the_field(tmp_path, field, valu
         load_config(path)
     with pytest.raises(ConfigError, match=rf"^{field} must be"):
         RunConfig(**values).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b", math.inf),
+        ("alpha", -math.inf),
+        ("k", math.inf),
+        ("sigma_shape", math.inf),
+        ("sigma_rate", math.inf),
+        ("frechet_shape", math.inf),
+        ("frechet_scale", math.inf),
+        ("u", [0.5, math.inf]),
+        ("dirichlet_diag", math.inf),
+        ("lambda_floor", math.inf),
+        ("step_scale", math.inf),
+    ],
+)
+def test_non_finite_number_is_config_error_naming_the_field(tmp_path, field, value):
+    values = {"model": "jump", "seed": 1, "states": 2, "iters": 10, "burnin": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**values, field: value}))  # written as Infinity
+    with pytest.raises(ConfigError, match=rf"^{field} must be a"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=rf"^{field} must be a"):
+        load_config(None, **values, **{field: value})
 
 
 def test_valid_config_loads_with_overrides(tmp_path):

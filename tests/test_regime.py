@@ -278,8 +278,8 @@ def _counting_compose(monkeypatch):
 
 
 def _counting_fallback(monkeypatch):
-    """Count the emission columns whose factors P·diag(e_t) the first level
-    forms, which it does only to recompute an element or row by _product."""
+    """Count the emission columns whose factors P·diag(e_t) are formed, which
+    only the exact path does, all T of them in one call."""
     return _counting(monkeypatch, "_factors", 1)
 
 
@@ -304,31 +304,52 @@ def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
-def _subnormal_case(m, t_len):
-    """The subnormal oracle case of test_filter_and_path_match_loop_oracles
-    at (m, t_len), with the offset t0 of its two shifted rows."""
-    rng = np.random.default_rng(1000 * m + t_len)
-    _, p, pi0, logem = next(c for c in _oracle_cases(m, t_len, rng) if c[0] == "subnormal")
-    return p, pi0, logem, int(np.argmax(logem[:, 1] != logem[:, 0]))
+def _exact_path(logem, p, pi0):
+    """The filtered probabilities and loglik of the exact path, the scan over
+    the factors P·diag(e_t) with the exact per-row shift; every row maximum
+    of logem must be finite."""
+    mx = logem.max(axis=1)
+    s, d, g = regime._prefixes(*regime._factors(p, np.exp(logem.T - mx), pi0), regime._compose)
+    return s[0].T, float(g[-1] + d[0, -1] + mx.sum())
 
 
-def test_first_level_fallback_runs_inside_a_pair(monkeypatch):
-    # rows t0, t0 + 1 form the first-level element t0 / 2; for states 2..M
-    # its entries e_t0 · e_t0+1 lie 800-1100 nats down and underflow, while
-    # their left part e_t0 does not
-    p, pi0, logem, t0 = _subnormal_case(4, 33)
-    assert t0 % 2 == 0
-    calls = _counting_fallback(monkeypatch)
-    compose_calls = _counting_compose(monkeypatch)
-    filt = hamilton_filter(logem, 33, p, pi0)
-    # the two factors of element t0 / 2, and the factor P·diag(e_t0) of prefix
-    # row t0, which state 1 leads at 2^-1030 of the total before t0
-    assert calls == [1, 1, 1]
-    assert compose_calls
+@pytest.mark.parametrize("t_len", [1, 2, 33, 300])
+def test_exact_path_runs_only_below_the_row_total_bound(monkeypatch, t_len):
+    # off-diagonal entries of P and all of pi0 but one sit exactly at 2^-150,
+    # the smallest entry the plain-weight scan is proved to keep
+    m, floor = 4, 2.0**-150
+    rng = np.random.default_rng(7000 + t_len)
+    p = np.full((m, m), floor)
+    np.fill_diagonal(p, 1.0 - (m - 1) * floor)
+    pi0 = np.full(m, floor)
+    pi0[rng.integers(m)] = 1.0 - (m - 1) * floor
+    logem = rng.uniform(-1000.0, 0.0, (t_len, 1)) - 30.0 * rng.random((t_len, m))
+    exact_probs, exact_loglik = _exact_path(logem, p, pi0)
     probs, loglik = _loop_filter(logem, p, pi0)
-    assert probs[t0 + 1:, 1:].max() < 1e-30
+
+    calls = _counting_compose(monkeypatch)
+    fallback_calls = _counting_fallback(monkeypatch)
+    filt = hamilton_filter(logem, t_len, p, pi0)
+    assert calls == [] and fallback_calls == []
+    np.testing.assert_allclose(filt.probs, exact_probs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(exact_loglik, rel=1e-12)
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+    # one entry just below 2^-150, in P or in pi0, takes the exact path
+    below = np.nextafter(floor, 0.0)
+    p_below, pi0_below = p.copy(), pi0.copy()
+    p_below[0, 1] = below
+    pi0_below[np.argmin(pi0)] = below
+    for p_case, pi0_case in [(p_below, pi0), (p, pi0_below)]:
+        calls.clear()
+        fallback_calls.clear()
+        filt = hamilton_filter(logem, t_len, p_case, pi0_case)
+        # a single element is its own prefix and needs no product
+        assert fallback_calls == [t_len] and bool(calls) == (t_len > 1)
+        probs, loglik = _loop_filter(logem, p_case, pi0_case)
+        np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
+        assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
 def _exact_filter(logem, p, pi0):

@@ -436,6 +436,13 @@ _JUMP_FIELDS = dict(mu=[0.0, 0.0], sigma1_sq=0.5, h_star=[5.0], theta=[0.1, 2.0]
                     n_jumps=[0, 0], b=40.0)
 _STABLE_FIELDS = dict(mu=[0.0, 0.0, 0.0], gamma1_sq=0.3, h_star=[3.0, 3.0], lam=1.0,
                       alpha=1.7)
+_JUMP_PRIOR_FIELDS = dict(k=1.0, sigma_prior=InvGammaParams(2.0, 0.5),
+                          frechet=FrechetParams(2.0, 0.5), u=[0.5, 1.0],
+                          dirichlet_rows=np.ones((2, 2)))
+_STABLE_PRIOR_FIELDS = dict(k=1.0, scale_prior=InvGammaParams(2.0, 0.5),
+                            frechet=FrechetParams(2.0, 0.5), dirichlet_rows=np.ones((2, 2)),
+                            lambda_floor=1e-6)
+_GAMMA_FIELDS = dict(shape=2.0, rate=1.0)
 
 
 _BAD_FIELDS = [
@@ -444,18 +451,34 @@ _BAD_FIELDS = [
     (JumpParams, _JUMP_FIELDS, "h_star", [np.nan]),
     (JumpParams, _JUMP_FIELDS, "theta", [0.1, np.nan]),
     (JumpParams, _JUMP_FIELDS, "b", np.inf),
+    (JumpParams, _JUMP_FIELDS, "n_jumps", [0, 1.5]),
+    (JumpParams, _JUMP_FIELDS, "n_jumps", [0, np.nan]),
     (StableModelParams, _STABLE_FIELDS, "mu", [0.0, np.inf, 0.0]),
     (StableModelParams, _STABLE_FIELDS, "gamma1_sq", np.nan),
     (StableModelParams, _STABLE_FIELDS, "h_star", [3.0, np.nan]),
     (StableModelParams, _STABLE_FIELDS, "lam", np.inf),
     (StableModelParams, _STABLE_FIELDS, "alpha", np.nan),
+    (JumpPriors, _JUMP_PRIOR_FIELDS, "k", np.inf),
+    (JumpPriors, _JUMP_PRIOR_FIELDS, "u", [np.nan, 1.0]),
+    (JumpPriors, _JUMP_PRIOR_FIELDS, "u", [0.5, np.inf]),
+    (JumpPriors, _JUMP_PRIOR_FIELDS, "dirichlet_rows", [[1.0, np.nan], [1.0, 1.0]]),
+    (StablePriors, _STABLE_PRIOR_FIELDS, "k", np.nan),
+    (StablePriors, _STABLE_PRIOR_FIELDS, "dirichlet_rows", [[1.0, 1.0], [np.inf, 1.0]]),
+    (StablePriors, _STABLE_PRIOR_FIELDS, "lambda_floor", np.inf),
+    (InvGammaParams, _GAMMA_FIELDS, "shape", np.inf),
+    (InvGammaParams, _GAMMA_FIELDS, "rate", np.nan),
+    (FrechetParams, dict(shape=2.0, scale=0.5), "shape", np.nan),
+    (FrechetParams, dict(shape=2.0, scale=0.5), "scale", np.inf),
 ]
 
 
-@pytest.mark.parametrize(
-    "params_cls, fields, name, value", _BAD_FIELDS,
-    ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in _BAD_FIELDS],
-)
+_BAD_IDS = [f"{cls.__name__}.{name}" for cls, _, name, _ in _BAD_FIELDS]
+# a field with several cases shows its value in the id
+_BAD_IDS = [i if _BAD_IDS.count(i) == 1 else f"{i}={case[3]}".replace(" ", "")
+            for i, case in zip(_BAD_IDS, _BAD_FIELDS)]
+
+
+@pytest.mark.parametrize("params_cls, fields, name, value", _BAD_FIELDS, ids=_BAD_IDS)
 def test_parameters_reject_nan_and_inf(params_cls, fields, name, value):
     params_cls(**fields)  # the valid base
     with pytest.raises(ParameterError):
