@@ -59,8 +59,8 @@ class AdaptiveRw:
     def __init__(self, scale: float = 0.5, transform: str = "identity") -> None:
         if transform not in ("identity", "log", "log_shift"):
             raise ParameterError(f"unknown transform {transform!r}")
-        if not scale > 0:
-            raise ParameterError("step scale must be > 0")
+        if not 0 < scale < math.inf:
+            raise ParameterError(f"step scale must be finite and > 0, got {scale}")
         self.scale = scale
         self.transform = transform
         self.accepted = 0
@@ -132,8 +132,10 @@ def normal_normal_update(
     The observations ``data`` are N(mu, var) with var known, and the prior is
     mu ~ N(0, 1/k); the posterior is N(n ybar/(n + k var), var/(n + k var)).
     """
-    if not var > 0 or not k > 0:
-        raise ParameterError("variance and prior precision k must be > 0")
+    if not (0 < var < math.inf and 0 < k < math.inf):
+        raise ParameterError(
+            f"variance and prior precision k must be finite and > 0, got {var}, {k}"
+        )
     n = data.size
     ybar = float(data.mean()) if n else 0.0
     return n * ybar / (n + k * var) + math.sqrt(var / (n + k * var)) * rng.normal()

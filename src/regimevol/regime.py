@@ -17,26 +17,35 @@ Every prefix starts from the row pi0·diag(e_0), so on the way down each
 prefix is kept as one row: (prefix_{t-1}·P)∘e_t for even t at the first
 level, a row × matrix product above it.
 
-Every element is kept rescaled: each row normalised to sum 1, the log of each
-row's scale relative to the largest row, and one log scale for the whole
-element.  A product X·Y weights row j of Y by exp of its log row scale, at
-most 1.  So every term, here and at the first level, is a product of numbers
-at most 1 and nothing overflows.  Let δ be the smallest entry of P and pi0;
-each live column of e has its maximum at 1.  A first-level row totals at
-least δ², element 0's included.  An even prefix row (q·P)∘e_t, with q summing
-to 1, totals at least δ.  Above the first level every right factor Y starts
-with P·diag(e_t), so its row totals lie within a factor δ of each other,
-exp(dy_j) >= δ and each normalised row of X·Y totals at least δ.  With
-δ >= 2^-150 every row total is thus at least 2^-300, and a term that
-underflows or turns subnormal, below 2^-1022, is under 2^-722 of its row.
-Any smaller δ, as in P with zeros, an absorbing state or the identity, takes
-the exact path instead: the same scan over the factors P·diag(e_t), each
-product with an exact per-row shift that brings the largest term of each row
-to 1.  Fits draw Dirichlet rows and take the first path.  All terms are
-nonnegative, so nothing cancels, and a filtered probability well above the
-subnormal range carries a relative error of O(M·log2 T·ε) against exact
-arithmetic on the same e_t, plus ε times the log-range of the row scales in
-a segment.
+Let δ be the smallest entry of P and pi0; each live column of e has its
+maximum at 1.  When δ >= 2^-150 the scan runs in linear scale and keeps each
+element as a nonnegative matrix whose largest row total is 1, times one log
+scale.  A product X·Y is then a plain matrix product, rescaled: every term,
+here and at the first level, is a product of numbers at most 1, so nothing
+overflows.  Every element but element 0 starts with P·diag(e_t), so its row
+totals lie within a factor δ of each other; element 0 and every prefix have
+equal rows.  A first-level row totals at least δ², element 0's included,
+and an even prefix row (q·P)∘e_t, with q summing to 1, at least δ.  Folding
+X's row scales (each at least δ) into the product keeps every row total of
+X·Y at or above δ² >= 2^-300, so a term that underflows or turns subnormal,
+below 2^-1022, is under 2^-722 of its row.  All terms are nonnegative, so
+nothing cancels, and a filtered probability well above the subnormal range
+carries a relative error of O(M·log2 T·ε) against exact arithmetic on the
+same e_t.  Fits draw Dirichlet rows and take this path.
+
+Any smaller δ, as in P with zeros, an absorbing state or the identity, or a
+pi0 entry that starts subnormal, takes the exact path: the same scan over
+the factors P·diag(e_t) in log space, each element a log matrix shifted so
+that its largest entry is 0, times one log scale.  Entry (i, k) of X·Y is
+log sum_j exp(x_ij + y_jk), each sum shifted by its own largest term, so no
+term overflows and no probability underflows before the last step turns
+the prefix rows back into probabilities.  Each log entry comes from
+O(log2 T) sums and log-sum-exps, each exact to a few ε relative to the
+magnitude of its result plus O(M·ε); an absolute error in a log is a
+relative error in the probability.  A filtered probability above the
+subnormal range thus carries a relative error of O(log2 T·(M + L)·ε),
+with L the largest magnitude, in nats, of a log entry along its products:
+the log-odds that P, pi0 and the emissions build up between states.
 
 The backward draw takes one uniform per time step from the caller's
 Generator, so a path is a function of the filtered probabilities, the
@@ -70,6 +79,7 @@ from .errors import FilterDegeneracyError, ParameterError
 __all__ = [
     "FilteredProbs",
     "validate_transition_matrix",
+    "validate_initial_distribution",
     "hamilton_filter",
     "sample_state_path",
     "count_transitions",
@@ -89,6 +99,17 @@ def validate_transition_matrix(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def validate_initial_distribution(pi0: np.ndarray | None, m: int) -> np.ndarray:
+    """pi0 as a length-m probability vector, uniform when omitted; raises
+    ParameterError for any other shape, a negative entry or a sum off 1."""
+    if pi0 is None:
+        return np.full(m, 1.0 / m)
+    pi0 = np.asarray(pi0, dtype=float)
+    if pi0.shape != (m,) or np.any(pi0 < 0) or not abs(pi0.sum() - 1.0) <= 1e-9:
+        raise ParameterError("pi0 must be a length-M probability vector")
+    return pi0
+
+
 @dataclass
 class FilteredProbs:
     """Filtered state distributions g(S_t | y_1..y_t) with the log-likelihood byproduct."""
@@ -100,71 +121,63 @@ class FilteredProbs:
 # ---------------------------------------------------------------------------
 # rescaled prefix scan
 #
-# An element is a stack of nonnegative R×M matrices stored as (s, d, g) with
-# shapes (R, M, n), (R, n) and (n,), time on the last axis: matrix k equals
-# exp(g[k]) · diag(exp(d[:, k])) · s[:, :, k], every nonzero row of s sums to
-# 1 and max_i d[i, k] = 0.  A zero row has d = -inf; a zero matrix has
-# g = -inf and s = 0.  The elements above the first level are M×M; the
-# prefixes have equal rows and are kept as single rows, R = 1.
+# An element is a stack of R×M matrices stored as (s, g) with shapes
+# (R, M, n) and (n,), time on the last axis.  On the plain path matrix k is
+# exp(g[k]) · s[:, :, k], s nonnegative with its largest row total 1; on the
+# exact path it is exp(g[k] + s[:, :, k]), s a log matrix with its largest
+# entry 0.  A zero matrix has g = -inf, and s = 0 (plain) or s = -inf (exact).
+# The elements above the first level are M×M; the prefixes have equal rows
+# and are kept as single rows, R = 1.
 
 def _finite_or_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > -np.inf, x, 0.0)
 
 
-def _rescaled(z: np.ndarray, r: np.ndarray, d: np.ndarray, g: np.ndarray):
-    """Normalise the rows of z in place (r, their totals, is overwritten) and
-    move the log totals into d and g."""
-    d = d + np.log(r)
-    top = d.max(axis=0)
-    if r.min() > 0.0:
-        d -= top
-    else:
-        r += r == 0.0  # a zero row stays zero instead of 0/0
-        d -= _finite_or_zero(top)
-    z /= r[:, None]
-    return z, d, g + top
+def _rescaled(z: np.ndarray, g: np.ndarray):
+    """Divide z in place by its largest row total and move the log of that
+    total into g.  Element 0 and every prefix have equal rows, so a prefix
+    row comes out summing to 1."""
+    t = z.sum(axis=1).max(axis=0)
+    z /= t + (t == 0.0)  # a zero matrix stays zero instead of 0/0
+    return z, g + np.log(t)
 
 
-def _compose(sx, dx, gx, sy, dy, gy):
-    """Products X·Y with an exact per-row shift, the product of the exact
-    path (see the module docstring).
-
-    Row i of X·Y is sum_j sx[i, j] exp(dy[j]) sy[j, :], times the scales of
-    row i of X.  The shift c[i] = max_j(log sx[i, j] + dy[j]) brings the
-    largest term of that sum to 1, so no row underflows.
-    """
-    a = np.log(sx)
-    a += dy
-    c = a.max(axis=1)
-    w = np.subtract(dy, _finite_or_zero(c)[:, None], out=a)
-    # w <= -log sx wherever sx > 0, so exp(w) can overflow only where sx is
-    # subnormal or zero; those weights are taken as exp(log sx + w) instead
-    far = w > 700.0
-    w_far = w[far]
-    np.minimum(w, 700.0, out=w)
-    np.exp(w, out=w)
-    w *= sx
-    if w_far.size:
-        w[far] = np.exp(np.log(sx[far]) + w_far)
-    z = np.einsum("ijn,jkn->ikn", w, sy)
-    return _rescaled(z, z.sum(axis=1), dx + c, gx + gy)
+def _product(sx, gx, sy, gy):
+    """Products X·Y of two plain element stacks; the module docstring bounds
+    what underflow drops when no entry of P and pi0 is below 2^-150."""
+    return _rescaled(np.einsum("ijn,jkn->ikn", sx, sy), gx + gy)
 
 
-def _product(sx, dx, gx, sy, dy, gy):
-    """Products X·Y of two element stacks with plain weights.
-
-    Row i of X·Y is sum_j sx[i, j] exp(dy[j]) sy[j, :], times the scales of
-    row i of X.  As max_j dy[j] = 0, these weights are at most 1 and cost M
-    exponentials per element; the module docstring bounds what underflow
-    drops when no entry of P and pi0 is below 2^-150.
-    """
-    z = np.einsum("ijn,jkn->ikn", sx * np.exp(dy), sy)
-    return _rescaled(z, z.sum(axis=1), dx, gx + gy)
+def _log_rescaled(z: np.ndarray, g: np.ndarray):
+    """Shift the log matrices z in place so that each largest entry is 0 and
+    move the shift into g."""
+    top = z.max(axis=(0, 1))
+    z -= _finite_or_zero(top)
+    return z, g + top
 
 
-def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray, product):
+def _log_product(sx, gx, sy, gy):
+    """Products X·Y of two exact element stacks: entry (i, k) is
+    log sum_j exp(sx[i, j] + sy[j, k]), each sum shifted so that its largest
+    term is exactly 1 and no term overflows."""
+    a = sx[:, :, None] + sy
+    top = _finite_or_zero(a.max(axis=1))
+    a -= top[:, None]
+    np.exp(a, out=a)
+    return _log_rescaled(np.log(a.sum(axis=1)) + top, gx + gy)
+
+
+def _log_factors(p: np.ndarray, loge: np.ndarray, pi0: np.ndarray):
+    """The exact elements log P + log diag(e_t) for the columns of log e,
+    the first with every row log(pi0∘e_0)."""
+    z = np.log(p)[:, :, None] + loge
+    z[:, :, 0] = np.log(pi0) + loge[:, 0]
+    return _log_rescaled(z, np.zeros(loge.shape[1]))
+
+
+def _prefixes(s: np.ndarray, g: np.ndarray, product):
     """The products of elements 0..t for every t, as R = 1 stacks, each
-    product taken by product, _product or _compose.
+    product taken by product, _product or _log_product.
 
     Element 0 must have equal rows, so every prefix does too.  Pairs (0,1),
     (2,3), ... are multiplied as matrices, their prefixes found by the same
@@ -174,34 +187,21 @@ def _prefixes(s: np.ndarray, d: np.ndarray, g: np.ndarray, product):
     """
     n = s.shape[-1]
     if n == 1:
-        return s[:1], d[:1], g
+        return s[:1], g
     k = n // 2
-    ps, pd, pg = _prefixes(*product(
-        s[..., 0:2 * k:2], d[:, 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], d[:, 1::2], g[1::2]
-    ), product)
-    us, ud, ug = np.empty((1,) + s.shape[1:]), np.empty((1, n)), np.empty(n)
-    us[..., 0], ud[:, 0], ug[0] = s[:1, :, 0], d[:1, 0], g[0]
-    us[..., 1::2], ud[:, 1::2], ug[1::2] = ps, pd, pg
+    ps, pg = _prefixes(*product(s[..., 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], g[1::2]), product)
+    us, ug = np.empty((1,) + s.shape[1:]), np.empty(n)
+    us[..., 0], ug[0] = s[:1, :, 0], g[0]
+    us[..., 1::2], ug[1::2] = ps, pg
     h = (n - 1) // 2
     if h:
-        us[..., 2::2], ud[:, 2::2], ug[2::2] = product(
-            ps[..., :h], pd[:, :h], pg[:h], s[..., 2::2], d[:, 2::2], g[2::2]
-        )
-    return us, ud, ug
-
-
-def _factors(p: np.ndarray, e: np.ndarray, pi0: np.ndarray):
-    """The rescaled elements P·diag(e_t) for the columns of e, the first with
-    every row pi0∘e_0."""
-    s = p[:, :, None] * e
-    s[:, :, 0] = pi0 * e[:, 0]
-    n = e.shape[1]
-    return _rescaled(s, s.sum(axis=1), np.zeros((p.shape[0], n)), np.zeros(n))
+        us[..., 2::2], ug[2::2] = product(ps[..., :h], pg[:h], s[..., 2::2], g[2::2])
+    return us, ug
 
 
 def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
-    """The first-level elements from the even and odd columns of e (see the
-    module docstring)."""
+    """The first-level plain elements from the even and odd columns of e (see
+    the module docstring)."""
     m, k = od.shape
     ev = ev[:, :k]
     # row (a, c) of q holds P_ab P_bc over b, so the sum over b runs along time
@@ -209,29 +209,30 @@ def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
     z = np.einsum("xb,bi->xi", q, ev).reshape(m, m, k)
     z[:, :, 0] = np.einsum("b,bc->c", pi0 * ev[:, 0], p)
     z *= od
-    return _rescaled(z, z.sum(axis=1), np.zeros((m, k)), np.zeros(k))
+    return _rescaled(z, np.zeros(k))
 
 
 def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
-    """All prefix rows, as an R = 1 stack: the odd ones from _prefixes on
-    _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t."""
+    """All prefix rows of the plain path, as an R = 1 stack: the odd ones from
+    _prefixes on _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as
+    (prefix_{t-1}·P)∘e_t."""
     m, n = e.shape
     h = (n + 1) // 2
     # contiguous copies run the sums along time about twice as fast
     ev, od = np.ascontiguousarray(e[:, 0::2]), np.ascontiguousarray(e[:, 1::2])
-    # column j of z and of the scales dx, gx is even prefix 2j, before e_2j
-    z, dx, gx = np.empty((m, h)), np.zeros((1, h)), np.zeros(h)
-    z[:, 0] = pi0
+    # column j of z and of its scale gx is even prefix 2j, before e_2j
+    z, gx = np.empty((1, m, h)), np.zeros(h)
+    z[0, :, 0] = pi0
     if n > 1:
-        ps, pd, pg = _prefixes(*_pairs(ev, od, p, pi0), _product)
-        np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[:, 1:])
-        dx[:, 1:], gx[1:] = pd[:, :h - 1], pg[:h - 1]
+        ps, pg = _prefixes(*_pairs(ev, od, p, pi0), _product)
+        np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[0, :, 1:])
+        gx[1:] = pg[:h - 1]
     z *= ev
-    us, ud, ug = np.empty((1, m, n)), np.empty((1, n)), np.empty(n)
-    us[..., 0::2], ud[:, 0::2], ug[0::2] = _rescaled(z[None], z.sum(axis=0)[None], dx, gx)
+    us, ug = np.empty((1, m, n)), np.empty(n)
+    us[..., 0::2], ug[0::2] = _rescaled(z, gx)
     if n > 1:
-        us[..., 1::2], ud[:, 1::2], ug[1::2] = ps, pd, pg
-    return us, ud, ug
+        us[..., 1::2], ug[1::2] = ps, pg
+    return us, ug
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +294,16 @@ def hamilton_filter(
     with e_t the emission densities divided by their row maximum.  All T
     prefixes come from one rescaled prefix scan (see the module docstring),
     whose first level is formed from e and P with no (M, M, T) factor stack.
-    When no entry of P and pi0 is below 2^-150, every row total is at least
-    2^-300 and what underflow drops is below 2^-722 of its row; otherwise
-    the scan runs over the factors P·diag(e_t) with an exact per-row shift.
-    Row t of ``probs`` is the normalised prefix t, and ``loglik`` is the log
-    scale of the last prefix plus the sum of the row maxima.  Raises
-    FilterDegeneracyError naming the first t at which every state has zero
-    predictive likelihood.
+    When no entry of P and pi0 is below 2^-150 the scan runs in linear scale,
+    every row total is at least 2^-300 and what underflow drops is below
+    2^-722 of its row; otherwise it runs in log space over the factors
+    P·diag(e_t), where nothing underflows before the filtered rows are
+    formed, and a filtered probability above the subnormal range carries a
+    relative error of O(log2 T·(M + L)·ε), L the largest log-odds, in nats,
+    built up along its products.  Row t of ``probs`` is the normalised prefix
+    t, and ``loglik`` is the log scale of the last prefix plus the sum of the
+    row maxima.  Raises FilterDegeneracyError naming the first t at which
+    every state has zero predictive likelihood.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
@@ -308,33 +312,28 @@ def hamilton_filter(
     logem = np.asarray(emission_logpdf, dtype=float)
     if logem.shape != (t_len, m):
         raise ParameterError(f"emission array has shape {logem.shape}, expected {(t_len, m)}")
-    if pi0 is None:
-        pi0 = np.full(m, 1.0 / m)
-    else:
-        pi0 = np.asarray(pi0, dtype=float)
-        if pi0.shape != (m,) or np.any(pi0 < 0) or not abs(pi0.sum() - 1.0) <= 1e-9:
-            raise ParameterError("pi0 must be a length-M probability vector")
+    pi0 = validate_initial_distribution(pi0, m)
     # the row maxima are taken along the time axis of the transposed copy:
     # logem.max(axis=1) reduces one length-M row per time step
-    e = np.array(logem.T, order="C")
-    mx = e.max(axis=0)
+    loge = np.array(logem.T, order="C")
+    mx = loge.max(axis=0)
     live = np.isfinite(mx)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e -= np.where(live, mx, 0.0)
-        np.exp(e, out=e)
-        e[:, ~live] = 0.0
+        loge -= np.where(live, mx, 0.0)
+        loge[:, ~live] = -np.inf
         # the row-total bound of the module docstring
         if min(p.min(), pi0.min()) >= 2.0**-150:
-            s, d, g = _filter_rows(e, p, pi0)
+            s, g = _filter_rows(np.exp(loge, out=loge), p, pi0)
         else:
-            s, d, g = _prefixes(*_factors(p, e, pi0), _compose)
+            s, g = _prefixes(*_log_factors(p, loge, pi0), _log_product)
+            s, g = _rescaled(np.exp(s), g)
     dead = ~(g > -np.inf)
     if dead.any():
         raise FilterDegeneracyError(
             f"every state has zero likelihood at t={int(np.argmax(dead))}; "
             "check emissions/parameters"
         )
-    return FilteredProbs(probs=s[0].T.copy(), loglik=float(g[-1] + d[0, -1] + mx.sum()))
+    return FilteredProbs(probs=s[0].T.copy(), loglik=float(g[-1] + mx.sum()))
 
 
 def sample_state_path(
@@ -409,15 +408,24 @@ def sample_transition_matrix(
 ) -> np.ndarray:
     """Row i drawn from Dirichlet(row_priors[i] + transition counts out of state i+1).
 
-    ``row_priors`` is the (M, M) matrix of positive prior concentrations.
+    ``row_priors`` is the (M, M) matrix of finite positive prior
+    concentrations and ``counts`` the (M, M) matrix of finite nonnegative
+    counts; ParameterError naming the first bad row is raised before any draw.
     """
     counts = np.asarray(counts, dtype=float)
     m = counts.shape[0]
     conc = np.asarray(row_priors, dtype=float)
-    if conc.shape != (m, m):
-        raise ParameterError(f"prior concentration must be ({m}, {m})")
-    if not np.all(conc > 0):
-        raise ParameterError("Dirichlet concentration entries must all be > 0")
+    if conc.shape != (m, m) or counts.shape != (m, m):
+        raise ParameterError(f"prior concentration and counts must be ({m}, {m})")
+    # a NaN fails both comparisons
+    for ok, what, values in (
+        ((conc > 0) & (conc < np.inf), "Dirichlet concentrations must be finite and > 0", conc),
+        ((counts >= 0) & (counts < np.inf), "transition counts must be finite and >= 0", counts),
+    ):
+        bad = ~ok.all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(f"{what}; row {i} is {values[i]}")
     out = np.empty((m, m))
     for i in range(m):
         out[i] = rng.dirichlet(conc[i] + counts[i])

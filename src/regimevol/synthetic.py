@@ -3,6 +3,11 @@
 The jump simulator is faithful to the generative model: every observation
 draws its own Poisson jump count (inference works with a single per-state
 count; the mismatch is deliberate and the recovery tolerances absorb it).
+
+Both simulators raise ParameterError before any draw unless P is an (M, M)
+transition matrix, pi0 a length-M probability vector (uniform when None)
+and t_len >= 1.
+
 The brute-force oracles the samplers are checked against (path enumeration,
 grid posteriors) live with the tests, in ``tests/oracles.py``.
 """
@@ -15,8 +20,9 @@ from typing import Any
 import numpy as np
 
 from .distributions import StableParams, stable_sample
+from .errors import ParameterError
 from .jump_model import JumpParams
-from .regime import validate_transition_matrix
+from .regime import validate_initial_distribution, validate_transition_matrix
 from .stable_model import StableModelParams
 
 __all__ = [
@@ -37,8 +43,14 @@ class SyntheticDataset:
 
 
 def _simulate_path(
-    p: np.ndarray, pi0: np.ndarray, t_len: int, rng: np.random.Generator, m: int
+    p: np.ndarray, pi0: np.ndarray | None, t_len: int, rng: np.random.Generator, m: int
 ) -> np.ndarray:
+    p = validate_transition_matrix(p)
+    if p.shape != (m, m):
+        raise ParameterError(f"transition matrix has shape {p.shape}, expected {(m, m)}")
+    if t_len < 1:
+        raise ParameterError(f"need at least one observation to simulate, got t_len={t_len}")
+    pi0 = validate_initial_distribution(pi0, m)
     # a single state carries no randomness; skipping the draw keeps the
     # observation stream aligned with direct sampling
     if m == 1:
@@ -65,8 +77,6 @@ def simulate_jump_model(
     Gaussian part, a Poisson jump count N_t, the Gamma jump magnitude and a
     fair sign."""
     m = params.n_states
-    p = validate_transition_matrix(p)
-    pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
     path = _simulate_path(p, pi0, t_len, rng, m)
     sd = np.sqrt(params.sigma_sq)[path - 1]
     mu = params.mu[path - 1]
@@ -92,8 +102,6 @@ def simulate_stable_model(
     draw with the state's scale and location.  With a single state this
     reduces to (and exactly reproduces) a stable_sample stream."""
     m = params.n_states
-    p = validate_transition_matrix(p)
-    pi0 = np.full(m, 1.0 / m) if pi0 is None else np.asarray(pi0, dtype=float)
     path = _simulate_path(p, pi0, t_len, rng, m)
     gamma = np.sqrt(params.gamma_sq)
     if m == 1:

@@ -31,6 +31,12 @@ def _tv(p, q):
 # adaptive random walk
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.5, math.nan, math.inf])
+def test_adaptive_rw_rejects_a_step_scale_that_is_not_finite_and_positive(scale):
+    with pytest.raises(ParameterError, match="step scale"):
+        AdaptiveRw(scale)
+
+
 def test_adaptive_rw_zero_density_proposal_rejects():
     # the target is zero everywhere except the start, so every proposal lands
     # on zero density and must be rejected
@@ -147,7 +153,8 @@ def test_normal_normal_dogmatic_prior():
 
 
 def test_normal_normal_rejects_nonpositive_variance_or_precision():
-    for var, k in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)):
+    for var, k in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                   (1.0, math.inf)):
         with pytest.raises(ParameterError):
             normal_normal_update(np.ones(3), var, k, np.random.default_rng(0))
 

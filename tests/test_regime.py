@@ -198,8 +198,8 @@ def _oracle_cases(m, t_len, rng):
     until a seeded offset, and over that row and the next the other states
     fall 800 to 1100 nats behind.  The first state then dominates, and the
     others keep filtered probabilities of about 1e-38 to 1e-168, which the
-    loop computes to full precision; the scan's plain weights lose them, so
-    this case fails unless the exact per-row shift runs.
+    loop computes to full precision; a linear-scale scan loses them, so this
+    case fails unless the exact path runs in log space.
     """
     level = rng.uniform(-1000.0, 0.0, (t_len, 1))
     for conc, spread in [(0.05, 10.0), (0.3, 100.0), (1.0, 1000.0), (5.0, 1000.0), (20.0, 1.0)]:
@@ -272,19 +272,19 @@ def _counting(monkeypatch, name, arg):
     return calls
 
 
-def _counting_compose(monkeypatch):
-    """Count the elements the exact per-row-shift compose is called on."""
-    return _counting(monkeypatch, "_compose", 0)
+def _counting_log_product(monkeypatch):
+    """Count the elements the exact path's log-space product is called on."""
+    return _counting(monkeypatch, "_log_product", 0)
 
 
-def _counting_fallback(monkeypatch):
-    """Count the emission columns whose factors P·diag(e_t) are formed, which
-    only the exact path does, all T of them in one call."""
-    return _counting(monkeypatch, "_factors", 1)
+def _counting_log_factors(monkeypatch):
+    """Count the emission columns whose log factors log P + log diag(e_t)
+    are formed, which only the exact path does, all T of them in one call."""
+    return _counting(monkeypatch, "_log_factors", 1)
 
 
 def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
-    calls = _counting_compose(monkeypatch)
+    calls = _counting_log_product(monkeypatch)
     logem = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -400.0], [0.0, -400.0]])
     p, pi0 = np.eye(2), np.array([2.0**-1030, 1.0])
     probs, loglik = _loop_filter(logem, p, pi0)
@@ -305,12 +305,14 @@ def test_exact_shift_runs_where_plain_weights_underflow(monkeypatch):
 
 
 def _exact_path(logem, p, pi0):
-    """The filtered probabilities and loglik of the exact path, the scan over
-    the factors P·diag(e_t) with the exact per-row shift; every row maximum
-    of logem must be finite."""
+    """The filtered probabilities and loglik of the exact path, the scan in
+    log space over the factors log P + log diag(e_t); every row maximum of
+    logem must be finite."""
     mx = logem.max(axis=1)
-    s, d, g = regime._prefixes(*regime._factors(p, np.exp(logem.T - mx), pi0), regime._compose)
-    return s[0].T, float(g[-1] + d[0, -1] + mx.sum())
+    with np.errstate(divide="ignore"):
+        s, g = regime._prefixes(*regime._log_factors(p, logem.T - mx, pi0), regime._log_product)
+        s, g = regime._rescaled(np.exp(s), g)
+    return s[0].T, float(g[-1] + mx.sum())
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 33, 300])
@@ -327,10 +329,10 @@ def test_exact_path_runs_only_below_the_row_total_bound(monkeypatch, t_len):
     exact_probs, exact_loglik = _exact_path(logem, p, pi0)
     probs, loglik = _loop_filter(logem, p, pi0)
 
-    calls = _counting_compose(monkeypatch)
-    fallback_calls = _counting_fallback(monkeypatch)
+    calls = _counting_log_product(monkeypatch)
+    factor_calls = _counting_log_factors(monkeypatch)
     filt = hamilton_filter(logem, t_len, p, pi0)
-    assert calls == [] and fallback_calls == []
+    assert calls == [] and factor_calls == []
     np.testing.assert_allclose(filt.probs, exact_probs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
     assert filt.loglik == pytest.approx(exact_loglik, rel=1e-12)
@@ -343,10 +345,10 @@ def test_exact_path_runs_only_below_the_row_total_bound(monkeypatch, t_len):
     pi0_below[np.argmin(pi0)] = below
     for p_case, pi0_case in [(p_below, pi0), (p, pi0_below)]:
         calls.clear()
-        fallback_calls.clear()
+        factor_calls.clear()
         filt = hamilton_filter(logem, t_len, p_case, pi0_case)
         # a single element is its own prefix and needs no product
-        assert fallback_calls == [t_len] and bool(calls) == (t_len > 1)
+        assert factor_calls == [t_len] and bool(calls) == (t_len > 1)
         probs, loglik = _loop_filter(logem, p_case, pi0_case)
         np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
         assert filt.loglik == pytest.approx(loglik, rel=1e-12)
@@ -371,8 +373,8 @@ def _exact_filter(logem, p, pi0):
 
 def test_even_row_fallback_keeps_subnormal_mass_exact():
     # prefix 1 gives state 1 the subnormal weight 2^-1030 and row 2 scales it
-    # by 1e-3: a plain product keeps about 34 bits of it, the exact per-row
-    # shift all of them; state 1 then leads, so the error would show in state
+    # by 1e-3: a plain product keeps about 34 bits of it, the log-space exact
+    # path all of them; state 1 then leads, so the error would show in state
     # 2 (state 3, dead from the start, carries the row maxima)
     p, pi0 = np.eye(3), np.array([2.0**-1030, 1.0, 0.0])
     logem = np.zeros((6, 3))
@@ -386,14 +388,54 @@ def test_even_row_fallback_keeps_subnormal_mass_exact():
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["identity", "zeros", "absorbing"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_exact_path_matches_rational_oracle_from_subnormal_start(kind, m):
+    # state 1 starts at about 2^-1030, a subnormal, and emissions spread up to
+    # 300 nats move it by hundreds of nats: past the loop oracle's reach, so
+    # the filter is held to exact rational arithmetic where it shows above 1e-300
+    rng = np.random.default_rng(1030 + 10 * m + len(kind))
+    p = rng.dirichlet(np.ones(m), size=m)
+    if kind == "identity":
+        p = np.eye(m)
+    elif kind == "zeros":
+        p *= rng.random((m, m)) < 0.6
+        p[np.arange(m), rng.integers(0, m, m)] += 0.1
+    else:
+        p[0] = np.eye(m)[0]
+    p /= p.sum(axis=1, keepdims=True)
+    pi0 = np.concatenate([[2.0**-1030], rng.dirichlet(np.ones(m - 1))])
+    pi0 /= pi0.sum()
+    logem = -300.0 * rng.random((24, m))
+    probs, loglik = _exact_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 24, p, pi0)
+    shown = probs > 1e-300
+    np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_path_matches_rational_oracle_over_wide_spreads(seed):
+    # P = I keeps every state's log-odds a sum of emission gaps of up to 300
+    # nats, so over 64 steps they run to thousands of nats
+    rng = np.random.default_rng(seed)
+    p, pi0 = np.eye(3), rng.dirichlet(np.ones(3))
+    logem = rng.uniform(-1000.0, 0.0, (64, 1)) - 300.0 * rng.random((64, 3))
+    probs, loglik = _exact_filter(logem, p, pi0)
+    filt = hamilton_filter(logem, 64, p, pi0)
+    shown = probs > 1e-300
+    np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0)
+    assert filt.loglik == pytest.approx(loglik, rel=1e-12)
+
+
 def test_exact_shift_never_runs_on_fit_like_input(monkeypatch):
-    calls = _counting_compose(monkeypatch)
-    fallback_calls = _counting_fallback(monkeypatch)
+    calls = _counting_log_product(monkeypatch)
+    factor_calls = _counting_log_factors(monkeypatch)
     rng = np.random.default_rng(5000)
     logem, p, pi0 = _random_instance(rng, 5000, 4)
     filt = hamilton_filter(logem, 5000, p, pi0)
     assert calls == []
-    assert fallback_calls == []
+    assert factor_calls == []
     probs, loglik = _loop_filter(logem, p, pi0)
     np.testing.assert_allclose(filt.probs, probs, rtol=1e-12, atol=0)
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
@@ -603,6 +645,20 @@ def test_sample_transition_matrix_rejects_bad_prior():
         sample_transition_matrix(np.zeros((2, 2)), np.ones((2, 3)), rng)
     with pytest.raises(ParameterError, match="> 0"):
         sample_transition_matrix(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]), rng)
+
+
+@pytest.mark.parametrize("counts, priors, row", [
+    (np.zeros((2, 2)), [[1.0, 1.0], [np.inf, 1.0]], 1),
+    (np.zeros((2, 2)), [[1.0, np.nan], [1.0, 1.0]], 0),
+    ([[0, 0], [-5, 0]], np.ones((2, 2)), 1),
+    ([[np.nan, 0], [0, 0]], np.ones((2, 2)), 0),
+    ([[0, np.inf], [0, 0]], np.ones((2, 2)), 0),
+])
+def test_sample_transition_matrix_names_a_bad_row_before_any_draw(counts, priors, row):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ParameterError, match=f"finite and >=? 0; row {row} is"):
+        sample_transition_matrix(np.array(counts, dtype=float), np.array(priors), rng)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_sample_transition_matrix_concentrates():

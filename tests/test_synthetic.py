@@ -113,6 +113,22 @@ def test_simulate_stable_state_medians():
         assert abs(med - mu) < 3 * se
 
 
+@pytest.mark.parametrize("p, pi0, t_len, match", [
+    ([[0.9, 0.1], [0.2, 0.8]], [2.0, -1.0], 10, "pi0"),
+    ([[0.9, 0.1], [0.2, 0.8]], [0.2, 0.3, 0.5], 10, "pi0"),
+    (np.full((3, 3), 1 / 3), None, 10, r"shape \(3, 3\), expected \(2, 2\)"),
+    ([[0.9, 0.1], [0.2, 0.8]], None, 0, "t_len=0"),
+])
+def test_simulators_reject_a_bad_chain_before_any_draw(p, pi0, t_len, match):
+    jump = _jump_params([0.0, 0.1], [1.0, 5.0], [0.5, 2.0])
+    stable = _stable_params([0.0, 0.1], [1.0, 5.0])
+    for simulate, params in ((simulate_jump_model, jump), (simulate_stable_model, stable)):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ParameterError, match=match):
+            simulate(params, np.array(p), pi0, t_len, rng)
+        assert rng.bit_generator.state == np.random.default_rng(6).bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # grid posterior oracle
 
