@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import FrechetParams, InvGammaParams
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .jump_model import JumpPriors, default_dirichlet_rows, default_u_ladder
 from .stable_model import StablePriors
 
@@ -155,7 +155,13 @@ def _sigma_rate(cfg: RunConfig, data: np.ndarray) -> float:
     if cfg.sigma_rate is not None:
         return cfg.sigma_rate
     # weakly informative on the data's own scale: prior mean ~ var(y)/4
-    return max((cfg.sigma_shape - 1.0), 0.5) * float(np.var(data)) / 4.0
+    var = float(np.var(data))
+    if not var > 0:
+        raise DataError(
+            f"the return series has zero variance over its {np.size(data)} values; "
+            "a constant price series has no volatility to fit"
+        )
+    return max((cfg.sigma_shape - 1.0), 0.5) * var / 4.0
 
 
 def build_jump_priors(cfg: RunConfig, data: np.ndarray) -> JumpPriors:

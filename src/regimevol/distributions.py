@@ -339,11 +339,16 @@ _MILLER_DAMPING = 20.0  # backward run-in: damp the start's error by e^-20
 
 
 def _check_convolution_params(sigma: float, n_jumps: int, b: float) -> int:
-    if int(n_jumps) != n_jumps or n_jumps < 1:
+    n = int(n_jumps)
+    if n != n_jumps or n < 1:
         raise ParameterError(f"jump count must be an integer >= 1, got {n_jumps}")
     if not sigma > 0 or not b > 0:
         raise ParameterError(f"need sigma > 0 and b > 0, got sigma={sigma} b={b}")
-    return int(n_jumps)
+    if n > _MAX_BATCH_JUMPS:
+        raise NumericalError(
+            f"batch evaluator supports jump counts up to {_MAX_BATCH_JUMPS}, got {n}"
+        )
+    return n
 
 
 def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
@@ -436,13 +441,6 @@ def _convolved_rows(zs: np.ndarray, mu: float, sigma: float, n_lo: int, n_top: i
     return log_const + np.logaddexp(log_k[:, : zs.size] - tilt, log_k[:, zs.size:] + tilt)
 
 
-def _check_batch_jumps(n: int) -> None:
-    if n > _MAX_BATCH_JUMPS:
-        raise NumericalError(
-            f"batch evaluator supports jump counts up to {_MAX_BATCH_JUMPS}, got {n}"
-        )
-
-
 def jump_convolved_logpdf(z, mu: float, sigma: float, n_jumps: int, b: float) -> np.ndarray:
     """Vectorized log density of Normal(mu, sigma^2) + symGamma(n_jumps, b).
 
@@ -452,7 +450,6 @@ def jump_convolved_logpdf(z, mu: float, sigma: float, n_jumps: int, b: float) ->
     space so tail observations never underflow.
     """
     n = _check_convolution_params(sigma, n_jumps, b)
-    _check_batch_jumps(n)
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     out = _convolved_rows(zs, mu, sigma, n, n, b)[0]
     return out if np.ndim(z) else float(out[0])
@@ -465,5 +462,4 @@ def jump_convolved_logpdf_counts(z, mu: float, sigma: float, n_top: int, b: floa
     Rows agree with the single-count values to better than 1e-10.
     """
     n_top = _check_convolution_params(sigma, n_top, b)
-    _check_batch_jumps(n_top)
     return _convolved_rows(np.atleast_1d(np.asarray(z, dtype=float)), mu, sigma, 1, n_top, b)

@@ -7,10 +7,10 @@ Inference is Metropolis-within-Gibbs.  Per sweep: state path (forward filter,
 backward draw), transition matrix (conjugate Dirichlet rows), then per state
 the mean (conjugate when the state carries no jumps, MH otherwise), the base
 variance, the variance multipliers, the latent jump counts (exact truncated
-discrete draw) and the Poisson rates (interval-truncated MH).  The state-j
-conditionals for sigma1^2 and h*_j use state-j data only, with the derived
-variances of all higher states moving along; that is the scheme the model
-defines.
+discrete draw) and the Poisson rates (exact truncated-Gamma draw by inverse
+CDF).  The state-j conditionals for sigma1^2 and h*_j use state-j data only,
+with the derived variances of all higher states moving along; that is the
+scheme the model defines.
 
 The emission matrix and the MH targets evaluate the likelihood through
 ``_obs_logpdf``: Gaussian without jumps, the Normal (x) jump-sum convolution
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr, pdtrik
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, pdtr, pdtrik
 
 from .distributions import (
     FrechetParams,
@@ -356,19 +356,18 @@ def jump_count_weights(
     log_pois[0] = -theta
     for n in range(1, n_max + 1):
         log_pois[n] = log_pois[n - 1] + (math.log(theta) - math.log(n))
-    if data_j.size:
-        gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
-        n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
-        while True:
-            rows = jump_convolved_logpdf_counts(data_j, mu, math.sqrt(var), n_top, params.b)
-            log_w = log_pois[: n_top + 1] + np.concatenate(([gauss], rows.sum(axis=1)))
-            last = _stop_count(log_w, theta)
-            if last is not None or n_top == n_max:
-                break
-            n_top = min(n_max, 2 * n_top)
-    else:
-        log_w = log_pois
+    # an empty state's likelihood is 0.0 at every count, so it weighs the prior
+    # alone, past the convolution's count cap too
+    gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
+    n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
+    while True:
+        rows = (jump_convolved_logpdf_counts(data_j, mu, math.sqrt(var), n_top, params.b)
+                if data_j.size else np.zeros((n_top, 0)))
+        log_w = log_pois[: n_top + 1] + np.concatenate(([gauss], rows.sum(axis=1)))
         last = _stop_count(log_w, theta)
+        if last is not None or n_top == n_max:
+            break
+        n_top = min(n_max, 2 * n_top)
     if last is not None:
         log_w = log_w[: last + 1]
     w = np.exp(log_w - log_w.max())
@@ -393,28 +392,27 @@ def sample_n_jumps_j(
 
 
 def sample_theta_j(
-    j: int,
-    params: JumpParams,
-    priors: JumpPriors,
-    rng: np.random.Generator,
-    sampler: AdaptiveRw,
-    adapt: bool,
+    j: int, params: JumpParams, priors: JumpPriors, rng: np.random.Generator
 ) -> float:
-    """Poisson rate of state j: log-scale MH on the interval (u_{j-1}, u_j].
+    """Poisson rate of state j: one exact draw from its full conditional.
 
-    The conditional is Poisson(N_j; theta) restricted to the prior interval;
-    proposals outside it are rejected, which keeps the rates ordered across
-    states by construction.
+    theta_j enters the model only through the Poisson prior of N_j, so under
+    its uniform prior on (lo, hi] = (u_{j-1}, u_j] it is Gamma(N_j + 1, 1)
+    truncated to that interval, drawn by inverting the CDF at one uniform.
+    The regularised gamma inverted is the lower one when lo < N_j + 1 and the
+    upper one otherwise, so that neither end's tail mass rounds to 1.  The
+    draw is clamped into (lo, hi], which keeps the rates ordered across states.
     """
     lo, hi = priors.theta_interval(j)
-    n_j = int(params.n_jumps[j - 1])
-
-    def log_target(theta: float) -> float:
-        if not lo < theta <= hi:
-            return -math.inf
-        return n_j * math.log(theta) - theta
-
-    return sampler.step(float(params.theta[j - 1]), log_target, rng, adapt)
+    a = params.n_jumps[j - 1] + 1.0
+    u = rng.random()
+    if lo < a:
+        p_lo = gammainc(a, lo)
+        theta = gammaincinv(a, p_lo + u * (gammainc(a, hi) - p_lo))
+    else:
+        q_hi = gammaincc(a, hi)
+        theta = gammainccinv(a, q_hi + u * (gammaincc(a, lo) - q_hi))
+    return min(max(float(theta), math.nextafter(lo, hi)), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +422,16 @@ def sample_theta_j(
 class JumpGibbsSampler(GibbsSampler):
     """One chain of the jump model on the shared Gibbs engine.
 
-    Adaptive steps: sigma1^2 and the theta_j on a log scale, the h*_j on
-    log(h* - 1), and the state means on their own scale when they are free.
+    Adaptive steps: sigma1^2 on a log scale, the h*_j on log(h* - 1), and the
+    state means on their own scale when they are free.  The jump counts and
+    intensities are drawn exactly and need no walk.
     """
 
     def adaptive_params(self) -> list[tuple[str, str]]:
         table = [("sigma1_sq", "log")]
         table += [(f"h_star_{j}", "log_shift") for j in range(2, self.n_states + 1)]
-        for j in range(1, self.n_states + 1):
-            table.append((f"theta_{j}", "log"))
-            if not self.priors.fix_mean_zero:
-                table.append((f"mu_{j}", "identity"))
+        if not self.priors.fix_mean_zero:
+            table += [(f"mu_{j}", "identity") for j in range(1, self.n_states + 1)]
         return table
 
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
@@ -485,9 +482,7 @@ class JumpGibbsSampler(GibbsSampler):
 
         for j in range(1, self.n_states + 1):
             self.stage = f"theta_{j}"
-            params.theta[j - 1] = sample_theta_j(
-                j, params, self.priors, rng, self.samplers[f"theta_{j}"], adapt
-            )
+            params.theta[j - 1] = sample_theta_j(j, params, self.priors, rng)
         return filt, path, transition
 
 

@@ -270,6 +270,10 @@ class GibbsSampler:
         location_scale = 0.25 * math.sqrt(np.var(self.data))
         self.samplers: dict[str, AdaptiveRw] = {}
         for name, transform in self.adaptive_params():
+            if transform == "identity" and not location_scale > 0:
+                raise ParameterError(
+                    f"observations have zero variance, so the {name} walk has no step scale"
+                )
             scale = location_scale if transform == "identity" else step_scale
             self.samplers[name] = AdaptiveRw(scale, transform)
         self.stage: str | None = None

@@ -385,11 +385,27 @@ def test_n_jump_weights_normalized():
     assert np.all(w >= 0)
 
 
-class _TopUniform:
-    """Generator stand-in whose uniform is the largest double below 1."""
+@pytest.mark.parametrize("theta", [0.3, 60.0])
+def test_n_jump_weights_of_an_empty_state_are_the_prior(theta):
+    # at theta = 60 the stopping rule never fires and the weights run to
+    # N_max = 126, past the 100 counts the convolution evaluates
+    from scipy.stats import poisson
+
+    p = _params([0.0], [1.0], [theta], [0])
+    w = jump_count_weights(np.empty(0), 1, p, _priors(1, u=(64.0,)))
+    pmf = poisson.pmf(np.arange(w.size), theta)
+    assert w.size == _poisson_n_max(theta) + 1
+    np.testing.assert_allclose(w, pmf / pmf.sum(), rtol=1e-12)
+
+
+class _FixedUniform:
+    """Generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
 
     def random(self):
-        return np.nextafter(1.0, 0.0)
+        return self.u
 
 
 def test_n_jumps_draw_stays_in_weighed_support(monkeypatch):
@@ -398,10 +414,11 @@ def test_n_jumps_draw_stays_in_weighed_support(monkeypatch):
     # which was never weighed
     w = next(w / w.sum() for w in (np.random.default_rng(s).random(19) for s in range(100))
              if (w / w.sum()).cumsum()[-1] < 1.0)
-    assert np.searchsorted(np.cumsum(w), _TopUniform().random()) == w.size
+    top = _FixedUniform(np.nextafter(1.0, 0.0))
+    assert np.searchsorted(np.cumsum(w), top.random()) == w.size
     monkeypatch.setattr(jump_model, "jump_count_weights", lambda *args: w)
     p = _params([0.0], [1.0], [2.0], [0])
-    assert sample_n_jumps_j(np.zeros(3), 1, p, _priors(1), _TopUniform()) == w.size - 1
+    assert sample_n_jumps_j(np.zeros(3), 1, p, _priors(1), top) == w.size - 1
 
 
 def test_poisson_n_max_matches_scipy_isf():
@@ -437,29 +454,51 @@ def test_n_jumps_recovery_with_strong_separation():
 # intensity update
 
 
-def test_theta_draws_stay_in_interval_and_match_truncated_exponential():
-    p = _params([0.0, 0.0], [1.0, 4.0], [0.3, 0.8], [0, 0])
-    priors = _priors(u=(0.5, 1.0))
-    rng = np.random.default_rng(18)
-    sampler = AdaptiveRw(scale=0.7, transform="log")
-    th = 0.3
-    draws = np.empty(40_000)
-    for i in range(draws.size):
-        p = _params([0.0, 0.0], [1.0, 4.0], [th, 0.8], [0, 0])
-        th = sample_theta_j(1, p, priors, rng, sampler, adapt=i < 4000)
-        draws[i] = th
-    kept = draws[4000::10]
-    assert np.all((kept > 0.0) & (kept <= 0.5))
-    # N=0 conditional on (0, 0.5] is a truncated Exp(1)
-    z = 1.0 - math.exp(-0.5)
-    cdf = lambda t: (1.0 - np.exp(-np.clip(t, 0, 0.5))) / z
-    assert kstest(kept, cdf).pvalue > 0.01
+# intervals (0, 0.5], (2, 4] and (32, 64] are states 1, 3 and 5 of this ladder
+_THETA_U = (0.5, 2.0, 4.0, 32.0, 64.0)
+
+
+def _theta_case(j, n_j):
+    p = _params(np.zeros(5), 2.0 ** np.arange(5), np.asarray(_THETA_U) - 0.1,
+                np.where(np.arange(1, 6) == j, n_j, 0))
+    return p, _priors(5, u=_THETA_U)
+
+
+def _truncated_gamma_cdf(n_j, lo, hi):
+    """CDF of Gamma(n_j + 1, 1) on (lo, hi], from the cumulative trapezoid rule
+    over the unnormalised density t^n_j e^-t on a fine grid."""
+    grid = np.linspace(lo, hi, 200_001)
+    f = grid**n_j * np.exp(lo - grid)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]))))
+    return lambda t: np.interp(t, grid, cum / cum[-1])
+
+
+@pytest.mark.parametrize("n_j", [0, 3, 10])
+@pytest.mark.parametrize("j", [1, 3, 5])
+def test_theta_draws_match_truncated_gamma(j, n_j):
+    p, priors = _theta_case(j, n_j)
+    lo, hi = priors.theta_interval(j)
+    rng = np.random.default_rng(18 + 10 * j + n_j)
+    draws = np.array([sample_theta_j(j, p, priors, rng) for _ in range(5000)])
+    assert np.all((draws > lo) & (draws <= hi))
+    assert kstest(draws, _truncated_gamma_cdf(n_j, lo, hi)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("n_j", [0, 3, 10, 80])
+@pytest.mark.parametrize("j", [1, 3, 5])
+def test_theta_draw_at_extreme_uniforms_stays_in_interval(j, n_j, u):
+    p, priors = _theta_case(j, n_j)
+    lo, hi = priors.theta_interval(j)
+    assert lo < sample_theta_j(j, p, priors, _FixedUniform(u)) <= hi
 
 
 def test_theta_target_matches_grid_oracle_shape():
-    # normalized MH target == grid_posterior(prior x Poisson likelihood)
+    # normalized target == grid_posterior(prior x Poisson likelihood), and the
+    # exact draws match that grid oracle
     # the prior truncates theta_1 to (0, 0.5], so both grid ends are closed
-    lo, hi = _priors(u=(0.5, 1.0)).theta_interval(1)
+    priors = _priors(u=(0.5, 1.0))
+    lo, hi = priors.theta_interval(1)
     grid = np.linspace(1e-4, hi, 2000)
     n_j = 0
     oracle = grid_posterior(
@@ -471,6 +510,10 @@ def test_theta_target_matches_grid_oracle_shape():
     direct = np.exp(-grid)
     direct /= direct.sum()
     assert 0.5 * np.abs(oracle - direct).sum() < 1e-3
+    p = _params([0.0, 0.0], [1.0, 4.0], [0.3, 0.8], [n_j, 0])
+    rng = np.random.default_rng(18)
+    draws = np.array([sample_theta_j(1, p, priors, rng) for _ in range(20_000)])
+    assert _binned_tv(draws, grid, oracle, 10) < 3e-2
 
 
 # ---------------------------------------------------------------------------

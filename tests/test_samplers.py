@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from regimevol import (
+    DataError,
     FrechetParams,
     InvGammaParams,
     JumpGibbsSampler,
@@ -19,8 +20,13 @@ from regimevol import (
     StableGibbsSampler,
     StableModelParams,
     StablePriors,
+    build_jump_priors,
+    build_stable_priors,
     initial_jump_state,
     initial_stable_state,
+    load_config,
+    load_prices_csv,
+    log_returns,
     run_chain,
     simulate_jump_model,
     simulate_stable_model,
@@ -73,55 +79,54 @@ def _draws_digest(chain) -> str:
 
 
 JUMP_PATH = [
-    2, 2, 2, 2, 2, 1, 1, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1,
-    2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 2, 2, 2, 1,
+    1, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2,
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2,
 ]
 JUMP_TRANSITION = [
-    [0.5195204034291637, 0.4804795965708363],
-    [0.491265580021439, 0.5087344199785611],
+    [0.03255848870922918, 0.9674415112907708],
+    [0.21416743402287328, 0.7858325659771267],
 ]
 JUMP_PARAMS = {
-    "mu_1": -0.10023142238200251, "sigma_sq_1": 0.1480280109549036,
-    "theta_1": 0.2377740939661235, "n_jumps_1": 0.0,
-    "mu_2": 0.018852506884809578, "sigma_sq_2": 2.9793474481313584,
-    "theta_2": 2.871411899653853, "n_jumps_2": 0.0, "h_star_2": 20.126916716046466,
+    "mu_1": -0.3401078674777506, "sigma_sq_1": 0.26121966096364274,
+    "theta_1": 0.04261671488069945, "n_jumps_1": 0.0,
+    "mu_2": -0.21060877114027798, "sigma_sq_2": 1.1484301107029262,
+    "theta_2": 0.7122525088612084, "n_jumps_2": 1.0, "h_star_2": 4.396415286913522,
 }
 JUMP_ACCEPTANCE = {
-    "sigma1_sq": (1, 1), "h_star_2": (9, 25), "theta_1": (12, 25), "mu_1": (1, 1),
-    "theta_2": (10, 25), "mu_2": (9, 23),
+    "sigma1_sq": (1, 3), "h_star_2": (11, 25), "mu_1": (1, 3), "mu_2": (8, 20),
 }
-JUMP_DIGEST = "63b07c68ac1d0c417863ab7ab556bf2c4fc59cfa98baa8708a6a9a6227f466c2"
+JUMP_DIGEST = "0a29001135fe69278e8fe4ed765c12d879186d3c6608d79e47863547b9f2eabc"
 JUMP_MEAN_FILTERED = np.array([
-    0.18815798779692555, 0.8118420122030745, 0.3156533535433174, 0.6843466464566826,
-    0.019145842839699032, 0.9808541571603009, 0.5286441113028195, 0.47135588869718054,
-    0.44875264148069954, 0.5512473585193004, 0.3411735448318994, 0.6588264551681006,
-    0.4925787957523842, 0.5074212042476156, 0.4332794889252519, 0.5667205110747481,
-    0.4637228566205022, 0.5362771433794978, 0.24826139647890347, 0.7517386035210963,
-    0.363639103596818, 0.6363608964031819, 0.024009382014169866, 0.9759906179858303,
-    0.045247822440591626, 0.9547521775594084, 0.1783238340887197, 0.8216761659112802,
-    0.5162544860517736, 0.4837455139482264, 0.5384995209513554, 0.46150047904864455,
-    0.0630965396351124, 0.9369034603648878, 0.027733787847352104, 0.9722662121526479,
-    0.3956831296745998, 0.6043168703254002, 0.31265626458372514, 0.6873437354162749,
-    0.41668839952055264, 0.5833116004794474, 0.5641174487638266, 0.43588255123617353,
-    0.552807219105001, 0.44719278089499886, 0.23557235177481856, 0.7644276482251815,
-    0.5608445237810767, 0.43915547621892315, 0.006880573037211465, 0.9931194269627884,
-    0.09384608093595773, 0.9061539190640424, 0.32052873450284175, 0.6794712654971582,
-    0.0003215567985947934, 0.9996784432014051, 0.518310834623019, 0.48168916537698103,
-    0.16067607583453108, 0.8393239241654691, 0.008817374217924345, 0.9911826257820757,
-    0.19901678835084624, 0.8009832116491538, 0.0006990435846183376, 0.9993009564153816,
-    0.0061992979191749535, 0.9938007020808253, 0.5057052212603784, 0.4942947787396215,
-    0.5324427257237855, 0.4675572742762145, 0.47293759072921915, 0.5270624092707809,
-    0.05229067890688092, 0.9477093210931191, 0.018623047987337434, 0.9813769520126627,
-    0.010584500377411127, 0.989415499622589, 0.49355711095783467, 0.5064428890421654,
-    0.5560957074171018, 0.44390429258289815, 0.5506034973758275, 0.4493965026241725,
-    0.10223429476117625, 0.8977657052388238, 0.4698379649667907, 0.5301620350332092,
-    0.4591439780334632, 0.5408560219665368, 0.4978461277638537, 0.5021538722361464,
-    0.5418059769631307, 0.4581940230368693, 0.5338360478007063, 0.4661639521992938,
-    0.5432250584178907, 0.45677494158210924, 0.004876507047246263, 0.9951234929527537,
-    0.4042885128872888, 0.5957114871127112, 0.001821268362972345, 0.9981787316370275,
-    0.4080206174041925, 0.5919793825958075, 0.5104277774667885, 0.48957222253321137,
-    0.03828391875140948, 0.9617160812485906, 0.02158386508146832, 0.9784161349185315,
-    0.1092352881470022, 0.8907647118529979, 0.5415603273206313, 0.45843967267936864,
+    0.5335971513078657, 0.4664028486921343, 0.08905603510888428, 0.9109439648911157,
+    0.002232008273435365, 0.9977679917265649, 0.17500070505196674, 0.8249992949480334,
+    0.10960834422579353, 0.8903916557742063, 0.27665042258602496, 0.7233495774139749,
+    0.3174131131752875, 0.6825868868247126, 0.33855387545015314, 0.661446124549847,
+    0.3436363106684626, 0.6563636893315375, 0.3142221893765182, 0.6857778106234819,
+    0.12578854546254306, 0.8742114545374569, 0.002722788315323848, 0.9972772116846762,
+    0.09347489129128794, 0.9065251087087121, 0.03251643017054141, 0.9674835698294586,
+    0.23695035928660338, 0.7630496407133968, 0.28482560562862413, 0.7151743943713759,
+    0.15652038294584816, 0.843479617054152, 0.09651869633009347, 0.9034813036699065,
+    0.10436234658621832, 0.8956376534137818, 0.2704706978888135, 0.7295293021111865,
+    0.12240974641919365, 0.8775902535808063, 0.22155853703744594, 0.7784414629625539,
+    0.2078826409673494, 0.7921173590326505, 0.05288149438891187, 0.9471185056110881,
+    0.2137155008273582, 0.7862844991726416, 0.018745769974292836, 0.9812542300257071,
+    0.1582133582153138, 0.8417866417846861, 0.07255322976889476, 0.9274467702311052,
+    3.637669866056518e-05, 0.9999636233013394, 0.21030904272360645, 0.7896909572763935,
+    0.22305018034843693, 0.7769498196515631, 0.03158242228395628, 0.9684175777160436,
+    0.03754753783993277, 0.9624524621600671, 0.0018774290849490724, 0.9981225709150507,
+    0.02040581228507483, 0.9795941877149252, 0.14580022020651726, 0.8541997797934826,
+    0.1650222574890376, 0.8349777425109626, 0.2998492715617667, 0.7001507284382332,
+    0.00715874158498417, 0.9928412584150157, 0.043755415810541876, 0.9562445841894581,
+    0.03217579269858294, 0.967824207301417, 0.24119812520926764, 0.7588018747907325,
+    0.22762474715858058, 0.7723752528414195, 0.2995612568246083, 0.7004387431753918,
+    0.01765512660557324, 0.9823448733944268, 0.24944516029736838, 0.7505548397026316,
+    0.12878511165045078, 0.8712148883495492, 0.2919256589697522, 0.7080743410302478,
+    0.2085094877489871, 0.791490512251013, 0.3103634861020082, 0.6896365138979916,
+    0.3205202075873675, 0.6794797924126326, 0.0005335002667007055, 0.9994664997332994,
+    0.24619059088364686, 0.7538094091163532, 0.0002452057249126734, 0.9997547942750873,
+    0.24609603279259734, 0.7539039672074026, 0.2905868432142626, 0.7094131567857375,
+    0.004816432119575573, 0.9951835678804244, 0.0512260682122189, 0.9487739317877811,
+    0.17295823034563132, 0.8270417696543685, 0.2256895623722448, 0.7743104376277554,
 ]).reshape(60, 2)
 
 STABLE_PATH = [
@@ -497,3 +502,27 @@ def test_sampler_rejects_non_finite_observations(sampler_cls, case, bad):
             sampler_cls(data, priors)
     assert type(info.value) is ParameterError
     assert caught == []
+
+
+def _constant_price_returns(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,price\n" + "".join(f"2020-01-{d:02d},100\n" for d in range(1, 31)))
+    return log_returns(load_prices_csv(path)).values
+
+
+@pytest.mark.parametrize("model, build", [("jump", build_jump_priors),
+                                          ("stable", build_stable_priors)],
+                         ids=["jump", "stable"])
+def test_constant_price_series_fails_naming_the_data(tmp_path, model, build):
+    returns = _constant_price_returns(tmp_path)
+    with pytest.raises(DataError, match="^the return series has zero variance over its 29 values"):
+        build(load_config(model=model, seed=0, states=2), returns)
+
+
+def test_free_means_on_constant_observations_fail_naming_them(tmp_path):
+    # an explicit prior rate gets past the priors; the state-mean walks take
+    # their step scale from the observations' spread
+    returns = _constant_price_returns(tmp_path)
+    cfg = load_config(model="jump", seed=0, states=2, sigma_rate=0.1, fix_mean_zero=False)
+    with pytest.raises(ParameterError, match="^observations have zero variance, so the mu_1"):
+        JumpGibbsSampler(returns, build_jump_priors(cfg, returns))
