@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import FrechetParams, InvGammaParams
-from .errors import ConfigError, DataError
-from .jump_model import JumpPriors, default_dirichlet_rows, default_u_ladder
+from .errors import ConfigError, DataError, ParameterError
+from .jump_model import JumpPriors, check_u_cap, default_u_ladder
+from .regime import default_dirichlet_rows
 from .stable_model import StablePriors
 
 __all__ = [
@@ -114,6 +115,11 @@ class RunConfig:
                 raise ConfigError(
                     "u must be a strictly increasing positive vector with one entry per state"
                 )
+        if self.model == "jump":
+            try:
+                check_u_cap(default_u_ladder(self.states) if self.u is None else u)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
         return self
 
 

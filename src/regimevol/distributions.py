@@ -1,8 +1,9 @@
 """Distribution families used by the two switching models.
 
-Covers alpha-stable laws (general draws plus the totally-skewed positive
-branch that acts as the Gaussian scale-mixing variable), the inverse-Gamma
-and shifted-Frechet priors, and the numerically evaluated density of
+Covers symmetric alpha-stable draws, the totally-skewed positive stable law
+that acts as the Gaussian scale-mixing variable (draws and log density), the
+inverse-Gamma and shifted-Frechet priors, and the numerically evaluated
+density of
 
     Normal(mu, sigma^2) + symGamma(N, b),
 
@@ -13,7 +14,8 @@ fair random sign.  The samplers' route, ``jump_convolved_logpdf`` and
 K_n(m) = int_0^inf t^(n-1) exp(-(t-m)^2/2) dt and gets K_1..K_n in one pass
 from the exact three-term recurrence K_{n+1} = m K_n + (n-1) K_{n-1}, run
 forwards or backwards (Miller's algorithm) by the sign of m; its log is
-within 1e-12 of a 40-digit reference for n <= 100.
+within 1e-12 of a 40-digit reference for n <= 256, the largest jump count
+it accepts.
 
 The positive-stable log density, the stable model's prior on lambda, is a
 fixed tanh-sinh (double-exponential) rule of 205 nodes on each side of the
@@ -24,10 +26,10 @@ in the test suite (``tests/oracles.py``).
 
 Conventions
 -----------
-Gamma(alpha, beta) is shape-rate throughout.  Stable laws use the
-characteristic-function parameterization  E exp(i t X) = exp(-gamma^a |t|^a
-(1 - i beta sgn(t) tan(pi a/2)) + i mu t)  for a != 1 (the "S1" form).  All
-samplers take a numpy Generator and are reproducible given its seed.
+Gamma(alpha, beta) is shape-rate throughout.  The symmetric stable law
+S_alpha(gamma, mu) has characteristic function
+E exp(i t X) = exp(-gamma^alpha |t|^alpha + i mu t); the models never skew it.
+All samplers take a numpy Generator and are reproducible given its seed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from scipy.special import gammaln, log_ndtr
 from .errors import NumericalError, ParameterError
 
 __all__ = [
-    "StableParams",
     "InvGammaParams",
     "FrechetParams",
     "stable_sample",
@@ -59,24 +60,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # parameter containers
-
-
-@dataclass
-class StableParams:
-    """Stable law S_{alpha,beta}(gamma, mu): stability, skewness, scale, location."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 2.0:
-            raise ParameterError(f"stable alpha must be in (0, 2], got {self.alpha}")
-        if abs(self.beta) > 1.0:
-            raise ParameterError(f"stable beta must be in [-1, 1], got {self.beta}")
-        if not self.gamma > 0:
-            raise ParameterError(f"stable scale must be > 0, got {self.gamma}")
 
 
 @dataclass
@@ -113,24 +96,24 @@ class FrechetParams:
 # alpha-stable
 
 
-def stable_sample(params: StableParams, rng: np.random.Generator, size=None):
-    """Chambers-Mallows-Stuck draw from S_{alpha,beta}(gamma, mu).
+def stable_sample(alpha: float, gamma: float, mu: float, rng: np.random.Generator, size=None):
+    """Chambers-Mallows-Stuck draw from the symmetric stable law S_alpha(gamma, mu).
 
-    Exact O(1) transform of one uniform and one exponential variate; the
-    alpha = 1 branch carries the usual logarithmic correction.
+    Exact O(1) transform of one uniform and one exponential variate
+    (Chambers, Mallows & Stuck, JASA 1976).  Without skew it needs no shift
+    of the uniform and no alpha = 1 branch: there the transform is
+    gamma tan(u) + mu, a Cauchy draw.
     """
-    a, beta, gam, mu = params.alpha, params.beta, params.gamma, params.mu
+    # each check is written so that NaN fails it
+    if not 0.0 < alpha <= 2.0:
+        raise ParameterError(f"stable alpha must be in (0, 2], got {alpha}")
+    if not gamma > 0:
+        raise ParameterError(f"stable scale must be > 0, got {gamma}")
     u = np.pi * (rng.random(size) - 0.5)
     w = rng.exponential(1.0, size)
-    if a == 1.0:
-        t1 = (np.pi / 2 + beta * u) * np.tan(u)
-        t2 = beta * np.log((np.pi / 2 * w * np.cos(u)) / (np.pi / 2 + beta * u))
-        x = (2 / np.pi) * (t1 - t2)
-        return gam * x + (2 / np.pi) * beta * gam * math.log(gam) + mu
-    th0 = math.atan(beta * math.tan(math.pi * a / 2)) / a
-    s = np.sin(a * (u + th0)) / (math.cos(a * th0) * np.cos(u)) ** (1.0 / a)
-    t = (np.cos(a * th0 + (a - 1.0) * u) / w) ** ((1.0 - a) / a)
-    return gam * s * t + mu
+    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+    t = (np.cos((alpha - 1.0) * u) / w) ** ((1.0 - alpha) / alpha)
+    return gamma * s * t + mu
 
 
 def _check_mixing_alpha(alpha: float) -> float:
@@ -333,7 +316,7 @@ def gaussian_logpdf(y, mu, var):
 # Normal (x) symGamma convolution density
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_MAX_BATCH_JUMPS = 100  # the recurrence's accuracy is tested up to here
+_MAX_BATCH_JUMPS = 256  # the recurrence's accuracy is tested up to here
 _FORWARD_SWITCH = 4.6  # forward ratios for m >= -_FORWARD_SWITCH / sqrt(n_top)
 _MILLER_DAMPING = 20.0  # backward run-in: damp the start's error by e^-20
 
@@ -371,7 +354,7 @@ def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
       extra terms suffices only when m_max lies near the switch.)
 
     Over m in [-40, 40] (and every 0.01 in [-6, 1]) and every
-    n <= n_top <= 100 the result is within 1e-12 of a 40-digit reference,
+    n <= n_top <= 256 the result is within 1e-12 of a 40-digit reference,
     K_n(m) = Gamma(n) exp(-m^2/4) D_{-n}(-m) with D the parabolic cylinder
     function; the tests hold it to 1e-10 against adaptive quadrature.
     """

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, pdtr, pdtrik
 
 from .distributions import (
+    _MAX_BATCH_JUMPS,
     FrechetParams,
     InvGammaParams,
     frechet_logpdf,
@@ -48,6 +49,7 @@ from .mcmc import (
     quantile_start,
 )
 from .regime import (
+    check_dirichlet_rows,
     count_transitions,
     hamilton_filter,
     sample_state_path,
@@ -66,7 +68,7 @@ __all__ = [
     "JumpGibbsSampler",
     "initial_jump_state",
     "default_u_ladder",
-    "default_dirichlet_rows",
+    "check_u_cap",
 ]
 
 
@@ -134,26 +136,16 @@ def default_u_ladder(n_states: int) -> np.ndarray:
     return 0.5 * 2.0 ** np.arange(n_states)
 
 
-def default_dirichlet_rows(n_states: int, diag: float = 8.0) -> np.ndarray:
-    """Uniform rows for states 1-2, diagonally weighted rows above.
-
-    The extra diagonal mass makes the model reluctant to leave the upper
-    volatility states.
-    """
-    rows = np.ones((n_states, n_states))
-    for j in range(2, n_states):
-        rows[j, j] = diag
-    return rows
-
-
 @dataclass
 class JumpPriors:
     """Hyperparameters of the jump model.
 
     ``u`` are the increasing interval endpoints of the uniform intensity
-    priors (theta_j lives on (u_{j-1}, u_j]); ``dirichlet_rows`` the per-row
-    transition-prior concentrations; ``fix_mean_zero`` pins every state mean
-    at zero (the default for this model).
+    priors (theta_j lives on (u_{j-1}, u_j]), the last at most about 155,
+    where the jump-count enumeration reaches the convolution's count cap;
+    ``dirichlet_rows`` the (M, M) transition-prior concentrations;
+    ``fix_mean_zero`` pins every state mean at zero (the default for this
+    model).
     """
 
     k: float
@@ -165,7 +157,6 @@ class JumpPriors:
 
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)
-        self.dirichlet_rows = np.asarray(self.dirichlet_rows, dtype=float)
         # each check is written so that NaN fails it
         if not 0.0 < self.k < math.inf:
             raise ParameterError(f"mean-prior precision k must be finite and > 0, got {self.k}")
@@ -173,10 +164,8 @@ class JumpPriors:
             raise ParameterError(
                 f"intensity endpoints u must be finite, positive and increasing; got {self.u}"
             )
-        if self.dirichlet_rows.ndim != 2 or not np.all(
-            (self.dirichlet_rows > 0) & (self.dirichlet_rows < math.inf)
-        ):
-            raise ParameterError("Dirichlet prior rows must be a finite positive matrix")
+        check_u_cap(self.u)
+        self.dirichlet_rows = check_dirichlet_rows(self.dirichlet_rows, self.u.size)
 
     @property
     def n_states(self) -> int:
@@ -313,6 +302,27 @@ def _poisson_n_max(theta: float) -> int:
     return max(int(quantile) + 1, 4)
 
 
+def _largest_theta() -> float:
+    """The largest intensity whose N_max stays within the convolution's count
+    cap, by bisection: N_max is nondecreasing in theta and exceeds it."""
+    lo, hi = 0.0, float(_MAX_BATCH_JUMPS)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _poisson_n_max(mid) <= _MAX_BATCH_JUMPS else (lo, mid)
+    return lo
+
+
+def check_u_cap(u: np.ndarray) -> None:
+    """ParameterError unless the jump-count enumeration covers every intensity
+    up to u[-1]: the counts 0..N_max it weighs must stay within the
+    convolution's count cap, which holds for theta up to about 155."""
+    if _poisson_n_max(float(u[-1])) > _MAX_BATCH_JUMPS:
+        raise ParameterError(
+            f"intensity endpoints u = {u} reach theta = {u[-1]:g}, but the jump-count "
+            f"enumeration supports theta up to {_largest_theta():.1f}"
+        )
+
+
 def _stop_count(log_w: np.ndarray, theta: float) -> int | None:
     """First count at which the enumeration may stop: past theta, three
     declines since the running maximum, and 46 nats below it.  None if no
@@ -356,8 +366,7 @@ def jump_count_weights(
     log_pois[0] = -theta
     for n in range(1, n_max + 1):
         log_pois[n] = log_pois[n - 1] + (math.log(theta) - math.log(n))
-    # an empty state's likelihood is 0.0 at every count, so it weighs the prior
-    # alone, past the convolution's count cap too
+    # an empty state's likelihood is 0.0 at every count, so it weighs the prior alone
     gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
     n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
     while True:

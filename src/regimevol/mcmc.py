@@ -115,10 +115,6 @@ class AdaptiveRw:
             self.scale = min(max(self.scale, 1e-4), 1e4)
         return out
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else math.nan
-
 
 # ---------------------------------------------------------------------------
 # conjugate updates
@@ -240,6 +236,13 @@ class GibbsSampler:
       before each stage and returns the filtered probabilities, the path and
       the new transition matrix.
 
+    The state step is the same in both models, yet it stays at the top of
+    each ``update`` rather than in ``sweep``: the benchmark's tracer
+    (``perfbench/spans.py``) times it by patching ``hamilton_filter``,
+    ``sample_state_path``, ``count_transitions`` and
+    ``sample_transition_matrix`` at the model modules' globals.  Moving the
+    step into the engine first needs the tracer to patch those names here.
+
     ``sweep`` is handed to run_chain and keeps every returned draw unchanged:
     ``update`` writes into a deep copy of the previous parameters, which the
     sweep then rebuilds once, under stage ``validate``, so that their
@@ -349,16 +352,13 @@ class Chain:
     """Post-burn-in draws plus acceptance tallies.
 
     ``draws`` holds the states the sweep produced after the first ``burn_in``;
-    ``acceptance`` maps parameter names to (accepted, attempted).
+    ``acceptance`` maps parameter names to (accepted, attempted), the walks'
+    own tallies as ``GibbsSampler.acceptance`` reports them.
     """
 
     draws: list
     burn_in: int
     acceptance: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    def acceptance_rate(self, name: str) -> float:
-        acc, att = self.acceptance[name]
-        return acc / att if att else math.nan
 
 
 def run_chain(
@@ -399,11 +399,10 @@ def run_chain(
 class ParamSummary:
     mean: float
     sd: float
-    acceptance_rate: float | None = None
 
 
 def chain_summary(chain: Chain) -> dict[str, ParamSummary]:
-    """Post-burn-in mean, sd and acceptance rate per scalar parameter.
+    """Post-burn-in mean and sd per scalar parameter.
 
     Draws may be ModelState objects or plain name->value mappings.
     """
@@ -413,10 +412,5 @@ def chain_summary(chain: Chain) -> dict[str, ParamSummary]:
     out: dict[str, ParamSummary] = {}
     for name in rows[0]:
         values = np.array([r[name] for r in rows], dtype=float)
-        rate = chain.acceptance_rate(name) if name in chain.acceptance else None
-        out[name] = ParamSummary(
-            mean=float(values.mean()),
-            sd=float(values.std()),
-            acceptance_rate=rate,
-        )
+        out[name] = ParamSummary(mean=float(values.mean()), sd=float(values.std()))
     return out

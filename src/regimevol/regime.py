@@ -1,5 +1,6 @@
 """Hidden-state machinery: Hamilton forward filter, backward path sampling,
-transition counting and Dirichlet transition-matrix draws.
+transition counting, the Dirichlet transition prior (default rows and the
+one check of its shape and entries) and the transition-matrix draws.
 
 State labels are 1..M everywhere in public arrays.
 
@@ -83,6 +84,8 @@ __all__ = [
     "hamilton_filter",
     "sample_state_path",
     "count_transitions",
+    "default_dirichlet_rows",
+    "check_dirichlet_rows",
     "sample_transition_matrix",
 ]
 
@@ -403,6 +406,43 @@ def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
     return np.bincount((path[:-1] - 1) * m + path[1:] - 1, minlength=m * m).reshape(m, m)
 
 
+def default_dirichlet_rows(n_states: int, diag: float = 8.0) -> np.ndarray:
+    """Uniform rows for states 1-2, diagonally weighted rows above.
+
+    The extra diagonal mass makes the model reluctant to leave the upper
+    volatility states.
+    """
+    rows = np.ones((n_states, n_states))
+    for j in range(2, n_states):
+        rows[j, j] = diag
+    return rows
+
+
+def _check_rows(ok: np.ndarray, what: str, values: np.ndarray) -> None:
+    """ParameterError naming the first row of ``values`` where ``ok`` fails."""
+    bad = ~ok.all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParameterError(f"{what}; row {i} is {values[i]}")
+
+
+def check_dirichlet_rows(rows, m: int | None = None) -> np.ndarray:
+    """The transition prior's Dirichlet concentrations as an (M, M) float array.
+
+    M is ``m`` when given, else the number of rows.  ParameterError names the
+    shape when it is not (M, M), else the first row with an entry that is not
+    finite and > 0; a NaN fails both comparisons.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if m is None:
+        m = rows.shape[0] if rows.ndim else 0
+    if rows.shape != (m, m):
+        raise ParameterError(f"Dirichlet prior rows must be ({m}, {m}), got shape {rows.shape}")
+    _check_rows((rows > 0) & (rows < np.inf), "Dirichlet concentrations must be finite and > 0",
+                rows)
+    return rows
+
+
 def sample_transition_matrix(
     counts: np.ndarray, row_priors: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -414,18 +454,11 @@ def sample_transition_matrix(
     """
     counts = np.asarray(counts, dtype=float)
     m = counts.shape[0]
-    conc = np.asarray(row_priors, dtype=float)
-    if conc.shape != (m, m) or counts.shape != (m, m):
-        raise ParameterError(f"prior concentration and counts must be ({m}, {m})")
-    # a NaN fails both comparisons
-    for ok, what, values in (
-        ((conc > 0) & (conc < np.inf), "Dirichlet concentrations must be finite and > 0", conc),
-        ((counts >= 0) & (counts < np.inf), "transition counts must be finite and >= 0", counts),
-    ):
-        bad = ~ok.all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParameterError(f"{what}; row {i} is {values[i]}")
+    if counts.shape != (m, m):
+        raise ParameterError(f"transition counts must be ({m}, {m}), got shape {counts.shape}")
+    conc = check_dirichlet_rows(row_priors, m)
+    _check_rows((counts >= 0) & (counts < np.inf), "transition counts must be finite and >= 0",
+                counts)
     out = np.empty((m, m))
     for i in range(m):
         out[i] = rng.dirichlet(conc[i] + counts[i])

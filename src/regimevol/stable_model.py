@@ -37,6 +37,7 @@ from .mcmc import (
     quantile_start,
 )
 from .regime import (
+    check_dirichlet_rows,
     count_transitions,
     hamilton_filter,
     sample_state_path,
@@ -108,16 +109,12 @@ class StablePriors:
     lambda_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        self.dirichlet_rows = np.asarray(self.dirichlet_rows, dtype=float)
         # each check is written so that NaN fails it
         if not (0.0 < self.k < math.inf and 0.0 < self.lambda_floor < math.inf):
             raise ParameterError(
                 f"k and lambda_floor must be finite and > 0, got {self.k} and {self.lambda_floor}"
             )
-        if self.dirichlet_rows.ndim != 2 or not np.all(
-            (self.dirichlet_rows > 0) & (self.dirichlet_rows < math.inf)
-        ):
-            raise ParameterError("Dirichlet prior rows must be a finite positive matrix")
+        self.dirichlet_rows = check_dirichlet_rows(self.dirichlet_rows)
 
     @property
     def n_states(self) -> int:

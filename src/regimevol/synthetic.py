@@ -3,6 +3,9 @@
 The jump simulator is faithful to the generative model: every observation
 draws its own Poisson jump count (inference works with a single per-state
 count; the mismatch is deliberate and the recovery tolerances absorb it).
+The stable simulator draws each observation directly from the symmetric
+stable law of its state (``distributions.stable_sample``), not through the
+Gaussian scale mixture the sampler fits.
 
 Both simulators raise ParameterError before any draw unless P is an (M, M)
 transition matrix, pi0 a length-M probability vector (uniform when None)
@@ -19,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .distributions import StableParams, stable_sample
+from .distributions import stable_sample
 from .errors import ParameterError
 from .jump_model import JumpParams
 from .regime import validate_initial_distribution, validate_transition_matrix
@@ -103,18 +106,12 @@ def simulate_stable_model(
     reduces to (and exactly reproduces) a stable_sample stream."""
     m = params.n_states
     path = _simulate_path(p, pi0, t_len, rng, m)
-    gamma = np.sqrt(params.gamma_sq)
+    gamma = np.sqrt(params.gamma_sq).tolist()
+    mu = params.mu.tolist()
     if m == 1:
-        sp = StableParams(params.alpha, 0.0, float(gamma[0]), float(params.mu[0]))
-        values = stable_sample(sp, rng, size=t_len)
+        values = stable_sample(params.alpha, gamma[0], mu[0], rng, t_len)
     else:
-        state_params = [
-            StableParams(params.alpha, 0.0, float(gamma[j]), float(params.mu[j]))
-            for j in range(m)
-        ]
-        values = np.empty(t_len)
-        for t in range(t_len):
-            values[t] = stable_sample(state_params[path[t] - 1], rng)
+        values = np.array([stable_sample(params.alpha, gamma[j - 1], mu[j - 1], rng) for j in path])
     return SyntheticDataset(
         observations=values, true_path=path, true_params=params, seed=seed
     )

@@ -70,3 +70,12 @@ def test_valid_config_loads_with_overrides(tmp_path):
     cfg = load_config(path, iters=100, seed=None)  # None overrides are ignored
     assert (cfg.seed, cfg.iters, cfg.burnin, cfg.u) == (0, 100, 10, [1, 2.5])
     assert cfg.fix_mean_zero is True
+
+
+@pytest.mark.parametrize("values", [{"states": 10}, {"states": 2, "u": [760.0, 800.0]}],
+                         ids=["default-ladder", "u"])
+def test_jump_intensities_past_the_count_cap_are_config_errors(values):
+    with pytest.raises(ConfigError, match=r"^intensity endpoints u = .* up to 155\.4"):
+        load_config(model="jump", seed=1, **values)
+    load_config(model="stable", seed=1, **values)  # the stable model has no intensities
+    load_config(model="jump", seed=1, states=9)

@@ -16,7 +16,6 @@ from regimevol import (
 )
 from regimevol import distributions
 from regimevol.distributions import (
-    StableParams,
     _log_k_rows,
     frechet_logpdf,
     frechet_sample,
@@ -36,7 +35,7 @@ from oracles import jump_convolved_pdf, positive_stable_logpdf_quad
 
 def test_stable_sample_gaussian_limit():
     rng = np.random.default_rng(11)
-    draws = stable_sample(StableParams(2.0, 0.0, 1.0, 0.0), rng, size=100_000)
+    draws = stable_sample(2.0, 1.0, 0.0, rng, size=100_000)
     # characteristic function at alpha=2 is exp(-gamma^2 t^2): variance 2 gamma^2
     assert kstest(draws, "norm", args=(0.0, math.sqrt(2.0))).pvalue > 0.01
 
@@ -44,7 +43,7 @@ def test_stable_sample_gaussian_limit():
 def test_stable_sample_symmetric_median():
     rng = np.random.default_rng(12)
     mu = 0.7
-    draws = stable_sample(StableParams(1.5, 0.0, 1.0, mu), rng, size=100_000)
+    draws = stable_sample(1.5, 1.0, mu, rng, size=100_000)
     med = np.median(draws)
     # SE of the sample median ~ 1/(2 f(mu) sqrt(n)), density estimated locally
     h = 0.05
@@ -54,18 +53,22 @@ def test_stable_sample_symmetric_median():
 
 
 def test_stable_sample_scale_location_equivariance():
-    draws = stable_sample(StableParams(1.7, 0.0, 2.0, 1.0), np.random.default_rng(13), size=100_000)
-    reference = stable_sample(StableParams(1.7, 0.0, 1.0, 0.0), np.random.default_rng(14), size=100_000)
+    draws = stable_sample(1.7, 2.0, 1.0, np.random.default_rng(13), size=100_000)
+    reference = stable_sample(1.7, 1.0, 0.0, np.random.default_rng(14), size=100_000)
     assert ks_2samp((draws - 1.0) / 2.0, reference).pvalue > 0.01
 
 
+def test_stable_sample_alpha_one_is_cauchy():
+    # at alpha = 1 the symmetric transform is gamma tan(u) + mu
+    draws = stable_sample(1.0, 0.5, -0.3, np.random.default_rng(20), size=100_000)
+    assert kstest(draws, "cauchy", args=(-0.3, 0.5)).pvalue > 0.01
+
+
 def test_stable_params_domain():
-    with pytest.raises(ParameterError):
-        StableParams(0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        StableParams(1.5, 1.2, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        StableParams(1.5, 0.0, 0.0, 0.0)
+    rng = np.random.default_rng(0)
+    for alpha, gamma in ((0.0, 1.0), (2.5, 1.0), (math.nan, 1.0), (1.5, 0.0), (1.5, math.nan)):
+        with pytest.raises(ParameterError, match="alpha" if gamma == 1.0 else "scale"):
+            stable_sample(alpha, gamma, 0.0, rng)
 
 
 def test_positive_stable_sample_strictly_positive():
@@ -90,7 +93,7 @@ def test_scale_mixture_identity(alpha):
     lam = positive_stable_sample(alpha, rng, size=n)
     gamma = 1.3
     composed = rng.normal(0.0, np.sqrt(lam) * gamma)
-    direct = stable_sample(StableParams(alpha, 0.0, gamma, 0.0), np.random.default_rng(17), size=n)
+    direct = stable_sample(alpha, gamma, 0.0, np.random.default_rng(17), size=n)
     assert ks_2samp(composed, direct).pvalue > 0.01
 
 
@@ -315,7 +318,7 @@ def _log_k_quad(m, n):
 
 
 LOG_K_GRID = np.unique(np.concatenate([np.linspace(-40.0, 40.0, 161), np.linspace(-3.0, 1.0, 81)]))
-LOG_K_COUNTS = (1, 2, 3, 5, 10, 25, 40, 60, 100)
+LOG_K_COUNTS = (1, 2, 3, 5, 10, 25, 40, 60, 100, 256)
 
 
 def test_log_k_recurrence_matches_quadrature():
@@ -361,5 +364,5 @@ def test_convolved_pdf_rejects_bad_params():
 
 
 def test_convolved_batch_jump_cap():
-    with pytest.raises(NumericalError):
-        jump_convolved_logpdf(np.zeros(3), 0.0, 1.0, 150, 40.0)
+    with pytest.raises(NumericalError, match="up to 256, got 257"):
+        jump_convolved_logpdf(np.zeros(3), 0.0, 1.0, 257, 40.0)

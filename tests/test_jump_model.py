@@ -18,7 +18,6 @@ from regimevol.distributions import frechet_sample
 from regimevol.jump_model import (
     JumpGibbsSampler,
     _poisson_n_max,
-    default_dirichlet_rows,
     default_u_ladder,
     initial_jump_state,
     jump_count_weights,
@@ -29,6 +28,7 @@ from regimevol.jump_model import (
     sample_theta_j,
 )
 from regimevol.mcmc import AdaptiveRw, inv_gamma_normal_update, run_chain
+from regimevol.regime import default_dirichlet_rows
 
 from oracles import grid_posterior, jump_convolved_pdf
 
@@ -388,7 +388,7 @@ def test_n_jump_weights_normalized():
 @pytest.mark.parametrize("theta", [0.3, 60.0])
 def test_n_jump_weights_of_an_empty_state_are_the_prior(theta):
     # at theta = 60 the stopping rule never fires and the weights run to
-    # N_max = 126, past the 100 counts the convolution evaluates
+    # N_max = 126
     from scipy.stats import poisson
 
     p = _params([0.0], [1.0], [theta], [0])
@@ -396,6 +396,24 @@ def test_n_jump_weights_of_an_empty_state_are_the_prior(theta):
     pmf = poisson.pmf(np.arange(w.size), theta)
     assert w.size == _poisson_n_max(theta) + 1
     np.testing.assert_allclose(w, pmf / pmf.sum(), rtol=1e-12)
+
+
+def test_n_jump_weights_run_the_convolution_to_n_max():
+    # one tight observation: the stopping rule fires past count 64, so the
+    # last pass runs the convolution to N_max = 126 counts
+    p = _params([0.0], [1e-4], [60.0], [0])
+    w = jump_count_weights(np.array([0.5]), 1, p, _priors(1, u=(64.0,)))
+    assert _poisson_n_max(60.0) == 126 and w.size - 1 > 64
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("u", [(760.0, 800.0), tuple(default_u_ladder(10))], ids=["800", "ladder"])
+def test_priors_refuse_intensities_past_the_count_cap(u):
+    # N_max past the convolution's 256 counts; at theta = 800 the truncated
+    # Gamma draw would also underflow to its upper end
+    with pytest.raises(ParameterError, match=r"u = .* enumeration supports theta up to 155\.4"):
+        _priors(len(u), u=u)
+    _priors(9)  # the default ladder tops out at 128
 
 
 class _FixedUniform:

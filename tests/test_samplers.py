@@ -32,7 +32,7 @@ from regimevol import (
     simulate_stable_model,
 )
 from regimevol import jump_model, stable_model
-from regimevol.jump_model import default_dirichlet_rows
+from regimevol.regime import default_dirichlet_rows
 
 
 def _jump_case():
@@ -488,6 +488,16 @@ def test_parameters_reject_nan_and_inf(params_cls, fields, name, value):
     params_cls(**fields)  # the valid base
     with pytest.raises(ParameterError):
         params_cls(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("priors_cls, fields", [
+    (JumpPriors, {**_JUMP_PRIOR_FIELDS, "u": [0.5, 1.0, 2.0], "dirichlet_rows": np.ones((4, 4))}),
+    (StablePriors, {**_STABLE_PRIOR_FIELDS, "dirichlet_rows": np.ones((3, 4))}),
+], ids=["JumpPriors", "StablePriors"])
+def test_priors_reject_a_transition_prior_of_the_wrong_shape(priors_cls, fields):
+    # refused at construction, not at the first sweep's transition draw
+    with pytest.raises(ParameterError, match=r"must be \(3, 3\), got shape \((4, 4|3, 4)\)"):
+        priors_cls(**fields)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -12,7 +12,7 @@ from regimevol import (
     simulate_jump_model,
     simulate_stable_model,
 )
-from regimevol.distributions import StableParams, stable_sample
+from regimevol.distributions import stable_sample
 
 from oracles import grid_posterior
 
@@ -94,9 +94,7 @@ def test_simulate_stable_single_state_delegates_to_stable_sample():
     params = _stable_params([0.3], [0.8])
     ds = simulate_stable_model(params, np.array([[1.0]]), None, 500,
                                np.random.default_rng(4))
-    direct = stable_sample(
-        StableParams(1.7, 0.0, math.sqrt(0.8), 0.3), np.random.default_rng(4), size=500
-    )
+    direct = stable_sample(1.7, math.sqrt(0.8), 0.3, np.random.default_rng(4), size=500)
     np.testing.assert_array_equal(ds.observations, direct)
 
 
