@@ -173,25 +173,30 @@ def positive_stable_logpdf(x, alpha: float):
 def _positive_stable_tail_logpdf(z: float, a: float) -> float:
     """Alternating power series for the unit positive stable density, valid
     everywhere but numerically useful only when z is large (terms then
-    decrease from the start, so no cancellation)."""
-    total = 0.0
+    decrease from the start, so no cancellation).
+
+    The terms are summed relative to the first, whose log is added back, so
+    the result stays finite where the density itself underflows."""
     log_z = math.log(z)
+    sin_1 = math.sin(math.pi * a)  # > 0, since 1/2 < a < 1
+    log_first = gammaln(a + 1) - (a + 1) * log_z + math.log(sin_1)
+    total = 1.0
     small = 0
-    for k in range(1, 400):
+    for k in range(2, 400):
         term = (
             (-1.0) ** (k + 1)
-            * math.exp(gammaln(a * k + 1) - gammaln(k + 1) - (a * k + 1) * log_z)
-            * math.sin(k * math.pi * a)
+            * math.exp(gammaln(a * k + 1) - gammaln(a + 1) - gammaln(k + 1) - a * (k - 1) * log_z)
+            * (math.sin(k * math.pi * a) / sin_1)
         )
         total += term
         # sin(k pi a) has exact zeros for rational a, so demand two small
         # terms in a row before trusting convergence
-        small = small + 1 if abs(term) < 1e-17 * abs(total) + 1e-320 else 0
+        small = small + 1 if abs(term) < 1e-17 * abs(total) else 0
         if small >= 2:
             break
     if total <= 0.0:
         return -math.inf
-    return math.log(total / math.pi)
+    return log_first + math.log(total) - math.log(math.pi)
 
 
 # Tanh-sinh rule (Takahasi & Mori 1974).  On a segment [c, d] of length L the
@@ -239,8 +244,6 @@ def _positive_stable_logpdf_scalar(x: float, a: float) -> float:
     # peak of A(u) e^{-A(u) t} sits where log A = -log t; A is increasing in u
     eps = 1e-12
     ends = [0.0, math.pi]
-    if -log_t >= _log_zolotarev(math.pi - eps, a):
-        return _positive_stable_tail_logpdf(z, a) + log_jac
     if _log_zolotarev(eps, a) < -log_t:
         lo, hi = eps, math.pi - eps
         for _ in range(_PEAK_BISECTIONS):
@@ -250,9 +253,11 @@ def _positive_stable_logpdf_scalar(x: float, a: float) -> float:
             else:
                 hi = mid
         u_peak = 0.5 * (lo + hi)
+        # the one route to the tail series: a peak in the boundary layer at
+        # pi, which quadrature cannot resolve but where the series decreases
+        # from its first term.  A peak past pi - eps (lambda above ~1e14)
+        # leaves the bisection within pi / 2^21 of pi, so it lands here too
         if u_peak > math.pi - 0.05:
-            # peak in the boundary layer at pi: quadrature cannot resolve it,
-            # but the tail series decreases from its first term out here
             return _positive_stable_tail_logpdf(z, a) + log_jac
         ends = [0.0, u_peak, math.pi]
 
@@ -351,7 +356,10 @@ def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
       start's error by R_n/(R_n - m) ~ exp(-2 asinh(-m / (2 sqrt(n)))), least
       at the largest m that goes backwards, so the run-in starts far enough
       above n_top to damp it by e^-20 there.  (A fixed ceil(200/m_max^2)
-      extra terms suffices only when m_max lies near the switch.)
+      extra terms suffices only when m_max lies near the switch.)  One
+      backward loop runs from that start down to R_1; the run-in levels
+      above n_top are not stored, and each ratio from R_{n_top-1} down is
+      written to its row as the loop reaches it.
 
     Over m in [-40, 40] (and every 0.01 in [-6, 1]) and every
     n <= n_top <= 256 the result is within 1e-12 of a 40-digit reference,
@@ -382,15 +390,11 @@ def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
         # R_start ~ the fixed point of R = m + (start - 1)/(R - R'), R' = dR/dn
         slope = 1.0 / np.sqrt(mb * mb + 4.0 * start)
         r = 0.5 * (mb + slope + np.sqrt((mb - slope) ** 2 + 4.0 * (start - 1)))
-        for n in range(start, n_top, -1):
+        for n in range(start, 1, -1):
             r -= mb
-            np.divide(n - 1, r, out=r)
-        rb = np.empty((n_top, back.size))  # rb[n - 1] = R_n
-        rb[-1] = r
-        for n in range(n_top - 1, 0, -1):
-            np.subtract(rb[n], mb, out=rb[n - 1])
-            np.divide(n, rb[n - 1], out=rb[n - 1])
-        out[1:, back] = rb[:-1]
+            np.divide(n - 1, r, out=r)  # now R_{n-1}
+            if n <= n_top:
+                out[n - 1, back] = r
     np.log(out[1:], out=out[1:])
     for n in range(1, n_top):
         out[n] += out[n - 1]

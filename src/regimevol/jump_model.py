@@ -18,6 +18,12 @@ with them.  The jump-count weights take every count's convolution from one
 ``jump_convolved_logpdf_counts`` pass, whose rows agree with the single-count
 values to 1e-10.  An h*_j update without jumps, or on an empty state, is
 ``mcmc.gaussian_h_star_step``, the one the stable model uses.
+
+The other updates take an empty state down their general path: its
+likelihood is a sum over no observations, 0.0 at every mean and every jump
+count (a convolution pass over an empty array has empty rows), so the mean's
+MH step targets its N(0, 1/k) prior and the jump-count weights are the
+truncated Poisson prior.
 """
 
 from __future__ import annotations
@@ -214,10 +220,9 @@ def sample_mu_j(
         return normal_normal_update(data_j, var, priors.k, rng)
 
     def log_target(mu: float) -> float:
-        prior = -0.5 * priors.k * mu * mu
-        if data_j.size == 0:
-            return prior
-        return prior + float(np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b)))
+        return -0.5 * priors.k * mu * mu + float(
+            np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b))
+        )
 
     return sampler.step(float(params.mu[j - 1]), log_target, rng, adapt)
 
@@ -280,10 +285,9 @@ def sample_h_star_j(
         )
 
     def log_target(h: float) -> float:
-        base = frechet_logpdf(h, priors.frechet)
-        if base == -math.inf:
-            return base
-        return base + float(np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b)))
+        return frechet_logpdf(h, priors.frechet) + float(
+            np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
+        )
 
     return sampler.step(current, log_target, rng, adapt)
 
@@ -366,12 +370,10 @@ def jump_count_weights(
     log_pois[0] = -theta
     for n in range(1, n_max + 1):
         log_pois[n] = log_pois[n - 1] + (math.log(theta) - math.log(n))
-    # an empty state's likelihood is 0.0 at every count, so it weighs the prior alone
     gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
     n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
     while True:
-        rows = (jump_convolved_logpdf_counts(data_j, mu, math.sqrt(var), n_top, params.b)
-                if data_j.size else np.zeros((n_top, 0)))
+        rows = jump_convolved_logpdf_counts(data_j, mu, math.sqrt(var), n_top, params.b)
         log_w = log_pois[: n_top + 1] + np.concatenate(([gauss], rows.sum(axis=1)))
         last = _stop_count(log_w, theta)
         if last is not None or n_top == n_max:

@@ -171,10 +171,7 @@ def gaussian_h_star_step(
     n = data.size
 
     def log_target(h: float) -> float:
-        base = frechet_logpdf(h, prior)
-        if base == -math.inf:
-            return base
-        return base - 0.5 * n * math.log(h) - 0.5 * ss / h
+        return frechet_logpdf(h, prior) - 0.5 * n * math.log(h) - 0.5 * ss / h
 
     return sampler.step(current, log_target, rng, adapt)
 

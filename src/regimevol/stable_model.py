@@ -149,11 +149,10 @@ def sample_lambda(
     def log_target(lam: float) -> float:
         if lam < priors.lambda_floor:
             return -math.inf
-        lp = positive_stable_logpdf(lam, params.alpha)
-        if lp == -math.inf:
-            return -math.inf
         var = lam * gam
-        return lp + float(np.sum(-0.5 * counts * np.log(2.0 * np.pi * var) - 0.5 * rss / var))
+        return positive_stable_logpdf(lam, params.alpha) + float(
+            np.sum(-0.5 * counts * np.log(2.0 * np.pi * var) - 0.5 * rss / var)
+        )
 
     return sampler.step(float(params.lam), log_target, rng, adapt)
 

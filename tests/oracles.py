@@ -132,6 +132,46 @@ def positive_stable_logpdf_quad(x: float, alpha: float) -> float | None:
             + math.log(val) + log_peak - math.log(2.0))
 
 
+def positive_stable_logpdf_series_mp(x: float, alpha: float, dps: int = 40) -> float:
+    """Log density of lambda = 2 X far in its right tail, from the convergent
+    power series of the unit positive stable density (Feller, vol. II,
+    XVII.6),
+
+        f_X(z) = (1/pi) sum_{k>=1} (-1)^(k+1) Gamma(a k + 1)/k! sin(k pi a) z^(-(a k + 1)),
+
+    summed by mpmath at ``dps`` digits, so no term underflows.  Needs mpmath;
+    the callers skip without it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha) / 2
+        z = mpmath.mpf(x) / 2
+        total = mpmath.nsum(
+            lambda k: (-1) ** (k + 1) * mpmath.gamma(a * k + 1) / mpmath.factorial(k)
+            * mpmath.sin(k * mpmath.pi * a) * z ** (-(a * k + 1)),
+            [1, mpmath.inf],
+        )
+        return float(mpmath.log(total / mpmath.pi) - mpmath.log(2))
+
+
+# ---------------------------------------------------------------------------
+# forward simulation
+
+
+def simulate_jump_observations(
+    path: np.ndarray, sd: np.ndarray, n_jumps: np.ndarray, b: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Observations of the jump model as its sampler reads it: state j's
+    observations are independent N(0, sd_j^2) + symGamma(N_j, b) draws, one
+    jump count N_j per state (``synthetic.simulate_jump_model`` draws one per
+    observation instead).  ``path`` holds labels 1..M."""
+    counts = n_jumps[path - 1]
+    magnitude = rng.gamma(np.maximum(counts, 1), 1.0 / b)
+    signs = rng.integers(0, 2, path.size) * 2 - 1
+    return rng.normal(0.0, sd[path - 1]) + np.where(counts > 0, signs * magnitude, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracles
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from regimevol.distributions import (
 )
 from regimevol.regime import sample_transition_matrix
 
-from oracles import jump_convolved_pdf, positive_stable_logpdf_quad
+from oracles import (
+    jump_convolved_pdf,
+    positive_stable_logpdf_quad,
+    positive_stable_logpdf_series_mp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,29 @@ def test_positive_stable_logpdf_finite_where_integral_underflows(lam):
     ref = positive_stable_logpdf_quad(lam, 1.7)
     assert ref < -900.0
     assert positive_stable_logpdf(lam, 1.7) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.7, 1.95])
+def test_positive_stable_logpdf_far_tail_takes_the_series(alpha):
+    # once the peak has passed pi - 1e-12 the bisection ends within pi / 2^21
+    # of pi, and the boundary-layer check sends the density to the series
+    a = alpha / 2.0
+    for lam in np.logspace(math.log10(3e14), 170, 40):
+        expected = distributions._positive_stable_tail_logpdf(lam / 2.0, a) - math.log(2.0)
+        assert positive_stable_logpdf(lam, alpha) == expected, lam
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.7, 1.95])
+def test_positive_stable_logpdf_finite_where_density_underflows(alpha):
+    # the series is summed relative to its first term: at 5.69e174 the
+    # density is subnormal and from about 1e175 on it is below the smallest
+    # double, yet its log is finite and decreasing
+    pytest.importorskip("mpmath")
+    for lam in (5.69e174, 1e175, 1e300):
+        ref = positive_stable_logpdf_series_mp(lam, alpha)
+        assert positive_stable_logpdf(lam, alpha) == pytest.approx(ref, rel=1e-14), lam
+    values = positive_stable_logpdf(np.logspace(170, 300, 131), alpha)
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) < 0)
 
 
 def test_positive_stable_logpdf_raises_when_rules_disagree(monkeypatch):
@@ -352,6 +380,13 @@ def test_convolved_count_rows_match_single_count():
                 if n <= n_top:
                     single = jump_convolved_logpdf(zs, 0.1, sigma, n, b)
                     np.testing.assert_allclose(rows[n - 1], single, rtol=0, atol=1e-10)
+    # an empty state's pass: every row empty, so each row's sum is 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_top in (1, 2, 27, 256):
+            rows = jump_convolved_logpdf_counts(np.empty(0), 0.1, 0.3, n_top, 40.0)
+            assert rows.shape == (n_top, 0)
+            assert np.array_equal(rows.sum(axis=1), np.zeros(n_top))
 
 
 def test_convolved_pdf_rejects_bad_params():

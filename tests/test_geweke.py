@@ -21,6 +21,14 @@ state block, then three log-scale MH steps on lambda at a fixed walk scale
 model: M = 2, T = 40, alpha = 1.7, gamma_1^2 = 0.5 and h* = 4, lambda from
 its positive-stable prior and mu_j ~ N(0, 1/k).  It also checks the
 positive-stable log density against the positive-stable sampler.
+
+The jump block is the jump sampler's exact steps with mu = 0, sigma1^2, h*
+and b fixed: the state block on the jump model's emissions, then per state
+the jump count from its enumerated conditional and the intensity from its
+truncated Gamma conditional.  The model: M = 2, T = 30, u = (1, 3),
+theta_j uniform on (u_{j-1}, u_j], N_j ~ Poisson(theta_j) and state j's
+observations N(0, sigma_j^2) + symGamma(N_j, b).  It checks the
+Normal (x) symGamma convolution density against the forward simulator.
 """
 
 import math
@@ -32,8 +40,10 @@ from regimevol.distributions import (
     FrechetParams,
     InvGammaParams,
     gaussian_logpdf,
+    jump_convolved_logpdf,
     positive_stable_sample,
 )
+from regimevol.jump_model import JumpParams, JumpPriors, sample_n_jumps_j, sample_theta_j
 from regimevol.mcmc import AdaptiveRw
 from regimevol.regime import (
     count_transitions,
@@ -47,6 +57,8 @@ from regimevol.stable_model import (
     sample_lambda,
     sample_stable_mu_j,
 )
+
+from oracles import simulate_jump_observations
 
 M, T = 3, 30
 SD = np.array([1.0, 1.7, 2.9])
@@ -171,3 +183,63 @@ def test_stable_block_leaves_the_prior_invariant():
     z = _z_scores(_stable_statistics(lam[1:], mu[1:], p[1:], paths[1:]),
                   _stable_statistics(chain_lam, chain_mu, chain_p, chain_paths), STABLE_BATCH)
     assert np.all(np.abs(z) < 4.0), dict(zip(STABLE_NAMES, np.round(z, 2)))
+
+
+JUMP_U = np.array([1.0, 3.0])
+JUMP_SD = np.array([1.0, 2.0])  # sigma_1^2 = 1, h* = 4
+JUMP_B = 1.0
+JUMP_T = 30
+JUMP_STEPS = 4000
+JUMP_NAMES = ["N_1", "N_2", "theta_1", "theta_2", "P11", "switches"]
+
+
+def _jump_statistics(n_jumps, theta, p, paths):
+    """Per-draw statistics; n_jumps and theta are (n, 2), p (n, 2, 2), paths (n, T)."""
+    return np.column_stack([
+        n_jumps,
+        theta,
+        p[:, 0, 0],
+        (np.diff(paths, axis=1) != 0).sum(axis=1),
+    ]).astype(float)
+
+
+def _jump_emissions(y, n_jumps):
+    """(T, 2) log emissions: Gaussian without jumps, the convolution with them."""
+    return np.column_stack([
+        gaussian_logpdf(y, 0.0, sd * sd) if n == 0 else jump_convolved_logpdf(y, 0.0, sd, n, JUMP_B)
+        for sd, n in zip(JUMP_SD, n_jumps)
+    ])
+
+
+def test_jump_block_leaves_the_prior_invariant():
+    rows = np.ones((2, 2)) + 2.0 * np.eye(2)
+    priors = JumpPriors(k=1.0, sigma_prior=InvGammaParams(2.0, 0.5),
+                        frechet=FrechetParams(2.0, 0.5), u=JUMP_U, dirichlet_rows=rows)
+    rng = np.random.default_rng([2004, 23])
+    n = JUMP_STEPS + 1
+    p, paths = _forward(rows, n, JUMP_T, rng)
+    theta = rng.uniform(np.concatenate(([0.0], JUMP_U[:-1])), JUMP_U, (n, 2))
+    n_jumps = rng.poisson(theta)
+
+    params = JumpParams(mu=np.zeros(2), sigma1_sq=JUMP_SD[0] ** 2,
+                        h_star=JUMP_SD[1:] ** 2 / JUMP_SD[:-1] ** 2, theta=theta[0],
+                        n_jumps=n_jumps[0], b=JUMP_B)
+    trans, path = p[0], paths[0]
+    chain_n = np.empty((JUMP_STEPS, 2), dtype=int)
+    chain_theta = np.empty((JUMP_STEPS, 2))
+    chain_p = np.empty((JUMP_STEPS, 2, 2))
+    chain_paths = np.empty((JUMP_STEPS, JUMP_T), dtype=int)
+    for i in range(JUMP_STEPS):
+        y = simulate_jump_observations(path, JUMP_SD, params.n_jumps, JUMP_B, rng)
+        logem = _jump_emissions(y, params.n_jumps)
+        path = sample_state_path(hamilton_filter(logem, JUMP_T, trans), trans, rng)
+        trans = sample_transition_matrix(count_transitions(path, 2), rows, rng)
+        for j in (1, 2):
+            params.n_jumps[j - 1] = sample_n_jumps_j(y[path == j], j, params, priors, rng)
+        for j in (1, 2):
+            params.theta[j - 1] = sample_theta_j(j, params, priors, rng)
+        chain_n[i], chain_theta[i], chain_p[i], chain_paths[i] = (
+            params.n_jumps, params.theta, trans, path)
+    z = _z_scores(_jump_statistics(n_jumps[1:], theta[1:], p[1:], paths[1:]),
+                  _jump_statistics(chain_n, chain_theta, chain_p, chain_paths))
+    assert np.all(np.abs(z) < 4.0), dict(zip(JUMP_NAMES, np.round(z, 2)))

@@ -207,6 +207,23 @@ def test_mu_no_data_no_jumps_is_prior_draw():
     assert draw == pytest.approx(expected)
 
 
+def test_mu_no_data_with_jumps_samples_the_prior():
+    # with N_j >= 1 an empty state still takes the MH step, on the prior
+    # N(0, 1/k) alone (a sum over no observations is 0.0); one step from a
+    # prior draw is then a prior draw
+    rng = np.random.default_rng(51)
+    priors = _priors(k=4.0, fix_mean_zero=False)
+    sampler = AdaptiveRw(0.8)
+    starts = rng.normal(0.0, 0.5, 4000)
+    draws = np.array([
+        sample_mu_j(np.array([]), 2, _params([0.0, mu], [1.0, 4.0], [0.2, 0.7], [0, 3]),
+                    priors, rng, sampler, False)
+        for mu in starts
+    ])
+    assert 0.3 < sampler.accepted / sampler.attempts < 0.9
+    assert kstest(draws, "norm", args=(0.0, 0.5)).pvalue > 0.01
+
+
 def test_mu_conjugate_matches_grid_oracle():
     rng = np.random.default_rng(6)
     data = rng.normal(0.8, 1.0, 60)
