@@ -57,6 +57,23 @@ class ReturnSeries(DatedSeries):
             raise DataError("return series contains non-finite values")
 
 
+def _decoded_lines(handle, path: Path):
+    """The handle's lines.  Bytes its encoding cannot decode raise DataError
+    naming their line, counted in the raw file: the text layer decodes whole
+    chunks, so the line the reader has reached says nothing."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raw = path.read_bytes()
+        try:
+            raw.decode(handle.encoding)
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            reason = f"not {handle.encoding} text ({exc.reason})"
+            raise DataError(f"{path}: line {line}: {reason}") from None
+        raise
+
+
 def _read_dated_csv(path: str | Path, value_header: str) -> DatedSeries:
     path = Path(path)
     try:
@@ -66,7 +83,7 @@ def _read_dated_csv(path: str | Path, value_header: str) -> DatedSeries:
     dates: list[date] = []
     values: list[float] = []
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_decoded_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -210,7 +210,6 @@ def sample_mu_j(
     priors: JumpPriors,
     rng: np.random.Generator,
     sampler: AdaptiveRw,
-    adapt: bool,
 ) -> float:
     """State-j mean: exact conjugate draw when N_j = 0, otherwise one MH step."""
     data_j = np.asarray(data_j, dtype=float)
@@ -224,7 +223,7 @@ def sample_mu_j(
             np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b))
         )
 
-    return sampler.step(float(params.mu[j - 1]), log_target, rng, adapt)
+    return sampler.step(float(params.mu[j - 1]), log_target, rng)
 
 
 def sample_sigma1_sq(
@@ -233,7 +232,6 @@ def sample_sigma1_sq(
     priors: JumpPriors,
     rng: np.random.Generator,
     sampler: AdaptiveRw,
-    adapt: bool,
 ) -> float:
     """Base variance: conjugate inverse-Gamma draw when state 1 has no jumps,
     else a log-scale MH step against prior x state-1 likelihood.  The caller's
@@ -253,7 +251,7 @@ def sample_sigma1_sq(
             np.sum(_obs_logpdf(data_1, mu1, s, n1, params.b))
         )
 
-    return sampler.step(float(params.sigma1_sq), log_target, rng, adapt)
+    return sampler.step(float(params.sigma1_sq), log_target, rng)
 
 
 def sample_h_star_j(
@@ -263,7 +261,6 @@ def sample_h_star_j(
     priors: JumpPriors,
     rng: np.random.Generator,
     sampler: AdaptiveRw,
-    adapt: bool,
 ) -> float:
     """Variance multiplier of state j >= 2; always > 1 on exit.
 
@@ -281,7 +278,7 @@ def sample_h_star_j(
     current = float(params.h_star[j - 2])
     if n_jumps == 0 or data_j.size == 0:
         return gaussian_h_star_step(
-            data_j, mu_j, lower_var, current, priors.frechet, rng, sampler, adapt
+            data_j, mu_j, lower_var, current, priors.frechet, rng, sampler
         )
 
     def log_target(h: float) -> float:
@@ -289,7 +286,7 @@ def sample_h_star_j(
             np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
         )
 
-    return sampler.step(current, log_target, rng, adapt)
+    return sampler.step(current, log_target, rng)
 
 
 def _poisson_n_max(theta: float) -> int:
@@ -454,9 +451,7 @@ class JumpGibbsSampler(GibbsSampler):
             )
         return logem
 
-    def update(
-        self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator, adapt: bool
-    ):
+    def update(self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"
         filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
         path = sample_state_path(filt, transition, rng)
@@ -471,20 +466,18 @@ class JumpGibbsSampler(GibbsSampler):
             for j in range(1, self.n_states + 1):
                 self.stage = f"mu_{j}"
                 params.mu[j - 1] = sample_mu_j(
-                    groups[j - 1], j, params, self.priors, rng,
-                    self.samplers[f"mu_{j}"], adapt,
+                    groups[j - 1], j, params, self.priors, rng, self.samplers[f"mu_{j}"]
                 )
 
         self.stage = "sigma1_sq"
         params.sigma1_sq = sample_sigma1_sq(
-            groups[0], params, self.priors, rng, self.samplers["sigma1_sq"], adapt
+            groups[0], params, self.priors, rng, self.samplers["sigma1_sq"]
         )
 
         for j in range(2, self.n_states + 1):
             self.stage = f"h_star_{j}"
             params.h_star[j - 2] = sample_h_star_j(
-                groups[j - 1], j, params, self.priors, rng,
-                self.samplers[f"h_star_{j}"], adapt,
+                groups[j - 1], j, params, self.priors, rng, self.samplers[f"h_star_{j}"]
             )
 
         for j in range(1, self.n_states + 1):

@@ -4,8 +4,10 @@ Gibbs engine both samplers run on, chain storage and summaries.
 
 All target evaluations happen in log space.  Positive-constrained parameters
 are proposed with a Gaussian random walk on a log (or shifted-log) scale with
-the Jacobian folded into the transformed target; step scales adapt toward 30%
-acceptance during burn-in only (Robbins-Monro) and are frozen afterwards.
+the Jacobian folded into the transformed target.  Step scales adapt toward 30%
+acceptance (Robbins-Monro) while a walk's ``adapting`` switch is on; the Gibbs
+engine turns it on for every walk during burn-in only, so the scales are
+frozen once draws are kept and no update passes the decision along.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ __all__ = [
 
 _TARGET_ACCEPT = 0.3  # acceptance rate the step scales adapt toward
 
+# transform -> (to_x, to_v): the walk moves x = to_x(v), and dv/dx is e^x for
+# both log transforms, 1 for identity
+_TRANSFORMS: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
+    "identity": (lambda v: v, lambda x: x),
+    "log": (math.log, math.exp),
+    "log_shift": (lambda v: math.log(v - 1.0), lambda x: 1.0 + math.exp(x)),
+}
+
 
 class AdaptiveRw:
     """Random-walk MH on a transformed scale with burn-in step adaptation.
@@ -51,69 +61,54 @@ class AdaptiveRw:
     (used for the variance multipliers with support (1, inf)), ``'identity'``
     in v itself.  The Jacobian of the transform is added to the transformed
     log target, so ``step`` samples the intended distribution on the original
-    scale.  While ``adapt=True`` the log step scale follows a Robbins-Monro
-    recursion toward 30% acceptance and must be frozen (pass ``adapt=False``)
-    once draws are being kept.
+    scale.  While ``adapting`` is True the log step scale follows a
+    Robbins-Monro recursion toward 30% acceptance.  It is False at
+    construction; ``GibbsSampler.sweep`` sets it on every walk at the start of
+    each sweep, True during burn-in only, so the scale is frozen once draws
+    are being kept.  A proposal whose back-transform overflows (a log-scale x
+    past about 709) is rejected like one of zero target density.
     """
 
     def __init__(self, scale: float = 0.5, transform: str = "identity") -> None:
-        if transform not in ("identity", "log", "log_shift"):
+        if transform not in _TRANSFORMS:
             raise ParameterError(f"unknown transform {transform!r}")
         if not 0 < scale < math.inf:
             raise ParameterError(f"step scale must be finite and > 0, got {scale}")
         self.scale = scale
         self.transform = transform
+        self._to_x, self._to_v = _TRANSFORMS[transform]
+        self._jacobian = transform != "identity"
+        self.adapting = False
         self.accepted = 0
         self.attempts = 0
         self._adapt_steps = 0
 
-    # transform helpers -----------------------------------------------------
-    def _to_x(self, v: float) -> float:
-        if self.transform == "log":
-            return math.log(v)
-        if self.transform == "log_shift":
-            return math.log(v - 1.0)
-        return v
-
-    def _to_v(self, x: float) -> float:
-        if self.transform == "log":
-            return math.exp(x)
-        if self.transform == "log_shift":
-            return 1.0 + math.exp(x)
-        return x
-
-    def _log_jacobian(self, x: float) -> float:
-        # dv/dx = e^x for both log transforms, 1 for identity
-        return x if self.transform != "identity" else 0.0
-
-    # ------------------------------------------------------------------------
     def step(
-        self,
-        current: float,
-        log_target: Callable[[float], float],
-        rng: np.random.Generator,
-        adapt: bool = False,
+        self, current: float, log_target: Callable[[float], float], rng: np.random.Generator
     ) -> float:
         x = self._to_x(current)
         x_new = x + self.scale * rng.normal()
-        v_new = self._to_v(x_new)
-        lp_cur = log_target(current) + self._log_jacobian(x)
-        lp_new = log_target(v_new) + self._log_jacobian(x_new)
-        log_r = lp_new - lp_cur if np.isfinite(lp_new) else -math.inf
-        accept_prob = min(1.0, math.exp(min(log_r, 0.0)))
+        lp_cur = log_target(current) + (x if self._jacobian else 0.0)
+        try:
+            v_new = self._to_v(x_new)
+        except OverflowError:
+            lp_new = -math.inf
+        else:
+            lp_new = log_target(v_new) + (x_new if self._jacobian else 0.0)
+        log_r = lp_new - lp_cur if math.isfinite(lp_new) else -math.inf
         self.attempts += 1
-        out = current
-        if np.isfinite(lp_new) and (
-            not np.isfinite(lp_cur) or math.log(rng.random()) < log_r
+        if math.isfinite(lp_new) and (
+            not math.isfinite(lp_cur) or math.log(rng.random()) < log_r
         ):
             self.accepted += 1
-            out = v_new
-        if adapt:
+            current = v_new
+        if self.adapting:
             self._adapt_steps += 1
             gain = 1.0 / (1.0 + self._adapt_steps) ** 0.66
-            self.scale *= math.exp(gain * (accept_prob - _TARGET_ACCEPT))
-            self.scale = min(max(self.scale, 1e-4), 1e4)
-        return out
+            accept_prob = min(1.0, math.exp(min(log_r, 0.0)))
+            scale = self.scale * math.exp(gain * (accept_prob - _TARGET_ACCEPT))
+            self.scale = min(max(scale, 1e-4), 1e4)
+        return current
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,7 @@ def inv_gamma_normal_update(
 
 def gaussian_h_star_step(
     data: np.ndarray, mu: float, lower_var: float, current: float, prior: FrechetParams,
-    rng: np.random.Generator, sampler: AdaptiveRw, adapt: bool,
+    rng: np.random.Generator, sampler: AdaptiveRw,
 ) -> float:
     """One update of a variance multiplier h* whose state holds Gaussian data.
 
@@ -173,7 +168,7 @@ def gaussian_h_star_step(
     def log_target(h: float) -> float:
         return frechet_logpdf(h, prior) - 0.5 * n * math.log(h) - 0.5 * ss / h
 
-    return sampler.step(current, log_target, rng, adapt)
+    return sampler.step(current, log_target, rng)
 
 
 def check_scale_ladder(mu: np.ndarray, base_name: str, base: float, h_star: np.ndarray) -> None:
@@ -226,12 +221,13 @@ class GibbsSampler:
       walks move a state mean and start at a quarter of the data's standard
       deviation.
     - ``emission_matrix(params)``: the (T, M) log emission densities.
-    - ``update(params, transition, rng, adapt)``: the state step (filter from
-      the uniform initial law, path, counts, transition matrix), then the
+    - ``update(params, transition, rng)``: the state step (filter from the
+      uniform initial law, path, counts, transition matrix), then the
       parameter updates, each MH step handed its walk from ``self.samplers``.
       It writes each new value into ``params`` in place, sets ``self.stage``
       before each stage and returns the filtered probabilities, the path and
-      the new transition matrix.
+      the new transition matrix.  It never decides adaptation: the walks
+      carry that switch.
 
     The state step is the same in both models, yet it stays at the top of
     each ``update`` rather than in ``sweep``: the benchmark's tracer
@@ -243,11 +239,13 @@ class GibbsSampler:
     ``sweep`` is handed to run_chain and keeps every returned draw unchanged:
     ``update`` writes into a deep copy of the previous parameters, which the
     sweep then rebuilds once, under stage ``validate``, so that their
-    dataclass checks run once per draw.  Adaptation runs for the first
-    ``adapt_iters`` sweeps (the burn-in) and freezes afterwards, from when the
-    per-sweep filtered probabilities also start accumulating into
-    ``mean_filtered_probs``.  A RegimevolError raised inside a sweep leaves
-    with its ``stage`` set to the update that failed.
+    dataclass checks run once per draw.  The engine alone decides
+    adaptation: at the start of each sweep it sets ``adapting`` on every walk
+    in ``self.samplers``, True for the first ``adapt_iters`` sweeps (the
+    burn-in) and False afterwards, from when the per-sweep filtered
+    probabilities also start accumulating into ``mean_filtered_probs``.  A
+    RegimevolError raised inside a sweep leaves with its ``stage`` set to the
+    update that failed.
     """
 
     def __init__(
@@ -287,21 +285,23 @@ class GibbsSampler:
     def emission_matrix(self, params: Any) -> np.ndarray:
         raise NotImplementedError
 
-    def update(self, params: Any, transition: np.ndarray, rng: np.random.Generator, adapt: bool):
+    def update(self, params: Any, transition: np.ndarray, rng: np.random.Generator):
         raise NotImplementedError
 
     def sweep(self, state: ModelState, rng: np.random.Generator) -> ModelState:
-        adapt = self._sweeps < self.adapt_iters
+        adapting = self._sweeps < self.adapt_iters
+        for walk in self.samplers.values():
+            walk.adapting = adapting
         params = copy.deepcopy(state.params)
         try:
-            filt, path, transition = self.update(params, state.transition, rng, adapt)
+            filt, path, transition = self.update(params, state.transition, rng)
             self.stage = "validate"
             params = replace(params)
         except RegimevolError as exc:
             exc.stage = self.stage
             raise
         self._sweeps += 1
-        if not adapt:
+        if not adapting:
             self._filtered_sum += filt.probs
             self._filtered_draws += 1
         return ModelState(path=path.astype(np.int16), transition=transition, params=params)

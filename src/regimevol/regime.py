@@ -305,8 +305,9 @@ def hamilton_filter(
     relative error of O(log2 T·(M + L)·ε), L the largest log-odds, in nats,
     built up along its products.  Row t of ``probs`` is the normalised prefix
     t, and ``loglik`` is the log scale of the last prefix plus the sum of the
-    row maxima.  Raises FilterDegeneracyError naming the first t at which
-    every state has zero predictive likelihood.
+    row maxima.  A NaN or +inf log emission raises ParameterError naming the
+    first row that holds one.  Raises FilterDegeneracyError naming the first
+    t at which every state has zero predictive likelihood.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
@@ -320,10 +321,14 @@ def hamilton_filter(
     # logem.max(axis=1) reduces one length-M row per time step
     loge = np.array(logem.T, order="C")
     mx = loge.max(axis=0)
-    live = np.isfinite(mx)
+    # a NaN or +inf entry is its row's max and fails the comparison
+    bad = ~(mx < np.inf)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ParameterError(f"log emissions must be finite or -inf; row t={t} is {logem[t]}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        loge -= np.where(live, mx, 0.0)
-        loge[:, ~live] = -np.inf
+        # an all -inf row stays -inf: nothing is subtracted from it
+        loge -= np.where(mx > -np.inf, mx, 0.0)
         # the row-total bound of the module docstring
         if min(p.min(), pi0.min()) >= 2.0**-150:
             s, g = _filter_rows(np.exp(loge, out=loge), p, pi0)

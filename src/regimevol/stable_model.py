@@ -131,7 +131,6 @@ def sample_lambda(
     priors: StablePriors,
     rng: np.random.Generator,
     sampler: AdaptiveRw,
-    adapt: bool,
 ) -> float:
     """One MH step on the mixing variable; proposals below the floor auto-reject.
 
@@ -154,7 +153,7 @@ def sample_lambda(
             np.sum(-0.5 * counts * np.log(2.0 * np.pi * var) - 0.5 * rss / var)
         )
 
-    return sampler.step(float(params.lam), log_target, rng, adapt)
+    return sampler.step(float(params.lam), log_target, rng)
 
 
 def sample_gamma1_sq(
@@ -193,7 +192,6 @@ def sample_stable_h_star_j(
     priors: StablePriors,
     rng: np.random.Generator,
     sampler: AdaptiveRw,
-    adapt: bool,
 ) -> float:
     """Scale multiplier of state j >= 2: the shared Gaussian h* step,
     ``mcmc.gaussian_h_star_step``, with lambda gamma^2 in place of the jump
@@ -205,7 +203,7 @@ def sample_stable_h_star_j(
     return gaussian_h_star_step(
         np.asarray(data_j, dtype=float), params.mu[j - 1],
         float(params.lam * params.gamma_sq[j - 2]), float(params.h_star[j - 2]),
-        priors.frechet, rng, sampler, adapt,
+        priors.frechet, rng, sampler,
     )
 
 
@@ -229,10 +227,7 @@ class StableGibbsSampler(GibbsSampler):
         var = params.lam * params.gamma_sq
         return gaussian_logpdf(self.data[:, None], params.mu[None, :], var[None, :])
 
-    def update(
-        self, params: StableModelParams, transition: np.ndarray, rng: np.random.Generator,
-        adapt: bool,
-    ):
+    def update(self, params: StableModelParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"
         filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
         path = sample_state_path(filt, transition, rng)
@@ -244,7 +239,7 @@ class StableGibbsSampler(GibbsSampler):
         groups = [self.data[path == j] for j in range(1, self.n_states + 1)]
 
         self.stage = "lambda"
-        params.lam = sample_lambda(groups, params, self.priors, rng, self.samplers["lambda"], adapt)
+        params.lam = sample_lambda(groups, params, self.priors, rng, self.samplers["lambda"])
 
         self.stage = "gamma1_sq"
         params.gamma1_sq = sample_gamma1_sq(groups[0], params, self.priors, rng)
@@ -252,8 +247,7 @@ class StableGibbsSampler(GibbsSampler):
         for j in range(2, self.n_states + 1):
             self.stage = f"h_star_{j}"
             params.h_star[j - 2] = sample_stable_h_star_j(
-                groups[j - 1], j, params, self.priors, rng,
-                self.samplers[f"h_star_{j}"], adapt,
+                groups[j - 1], j, params, self.priors, rng, self.samplers[f"h_star_{j}"]
             )
 
         for j in range(1, self.n_states + 1):

@@ -51,6 +51,26 @@ def test_csv_errors_name_the_line(tmp_path, body, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("good_rows", [1, 2000])
+def test_undecodable_bytes_are_a_data_error_naming_the_line(tmp_path, good_rows):
+    # 2000 rows put the bad byte past the first chunk the text layer decodes
+    rows = "".join(f"{date.fromordinal(737425 + i)},{100 + i}\n" for i in range(good_rows))
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"date,price\n" + rows.encode() + b"2030-01-01,1\xff\n")
+    with pytest.raises(DataError) as info:
+        load_prices_csv(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: line {good_rows + 2}: ")
+    with path.open() as handle:
+        encoding = handle.encoding
+    try:
+        b"\xff".decode(encoding)
+    except UnicodeDecodeError:
+        assert f"not {encoding} text" in message
+    else:  # a locale encoding that decodes every byte reads a bad number instead
+        assert "non-numeric price" in message
+
+
 def test_reference_csv_uses_value_header(tmp_path):
     path = _write(tmp_path, "date,value\n2020-01-01,12.5\n2020-01-02,x\n", "reference.csv")
     with pytest.raises(DataError, match="line 3: non-numeric value 'x'"):

@@ -176,7 +176,7 @@ def test_stable_block_leaves_the_prior_invariant():
         trans = sample_transition_matrix(count_transitions(path, 2), rows, rng)
         groups = [y[path == j] for j in (1, 2)]
         for _ in range(3):
-            params.lam = sample_lambda(groups, params, priors, rng, walk, adapt=False)
+            params.lam = sample_lambda(groups, params, priors, rng, walk)
         for j in (1, 2):
             params.mu[j - 1] = sample_stable_mu_j(groups[j - 1], j, params, priors, rng)
         chain_lam[i], chain_mu[i], chain_p[i], chain_paths[i] = params.lam, params.mu, trans, path

@@ -201,8 +201,7 @@ def test_state_loglik_is_sum_of_emissions():
 def test_mu_no_data_no_jumps_is_prior_draw():
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors(k=4.0, fix_mean_zero=False)
-    draw = sample_mu_j(np.array([]), 1, p, priors, np.random.default_rng(5),
-                       AdaptiveRw(0.25), False)
+    draw = sample_mu_j(np.array([]), 1, p, priors, np.random.default_rng(5), AdaptiveRw(0.25))
     expected = math.sqrt(1.0 / 4.0) * np.random.default_rng(5).normal()
     assert draw == pytest.approx(expected)
 
@@ -217,7 +216,7 @@ def test_mu_no_data_with_jumps_samples_the_prior():
     starts = rng.normal(0.0, 0.5, 4000)
     draws = np.array([
         sample_mu_j(np.array([]), 2, _params([0.0, mu], [1.0, 4.0], [0.2, 0.7], [0, 3]),
-                    priors, rng, sampler, False)
+                    priors, rng, sampler)
         for mu in starts
     ])
     assert 0.3 < sampler.accepted / sampler.attempts < 0.9
@@ -259,7 +258,8 @@ def test_mu_mh_with_jumps_matches_grid_oracle():
     mu = 0.0
     for i in range(draws.size):
         p = _params([mu], [0.25], [2.0], [2], b=2.0)
-        mu = sample_mu_j(data, 1, p, priors, rng, sampler, adapt=i < 2000)
+        sampler.adapting = i < 2000
+        mu = sample_mu_j(data, 1, p, priors, rng, sampler)
         draws[i] = mu
     kept = draws[2000:]
     grid, oracle = _target_grid_oracle(
@@ -282,7 +282,7 @@ def test_sigma_no_jumps_delegates_to_conjugate_update():
     data = rng_data.normal(0.0, 0.7, 80)
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors()
-    a = sample_sigma1_sq(data, p, priors, np.random.default_rng(10), AdaptiveRw(0.4, "log"), False)
+    a = sample_sigma1_sq(data, p, priors, np.random.default_rng(10), AdaptiveRw(0.4, "log"))
     b = inv_gamma_normal_update(
         float(np.sum(data**2)), data.size, priors.sigma_prior, np.random.default_rng(10)
     )
@@ -294,7 +294,7 @@ def test_sigma_no_data_is_prior_draw():
     priors = _priors()
     draws = [
         sample_sigma1_sq(np.array([]), p, priors, np.random.default_rng(s),
-                         AdaptiveRw(0.4, "log"), False)
+                         AdaptiveRw(0.4, "log"))
         for s in range(200)
     ]
     # moments of invGamma(2, 0.5): mean 0.5, no finite variance; check support/median
@@ -315,7 +315,8 @@ def test_sigma_mh_with_jumps_matches_grid_oracle():
     draws = np.empty(20_000)
     for i in range(draws.size):
         p = _params([0.0], [s], [1.0], [1], b=4.0)
-        s = sample_sigma1_sq(data, p, priors, rng, sampler, adapt=i < 2000)
+        sampler.adapting = i < 2000
+        s = sample_sigma1_sq(data, p, priors, rng, sampler)
         draws[i] = s
     kept = draws[2000:]
     # the inverse-Gamma prior drives the target to zero towards v = 0
@@ -339,7 +340,7 @@ def test_h_star_prior_draw_when_no_data():
     p = _params([0.0, 0.0], [1.0, 4.0], [0.2, 0.7], [0, 0])
     priors = _priors()
     draw = sample_h_star_j(np.array([]), 2, p, priors, np.random.default_rng(13),
-                           AdaptiveRw(0.4, "log_shift"), False)
+                           AdaptiveRw(0.4, "log_shift"))
     expected = float(frechet_sample(priors.frechet, np.random.default_rng(13)))
     assert draw == expected and draw > 1.0
 
@@ -355,7 +356,8 @@ def test_h_star_recovery_mode_near_truth():
     draws = np.empty(20_000)
     for i in range(draws.size):
         p = _params([0.0, 0.0], [1.0, h], [0.2, 0.7], [0, 0])
-        h = sample_h_star_j(data, 2, p, priors, rng, sampler, adapt=i < 2000)
+        sampler.adapting = i < 2000
+        h = sample_h_star_j(data, 2, p, priors, rng, sampler)
         draws[i] = h
     kept = draws[2000:]
     counts, edges = np.histogram(kept, bins=50)

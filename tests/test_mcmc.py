@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,46 @@ def test_adaptive_rw_zero_density_proposal_rejects():
     assert sampler.accepted == 0 and sampler.attempts == 50
 
 
+class _TallyRng:
+    """A Generator that records its normals and counts its uniforms."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.normals = []
+        self.uniforms = 0
+
+    def normal(self):
+        self.normals.append(self.rng.normal())
+        return self.normals[-1]
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("transform, start, to_x", [
+    ("log", 1.0, math.log),
+    ("log_shift", 2.0, lambda v: math.log(v - 1.0)),
+], ids=["log", "log_shift"])
+def test_adaptive_rw_rejects_a_proposal_whose_back_transform_overflows(transform, start, to_x):
+    # at scale 1e3 many proposals land past x = log(max float) ~ 709.8, where
+    # exp overflows: each is an attempt, rejected without a uniform draw
+    sampler = AdaptiveRw(1e3, transform)
+    rng = _TallyRng(0)
+    v = start
+    overflowed = 0
+    for _ in range(50):
+        x = to_x(v)
+        v_next = sampler.step(v, lambda v: -v, rng)
+        if x + 1e3 * rng.normals[-1] > math.log(sys.float_info.max):
+            overflowed += 1
+            assert v_next == v
+        v = v_next
+    assert sampler.attempts == 50
+    assert overflowed > 0
+    assert rng.uniforms == 50 - overflowed
+
+
 def test_adaptive_rw_standard_normal_ergodic_averages():
     sampler = AdaptiveRw(scale=2.4, transform="identity")
     log_target = lambda x: -0.5 * x * x
@@ -87,11 +128,13 @@ def test_adaptive_rw_reaches_target_acceptance():
     rng = np.random.default_rng(5)
     log_target = lambda x: -(prior.shape + 1) * math.log(x) - prior.rate / x
     x = 1.0
+    sampler.adapting = True
     for _ in range(3000):
-        x = sampler.step(x, log_target, rng, adapt=True)
+        x = sampler.step(x, log_target, rng)
+    sampler.adapting = False
     sampler.accepted = sampler.attempts = 0
     for _ in range(4000):
-        x = sampler.step(x, log_target, rng, adapt=False)
+        x = sampler.step(x, log_target, rng)
     assert 0.15 < sampler.accepted / sampler.attempts < 0.5
 
 
@@ -104,7 +147,7 @@ def test_adaptive_rw_log_transform_targets_right_law():
     x = 1.0
     draws = np.empty(150_000)
     for i in range(draws.size):
-        x = sampler.step(x, log_target, rng, adapt=False)
+        x = sampler.step(x, log_target, rng)
         draws[i] = x
     thinned = draws[::15]
     target_mean = prior.rate / (prior.shape - 1)
@@ -118,7 +161,7 @@ def test_adaptive_rw_shifted_log_respects_support():
     log_target = lambda h: -2.0 * math.log(h) - 1.0 / (h - 1.0) ** 0.5 if h > 1 else -math.inf
     h = 1.5
     for _ in range(5000):
-        h = sampler.step(h, log_target, rng, adapt=False)
+        h = sampler.step(h, log_target, rng)
         assert h > 1.0
 
 

@@ -84,6 +84,27 @@ def test_filter_degeneracy_names_time():
         hamilton_filter(logem, 4, np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_filter_names_the_first_nan_or_inf_emission_row(bad):
+    # the other state's likelihood is 1 at t = 2, so the row is not dead:
+    # the emission itself is invalid
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    logem = np.zeros((5, 2))
+    logem[2, 0] = bad
+    with pytest.raises(ParameterError, match=r"row t=2 is \[") as info:
+        hamilton_filter(logem, 5, p)
+    assert type(info.value) is ParameterError
+    logem[4, 1] = bad
+    logem[1] = -np.inf  # a dead row before it does not take precedence
+    with pytest.raises(ParameterError, match="row t=2 is"):
+        hamilton_filter(logem, 5, p)
+    # an all -inf row alone is still a degenerate filter, not a bad input
+    logem = np.zeros((5, 2))
+    logem[2] = -np.inf
+    with pytest.raises(FilterDegeneracyError, match="t=2;"):
+        hamilton_filter(logem, 5, p)
+
+
 # ---------------------------------------------------------------------------
 # sample_state_path
 
@@ -141,6 +162,11 @@ def test_backward_sampling_time_marginals():
 
 def _loop_filter(logem, p, pi0):
     t_len, m = logem.shape
+    for t in range(t_len):
+        if np.isnan(logem[t]).any() or np.isposinf(logem[t]).any():
+            raise ParameterError(
+                f"log emissions must be finite or -inf; row t={t} is {logem[t]}"
+            )
     probs = np.empty((t_len, m))
     loglik = 0.0
     pred = pi0
@@ -441,11 +467,12 @@ def test_exact_shift_never_runs_on_fit_like_input(monkeypatch):
     assert filt.loglik == pytest.approx(loglik, rel=1e-12)
 
 
-def _same_error(fn, oracle):
-    with pytest.raises(FilterDegeneracyError) as expected:
+def _same_error(fn, oracle, error=FilterDegeneracyError):
+    with pytest.raises(error) as expected:
         oracle()
-    with pytest.raises(FilterDegeneracyError) as got:
+    with pytest.raises(error) as got:
         fn()
+    assert type(got.value) is error
     assert str(got.value) == str(expected.value)
     return str(got.value)
 
@@ -457,13 +484,17 @@ def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
     logem, p, pi0 = _random_instance(rng, t_len, 3)
     finite = logem[bad_t].copy()
     rows = [[-np.inf, bad, -np.inf]]
-    if not bad < 0:  # a NaN or +inf entry kills a row whose other entries are live
+    # an all -inf row leaves no live state; a NaN or +inf entry is a bad
+    # emission whatever the other entries of its row hold
+    error, marker = FilterDegeneracyError, f"t={bad_t};"
+    if not bad < 0:
         rows += [[finite[0], bad, finite[2]], [-np.inf, bad, finite[2]]]
+        error, marker = ParameterError, f"row t={bad_t} is"
     for row in rows:
         logem[bad_t] = row
         message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
-                              lambda: _loop_filter(logem, p, pi0))
-        assert f"t={bad_t};" in message, row
+                              lambda: _loop_filter(logem, p, pi0), error)
+        assert marker in message, row
 
 
 def _first_pair_cases(t_len):

@@ -239,6 +239,28 @@ def test_golden_draws(sampler_cls, case, seed, expected):
     np.testing.assert_allclose(sampler.mean_filtered_probs, mean_filtered, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("sampler_cls, case, seed", [
+    (JumpGibbsSampler, _jump_case, 102), (StableGibbsSampler, _stable_case, 202),
+], ids=["jump", "stable"])
+def test_the_engine_adapts_the_walks_during_burn_in_only(sampler_cls, case, seed):
+    data, priors, state = case()
+    sampler = sampler_cls(data, priors, adapt_iters=10)
+    walks = sampler.samplers
+    start = {name: w.scale for name, w in walks.items()}
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        state = sampler.sweep(state, rng)
+        assert all(w.adapting for w in walks.values())
+    assert any(w.scale != start[name] for name, w in walks.items())
+    frozen = {name: w.scale for name, w in walks.items()}
+    attempts = {name: w.attempts for name, w in walks.items()}
+    for _ in range(15):
+        state = sampler.sweep(state, rng)
+        assert {name: w.scale for name, w in walks.items()} == frozen
+        assert not any(w.adapting for w in walks.values())
+    assert all(w.attempts > attempts[name] for name, w in walks.items())
+
+
 # ---------------------------------------------------------------------------
 # stable sampler over many sweeps
 
