@@ -10,6 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ParameterError
+from .regime import validate_transition_matrix
 
 __all__ = [
     "DurationReport",
@@ -31,9 +32,12 @@ class DurationReport:
 
 
 def expected_durations(transition: np.ndarray) -> DurationReport:
-    """Closed form 1/(1 - p_jj) per state; sojourns are geometric."""
-    p = np.asarray(transition, dtype=float)
-    diag = np.diag(p)
+    """Closed form 1/(1 - p_jj) per state; sojourns are geometric.
+
+    ParameterError unless ``transition`` is a square row-stochastic matrix
+    with no absorbing state.
+    """
+    diag = np.diag(validate_transition_matrix(transition))
     stuck = np.nonzero(diag >= 1.0)[0]
     if stuck.size:
         raise ParameterError(

@@ -12,12 +12,14 @@ CDF).  The state-j conditionals for sigma1^2 and h*_j use state-j data only,
 with the derived variances of all higher states moving along; that is the
 scheme the model defines.
 
-The emission matrix and the MH targets evaluate the likelihood through
-``_obs_logpdf``: Gaussian without jumps, the Normal (x) jump-sum convolution
-with them.  The jump-count weights take every count's convolution from one
-``jump_convolved_logpdf_counts`` pass, whose rows agree with the single-count
-values to 1e-10.  An h*_j update without jumps, or on an empty state, is
-``mcmc.gaussian_h_star_step``, the one the stable model uses.
+One function, ``_state_loglik``, decides whether a state is Gaussian: with
+N_j = 0 it is, and the emission column is Gaussian while the mean and the
+base variance take their conjugate draws; otherwise every one of them, and
+the MH targets, evaluate the Normal (x) jump-sum convolution.  The h*_j
+update is ``mcmc.h_star_step``, the one the stable model uses, handed the
+same decision.  The jump-count weights take every count's convolution from
+one ``jump_convolved_logpdf_counts`` pass, whose rows agree with the
+single-count values to 1e-10.
 
 The other updates take an empty state down their general path: its
 likelihood is a sum over no observations, 0.0 at every mean and every jump
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, pdtr, pdtrik
@@ -38,7 +41,6 @@ from .distributions import (
     _MAX_BATCH_JUMPS,
     FrechetParams,
     InvGammaParams,
-    frechet_logpdf,
     gaussian_logpdf,
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
@@ -49,10 +51,11 @@ from .mcmc import (
     GibbsSampler,
     ModelState,
     check_scale_ladder,
-    gaussian_h_star_step,
+    h_star_step,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
+    scale_ladder,
 )
 from .regime import (
     check_dirichlet_rows,
@@ -122,7 +125,7 @@ class JumpParams:
     @property
     def sigma_sq(self) -> np.ndarray:
         """Derived state variances sigma_1^2 < ... < sigma_M^2."""
-        return self.sigma1_sq * np.cumprod(np.concatenate(([1.0], self.h_star)))
+        return scale_ladder(self.sigma1_sq, self.h_star)
 
     def to_param_dict(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -170,8 +173,8 @@ class JumpPriors:
             raise ParameterError(
                 f"intensity endpoints u must be finite, positive and increasing; got {self.u}"
             )
-        check_u_cap(self.u)
         self.dirichlet_rows = check_dirichlet_rows(self.dirichlet_rows, self.u.size)
+        check_u_cap(self.u)
 
     @property
     def n_states(self) -> int:
@@ -186,17 +189,14 @@ class JumpPriors:
 # likelihood pieces
 
 
-def _obs_logpdf(y, mu: float, var: float, n: int, b: float):
-    """Per-observation log density in a state with mean mu, Gaussian variance
-    var and n jumps of amplitude rate b: Gaussian when n = 0, otherwise the
-    Normal (x) symGamma(n, b) convolution."""
-    if n == 0:
-        return gaussian_logpdf(y, mu, var)
-    return jump_convolved_logpdf(y, mu, math.sqrt(var), n, b)
-
-
-def _inv_gamma_logpdf_unnorm(s: float, prior: InvGammaParams) -> float:
-    return -(prior.shape + 1.0) * math.log(s) - prior.rate / s
+def _state_loglik(params: JumpParams, j: int):
+    """State j's per-observation log-likelihood ``loglik(y, mu, var)``, with
+    var the Gaussian variance: None when N_j = 0, where the state is Gaussian,
+    otherwise the Normal (x) symGamma(N_j, b) convolution."""
+    n_jumps = int(params.n_jumps[j - 1])
+    if n_jumps == 0:
+        return None
+    return lambda y, mu, var: jump_convolved_logpdf(y, mu, math.sqrt(var), n_jumps, params.b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,12 @@ def sample_mu_j(
     """State-j mean: exact conjugate draw when N_j = 0, otherwise one MH step."""
     data_j = np.asarray(data_j, dtype=float)
     var = float(params.sigma_sq[j - 1])
-    n_jumps = int(params.n_jumps[j - 1])
-    if n_jumps == 0:
+    loglik = _state_loglik(params, j)
+    if loglik is None:
         return normal_normal_update(data_j, var, priors.k, rng)
 
     def log_target(mu: float) -> float:
-        return -0.5 * priors.k * mu * mu + float(
-            np.sum(_obs_logpdf(data_j, mu, var, n_jumps, params.b))
-        )
+        return -0.5 * priors.k * mu * mu + float(np.sum(loglik(data_j, mu, var)))
 
     return sampler.step(float(params.mu[j - 1]), log_target, rng)
 
@@ -239,17 +237,16 @@ def sample_sigma1_sq(
     """
     data_1 = np.asarray(data_1, dtype=float)
     mu1 = float(params.mu[0])
-    if int(params.n_jumps[0]) == 0:
+    loglik = _state_loglik(params, 1)
+    if loglik is None:
         rss = float(np.sum((data_1 - mu1) ** 2))
         return inv_gamma_normal_update(rss, data_1.size, priors.sigma_prior, rng)
-    n1 = int(params.n_jumps[0])
+    shape, rate = priors.sigma_prior.shape, priors.sigma_prior.rate
 
     def log_target(s: float) -> float:
         if not s > 0:
             return -math.inf
-        return _inv_gamma_logpdf_unnorm(s, priors.sigma_prior) + float(
-            np.sum(_obs_logpdf(data_1, mu1, s, n1, params.b))
-        )
+        return (-(shape + 1.0) * math.log(s) - rate / s) + float(np.sum(loglik(data_1, mu1, s)))
 
     return sampler.step(float(params.sigma1_sq), log_target, rng)
 
@@ -262,31 +259,16 @@ def sample_h_star_j(
     rng: np.random.Generator,
     sampler: AdaptiveRw,
 ) -> float:
-    """Variance multiplier of state j >= 2; always > 1 on exit.
-
-    An empty state or N_j = 0 takes the shared Gaussian step,
-    ``mcmc.gaussian_h_star_step``; with jumps the convolution likelihood
-    times the Frechet prior is the target.  Proposals walk log(h* - 1), so
-    values at or below 1 cannot be proposed and carry zero density anyway.
+    """Variance multiplier of state j >= 2, always > 1 on exit: the shared
+    ``mcmc.h_star_step``, whose target is the Frechet prior times the
+    Gaussian likelihood when N_j = 0 and the convolution likelihood otherwise.
+    Proposals walk log(h* - 1), so values at or below 1 cannot be proposed
+    and carry zero density anyway.
     """
-    if not 2 <= j <= params.n_states:
-        raise ParameterError(f"h* index must lie in 2..{params.n_states}, got {j}")
-    data_j = np.asarray(data_j, dtype=float)
-    lower_var = float(params.sigma_sq[j - 2])
-    mu_j = float(params.mu[j - 1])
-    n_jumps = int(params.n_jumps[j - 1])
-    current = float(params.h_star[j - 2])
-    if n_jumps == 0 or data_j.size == 0:
-        return gaussian_h_star_step(
-            data_j, mu_j, lower_var, current, priors.frechet, rng, sampler
-        )
-
-    def log_target(h: float) -> float:
-        return frechet_logpdf(h, priors.frechet) + float(
-            np.sum(_obs_logpdf(data_j, mu_j, lower_var * h, n_jumps, params.b))
-        )
-
-    return sampler.step(current, log_target, rng)
+    return h_star_step(
+        data_j, j, params.mu, params.sigma_sq, params.h_star, priors.frechet, rng, sampler,
+        partial(_state_loglik, params),
+    )
 
 
 def _poisson_n_max(theta: float) -> int:
@@ -341,9 +323,7 @@ def _stop_count(log_w: np.ndarray, theta: float) -> int | None:
     return None
 
 
-def jump_count_weights(
-    data_j: np.ndarray, j: int, params: JumpParams, priors: JumpPriors
-) -> np.ndarray:
+def jump_count_weights(data_j: np.ndarray, j: int, params: JumpParams) -> np.ndarray:
     """Normalized discrete conditional of N_j over 0..N_max.
 
     Weights are Poisson(N; theta_j) times the state-j likelihood at count N,
@@ -383,18 +363,14 @@ def jump_count_weights(
 
 
 def sample_n_jumps_j(
-    data_j: np.ndarray,
-    j: int,
-    params: JumpParams,
-    priors: JumpPriors,
-    rng: np.random.Generator,
+    data_j: np.ndarray, j: int, params: JumpParams, rng: np.random.Generator
 ) -> int:
     """Exact draw from the truncated discrete conditional of the state-j jump count.
 
     The uniform is scaled by the cumulative sum's last entry, which can fall
     short of 1 by rounding, so the draw always indexes a weighed count.
     """
-    w = jump_count_weights(data_j, j, params, priors)
+    w = jump_count_weights(data_j, j, params)
     cdf = np.cumsum(w)
     return int(np.searchsorted(cdf, rng.random() * cdf[-1]))
 
@@ -445,10 +421,9 @@ class JumpGibbsSampler(GibbsSampler):
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
         logem = np.empty((self.data.size, self.n_states))
         var = params.sigma_sq
-        for j in range(self.n_states):
-            logem[:, j] = _obs_logpdf(
-                self.data, params.mu[j], var[j], int(params.n_jumps[j]), params.b
-            )
+        for j in range(1, self.n_states + 1):
+            loglik = _state_loglik(params, j) or gaussian_logpdf
+            logem[:, j - 1] = loglik(self.data, params.mu[j - 1], var[j - 1])
         return logem
 
     def update(self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator):
@@ -482,7 +457,7 @@ class JumpGibbsSampler(GibbsSampler):
 
         for j in range(1, self.n_states + 1):
             self.stage = f"n_jumps_{j}"
-            params.n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, self.priors, rng)
+            params.n_jumps[j - 1] = sample_n_jumps_j(groups[j - 1], j, params, rng)
 
         for j in range(1, self.n_states + 1):
             self.stage = f"theta_{j}"

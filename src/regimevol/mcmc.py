@@ -1,6 +1,6 @@
 """Shared MCMC machinery: adaptive random-walk Metropolis steps, conjugate
-updates, the Gaussian h* step and parameter checks both models share, the
-Gibbs engine both samplers run on, chain storage and summaries.
+updates, the h* step, the scale ladder and the parameter checks both models
+share, the Gibbs engine both samplers run on, chain storage and summaries.
 
 All target evaluations happen in log space.  Positive-constrained parameters
 are proposed with a Gaussian random walk on a log (or shifted-log) scale with
@@ -28,7 +28,8 @@ __all__ = [
     "AdaptiveRw",
     "normal_normal_update",
     "inv_gamma_normal_update",
-    "gaussian_h_star_step",
+    "h_star_step",
+    "scale_ladder",
     "check_scale_ladder",
     "ModelState",
     "GibbsSampler",
@@ -148,27 +149,47 @@ def inv_gamma_normal_update(
     return float(inv_gamma_sample(post, rng))
 
 
-def gaussian_h_star_step(
-    data: np.ndarray, mu: float, lower_var: float, current: float, prior: FrechetParams,
-    rng: np.random.Generator, sampler: AdaptiveRw,
+def h_star_step(
+    data: np.ndarray, j: int, mu: np.ndarray, var: np.ndarray, h_star: np.ndarray,
+    prior: FrechetParams, rng: np.random.Generator, sampler: AdaptiveRw,
+    state_loglik: Callable[[int], Callable | None] | None = None,
 ) -> float:
-    """One update of a variance multiplier h* whose state holds Gaussian data.
+    """One update of the variance multiplier h*_j, 2 <= j <= M, in either model.
 
-    An empty state draws h* from its Frechet prior.  Otherwise the
-    observations are N(mu, lower_var * h*), with lower_var the variance of the
-    state below, and ``sampler`` takes one step from ``current`` on the
-    Frechet prior times h^(-n/2) exp(-ss / (2h)), ss the residual sum of
-    squares over lower_var.
+    ``mu``, ``var`` and ``h_star`` are the model's M state means, M state
+    variances and M - 1 multipliers.  An empty state draws h*_j from its
+    Frechet prior.  Otherwise ``sampler`` takes one step from the current
+    h*_j on the Frechet prior times the state's likelihood at mean mu_j and
+    variance var_{j-1} * h.  ``state_loglik(j)``, when given, returns state
+    j's per-observation log-likelihood ``loglik(y, mu, var)``, or None where
+    the state is Gaussian.  A Gaussian state's likelihood is h^(-n/2)
+    exp(-ss / (2h)), ss the residual sum of squares over var_{j-1}.
     """
+    m = mu.size
+    if not 2 <= j <= m:
+        raise ParameterError(f"h* index must lie in 2..{m}, got {j}")
+    data = np.asarray(data, dtype=float)
     if data.size == 0:
         return float(frechet_sample(prior, rng))
-    ss = float(np.sum((data - mu) ** 2)) / lower_var
-    n = data.size
+    mu_j, lower_var = float(mu[j - 1]), float(var[j - 2])
+    loglik = state_loglik(j) if state_loglik else None
+    if loglik is None:
+        ss = float(np.sum((data - mu_j) ** 2)) / lower_var
+        n = data.size
 
-    def log_target(h: float) -> float:
-        return frechet_logpdf(h, prior) - 0.5 * n * math.log(h) - 0.5 * ss / h
+        def log_target(h: float) -> float:
+            return frechet_logpdf(h, prior) - 0.5 * n * math.log(h) - 0.5 * ss / h
+    else:
 
-    return sampler.step(current, log_target, rng)
+        def log_target(h: float) -> float:
+            return frechet_logpdf(h, prior) + float(np.sum(loglik(data, mu_j, lower_var * h)))
+
+    return sampler.step(float(h_star[j - 2]), log_target, rng)
+
+
+def scale_ladder(base: float, h_star: np.ndarray) -> np.ndarray:
+    """The M state variances base * (1, h*_2, h*_2 h*_3, ...), increasing."""
+    return base * np.cumprod(np.concatenate(([1.0], h_star)))
 
 
 def check_scale_ladder(mu: np.ndarray, base_name: str, base: float, h_star: np.ndarray) -> None:

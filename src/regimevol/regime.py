@@ -406,6 +406,8 @@ def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
     path = np.asarray(path)
     if path.ndim != 1 or path.size == 0:
         raise ParameterError("state path must be a nonempty vector")
+    if not np.issubdtype(path.dtype, np.integer):
+        raise ParameterError(f"state labels must be integers, got dtype {path.dtype}")
     if path.min() < 1 or path.max() > m:
         raise ParameterError(f"state labels must lie in 1..{m}")
     return np.bincount((path[:-1] - 1) * m + path[1:] - 1, minlength=m * m).reshape(m, m)
@@ -434,13 +436,15 @@ def _check_rows(ok: np.ndarray, what: str, values: np.ndarray) -> None:
 def check_dirichlet_rows(rows, m: int | None = None) -> np.ndarray:
     """The transition prior's Dirichlet concentrations as an (M, M) float array.
 
-    M is ``m`` when given, else the number of rows.  ParameterError names the
-    shape when it is not (M, M), else the first row with an entry that is not
-    finite and > 0; a NaN fails both comparisons.
+    M is ``m`` when given, else the number of rows.  ParameterError when M is
+    0, names the shape when it is not (M, M), else the first row with an
+    entry that is not finite and > 0; a NaN fails both comparisons.
     """
     rows = np.asarray(rows, dtype=float)
     if m is None:
         m = rows.shape[0] if rows.ndim else 0
+    if m < 1:
+        raise ParameterError(f"a model needs at least one state, got {m}")
     if rows.shape != (m, m):
         raise ParameterError(f"Dirichlet prior rows must be ({m}, {m}), got shape {rows.shape}")
     _check_rows((rows > 0) & (rows < np.inf), "Dirichlet concentrations must be finite and > 0",
@@ -458,7 +462,7 @@ def sample_transition_matrix(
     counts; ParameterError naming the first bad row is raised before any draw.
     """
     counts = np.asarray(counts, dtype=float)
-    m = counts.shape[0]
+    m = counts.shape[0] if counts.ndim else 0
     if counts.shape != (m, m):
         raise ParameterError(f"transition counts must be ({m}, {m}), got shape {counts.shape}")
     conc = check_dirichlet_rows(row_priors, m)

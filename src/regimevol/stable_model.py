@@ -31,10 +31,11 @@ from .mcmc import (
     GibbsSampler,
     ModelState,
     check_scale_ladder,
-    gaussian_h_star_step,
+    h_star_step,
     inv_gamma_normal_update,
     normal_normal_update,
     quantile_start,
+    scale_ladder,
 )
 from .regime import (
     check_dirichlet_rows,
@@ -87,7 +88,7 @@ class StableModelParams:
     @property
     def gamma_sq(self) -> np.ndarray:
         """Derived squared scales gamma_1^2 < ... < gamma_M^2."""
-        return self.gamma1_sq * np.cumprod(np.concatenate(([1.0], self.h_star)))
+        return scale_ladder(self.gamma1_sq, self.h_star)
 
     def to_param_dict(self) -> dict[str, float]:
         out: dict[str, float] = {"lambda": float(self.lam)}
@@ -193,17 +194,13 @@ def sample_stable_h_star_j(
     rng: np.random.Generator,
     sampler: AdaptiveRw,
 ) -> float:
-    """Scale multiplier of state j >= 2: the shared Gaussian h* step,
-    ``mcmc.gaussian_h_star_step``, with lambda gamma^2 in place of the jump
-    model's sigma^2 (the likelihood is Gaussian here, so the analytic residual
-    form always applies).
+    """Scale multiplier of state j >= 2: the shared ``mcmc.h_star_step`` with
+    lambda gamma^2 in place of the jump model's sigma^2.  Given lambda every
+    state is Gaussian, so the step always takes its Gaussian target.
     """
-    if not 2 <= j <= params.n_states:
-        raise ParameterError(f"h* index must lie in 2..{params.n_states}, got {j}")
-    return gaussian_h_star_step(
-        np.asarray(data_j, dtype=float), params.mu[j - 1],
-        float(params.lam * params.gamma_sq[j - 2]), float(params.h_star[j - 2]),
-        priors.frechet, rng, sampler,
+    return h_star_step(
+        data_j, j, params.mu, params.lam * params.gamma_sq, params.h_star, priors.frechet,
+        rng, sampler,
     )
 
 

@@ -34,6 +34,21 @@ def test_expected_durations_absorbing_state_raises():
         expected_durations(p)
 
 
+@pytest.mark.parametrize("transition, message", [
+    ([0.5, 0.5], "square"),
+    ([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]], "square"),
+    (np.full((2, 2, 2), 0.5), "square"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "nonnegative"),
+    ([[np.nan, 0.5], [0.5, 0.5]], "sum to 1"),
+], ids=["1d", "2x3", "3d", "negative_diagonal", "nan_diagonal"])
+def test_expected_durations_refuse_a_non_stochastic_matrix(transition, message):
+    # each used to return an array: a 2x2 one for the 1-D input, durations
+    # for the rest (0.667 steps at p_11 = -0.5, NaN for a NaN diagonal), or
+    # numpy's bare ValueError for the 3-D one
+    with pytest.raises(ParameterError, match=message):
+        expected_durations(np.array(transition))
+
+
 def test_durations_from_draws_jensen_gap():
     # 1/(1 - p) is convex, so averaging durations over draws exceeds the
     # duration at the averaged matrix

@@ -235,7 +235,7 @@ def test_jump_block_leaves_the_prior_invariant():
         path = sample_state_path(hamilton_filter(logem, JUMP_T, trans), trans, rng)
         trans = sample_transition_matrix(count_transitions(path, 2), rows, rng)
         for j in (1, 2):
-            params.n_jumps[j - 1] = sample_n_jumps_j(y[path == j], j, params, priors, rng)
+            params.n_jumps[j - 1] = sample_n_jumps_j(y[path == j], j, params, rng)
         for j in (1, 2):
             params.theta[j - 1] = sample_theta_j(j, params, priors, rng)
         chain_n[i], chain_theta[i], chain_p[i], chain_paths[i] = (

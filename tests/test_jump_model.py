@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import invweibull, kstest
 
 from regimevol import (
     FrechetParams,
@@ -177,7 +177,7 @@ def test_state_loglik_is_sum_of_emissions():
     p = _params([0.0, 0.0], [0.5, 2.0], [0.2, 0.7], [0, 2], b=3.0)
     rng = np.random.default_rng(1)
     data = rng.normal(0, 1, 30)
-    w = jump_count_weights(data, 2, p, _priors())
+    w = jump_count_weights(data, 2, p)
 
     def state_loglik(n):
         return _emission(data, 2, replace(p, n_jumps=np.array([0, n]))).sum()
@@ -366,6 +366,41 @@ def test_h_star_recovery_mode_near_truth():
     assert np.all(kept > 1.0)
 
 
+@pytest.mark.parametrize("n_jumps", [0, 1])
+def test_h_star_matches_grid_oracle(n_jumps):
+    # state 2 over a base variance of 0.09; its 40 observations carry one
+    # jump each when N_2 = 1, and the target is then the Frechet prior times
+    # the convolution likelihood at variance 0.09 h.  Draws and oracle are
+    # compared on the walk's scale u = log(h - 1), where the posterior is
+    # compact enough for a uniform grid; binned TV is the same on either scale
+    rng = np.random.default_rng(20 + n_jumps)
+    b, lower_var = 4.0, 0.09
+    data = rng.normal(0.0, math.sqrt(2.0 * lower_var), 40)
+    if n_jumps:
+        data += rng.choice([-1.0, 1.0], data.size) * rng.exponential(1.0 / b, data.size)
+    priors = _priors()
+    sampler = AdaptiveRw(scale=0.4, transform="log_shift")
+    p = _params([0.0, 0.0], [lower_var, 2.0 * lower_var], [0.2, 0.7], [0, n_jumps], b=b)
+    draws = np.empty(20_000)
+    for i in range(draws.size):
+        sampler.adapting = i < 2000
+        p.h_star[0] = draws[i] = sample_h_star_j(data, 2, p, priors, rng, sampler)
+    kept = np.log(draws[2000:] - 1.0)
+
+    def log_prior(u):
+        # the Frechet prior shifted by 1, times the Jacobian dh/du = e^u
+        return float(invweibull.logpdf(1.0 + math.exp(u), 2.0, loc=1.0, scale=0.5)) + u
+
+    def log_lik(u):
+        var = lower_var * (1.0 + math.exp(u))
+        if n_jumps == 0:
+            return float(np.sum(-0.5 * np.log(2.0 * np.pi * var) - 0.5 * data**2 / var))
+        return sum(math.log(jump_convolved_pdf(y, 0.0, math.sqrt(var), 1, b)) for y in data)
+
+    grid, oracle = _target_grid_oracle(log_prior, log_lik, kept, 121)
+    assert _binned_tv(kept, grid, oracle, 10) < 5e-2
+
+
 def test_h_star_support_density_is_zero_at_or_below_one():
     priors = _priors()
     assert frechet_sample(priors.frechet, np.random.default_rng(0)) > 1.0
@@ -383,11 +418,7 @@ def test_n_jumps_vanishing_intensity():
     rng = np.random.default_rng(15)
     data = rng.normal(0.0, 1.0, 40)
     p = _params([0.0], [1.0], [1e-10], [0], b=40.0)
-    priors = JumpPriors(
-        k=1.0, sigma_prior=InvGammaParams(2.0, 0.5), frechet=FrechetParams(2.0, 0.5),
-        u=np.array([4.0]), dirichlet_rows=np.ones((1, 1)),
-    )
-    draws = [sample_n_jumps_j(data, 1, p, priors, rng) for _ in range(50)]
+    draws = [sample_n_jumps_j(data, 1, p, rng) for _ in range(50)]
     assert all(d == 0 for d in draws)
 
 
@@ -395,11 +426,7 @@ def test_n_jump_weights_normalized():
     rng = np.random.default_rng(16)
     data = rng.normal(0.0, 1.0, 25)
     p = _params([0.0], [1.0], [2.0], [0], b=10.0)
-    priors = JumpPriors(
-        k=1.0, sigma_prior=InvGammaParams(2.0, 0.5), frechet=FrechetParams(2.0, 0.5),
-        u=np.array([4.0]), dirichlet_rows=np.ones((1, 1)),
-    )
-    w = jump_count_weights(data, 1, p, priors)
+    w = jump_count_weights(data, 1, p)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0)
 
@@ -411,7 +438,7 @@ def test_n_jump_weights_of_an_empty_state_are_the_prior(theta):
     from scipy.stats import poisson
 
     p = _params([0.0], [1.0], [theta], [0])
-    w = jump_count_weights(np.empty(0), 1, p, _priors(1, u=(64.0,)))
+    w = jump_count_weights(np.empty(0), 1, p)
     pmf = poisson.pmf(np.arange(w.size), theta)
     assert w.size == _poisson_n_max(theta) + 1
     np.testing.assert_allclose(w, pmf / pmf.sum(), rtol=1e-12)
@@ -421,7 +448,7 @@ def test_n_jump_weights_run_the_convolution_to_n_max():
     # one tight observation: the stopping rule fires past count 64, so the
     # last pass runs the convolution to N_max = 126 counts
     p = _params([0.0], [1e-4], [60.0], [0])
-    w = jump_count_weights(np.array([0.5]), 1, p, _priors(1, u=(64.0,)))
+    w = jump_count_weights(np.array([0.5]), 1, p)
     assert _poisson_n_max(60.0) == 126 and w.size - 1 > 64
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -455,7 +482,7 @@ def test_n_jumps_draw_stays_in_weighed_support(monkeypatch):
     assert np.searchsorted(np.cumsum(w), top.random()) == w.size
     monkeypatch.setattr(jump_model, "jump_count_weights", lambda *args: w)
     p = _params([0.0], [1.0], [2.0], [0])
-    assert sample_n_jumps_j(np.zeros(3), 1, p, _priors(1), top) == w.size - 1
+    assert sample_n_jumps_j(np.zeros(3), 1, p, top) == w.size - 1
 
 
 def test_poisson_n_max_matches_scipy_isf():
@@ -479,11 +506,7 @@ def test_n_jumps_recovery_with_strong_separation():
     signs = rng.integers(0, 2, t_len) * 2 - 1
     data = noise + signs * mags
     p = _params([0.0], [0.0004], [3.0], [0], b=5.0)
-    priors = JumpPriors(
-        k=1.0, sigma_prior=InvGammaParams(2.0, 0.5), frechet=FrechetParams(2.0, 0.5),
-        u=np.array([6.0]), dirichlet_rows=np.ones((1, 1)),
-    )
-    draws = np.array([sample_n_jumps_j(data, 1, p, priors, rng) for _ in range(100)])
+    draws = np.array([sample_n_jumps_j(data, 1, p, rng) for _ in range(100)])
     assert np.mean(draws == 3) >= 0.8
 
 

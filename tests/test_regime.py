@@ -715,6 +715,18 @@ def test_count_transitions_rejects_bad_labels():
         count_transitions(np.array([1, 3]), 2)
 
 
+def test_count_transitions_refuses_float_labels():
+    # np.bincount used to raise numpy's TypeError about casting float64
+    with pytest.raises(ParameterError, match="integers, got dtype float64"):
+        count_transitions(np.array([1.0, 2.0, 2.0]), 2)
+
+
+def test_sample_transition_matrix_refuses_scalar_counts():
+    # counts.shape[0] used to raise a bare IndexError on a 0-d array
+    with pytest.raises(ParameterError, match=r"transition counts must be \(0, 0\), got shape \(\)"):
+        sample_transition_matrix(np.float64(3.0), np.ones((1, 1)), np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle internals
 

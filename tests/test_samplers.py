@@ -32,6 +32,7 @@ from regimevol import (
     simulate_stable_model,
 )
 from regimevol import jump_model, stable_model
+from regimevol.mcmc import AdaptiveRw
 from regimevol.regime import default_dirichlet_rows
 
 
@@ -520,6 +521,30 @@ def test_priors_reject_a_transition_prior_of_the_wrong_shape(priors_cls, fields)
     # refused at construction, not at the first sweep's transition draw
     with pytest.raises(ParameterError, match=r"must be \(3, 3\), got shape \((4, 4|3, 4)\)"):
         priors_cls(**fields)
+
+
+@pytest.mark.parametrize("priors_cls, fields", [
+    (JumpPriors, {**_JUMP_PRIOR_FIELDS, "u": [], "dirichlet_rows": np.ones((0, 0))}),
+    (StablePriors, {**_STABLE_PRIOR_FIELDS, "dirichlet_rows": np.ones((0, 0))}),
+], ids=["JumpPriors", "StablePriors"])
+def test_priors_refuse_zero_states(priors_cls, fields):
+    # JumpPriors used to raise IndexError in its intensity-cap check, and
+    # StablePriors was accepted until the start state raised IndexError
+    with pytest.raises(ParameterError, match="at least one state"):
+        priors_cls(**fields)
+
+
+@pytest.mark.parametrize("update, case", [
+    (jump_model.sample_h_star_j, _jump_case),
+    (stable_model.sample_stable_h_star_j, _stable_case),
+], ids=["jump", "stable"])
+def test_h_star_index_outside_2_to_m_is_a_parameter_error(update, case):
+    data, priors, state = case()
+    m = priors.n_states
+    for j in (1, m + 1):
+        with pytest.raises(ParameterError, match=rf"h\* index must lie in 2\.\.{m}, got {j}"):
+            update(data, j, state.params, priors, np.random.default_rng(0),
+                   AdaptiveRw(0.4, "log_shift"))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
