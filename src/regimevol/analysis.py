@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_positive
 from .regime import validate_transition_matrix
 
 __all__ = [
@@ -76,11 +76,18 @@ class IndicatorSeries:
     alignment: tuple[float, float] | None = None
 
 
-def _filtered_matrix(filtered: np.ndarray) -> np.ndarray:
+def _filtered_matrix(filtered: np.ndarray, *estimates: np.ndarray) -> list[np.ndarray]:
+    """The (T, M) filtered matrix, then each per-state estimate as a float
+    vector; ParameterError unless each has M entries, finite and >= 0."""
     probs = np.asarray(filtered)
     if probs.ndim != 2:
         raise ParameterError("filtered probabilities must be a (T, M) matrix")
-    return probs
+    ests = [np.asarray(est, dtype=float) for est in estimates]
+    for est in ests:
+        if est.size != probs.shape[1] or not np.all((est >= 0.0) & (est < np.inf)):
+            raise ParameterError(f"per-state estimates must match the filtered matrix width "
+                                 f"{probs.shape[1]} and be finite and >= 0, got {est}")
+    return [probs, *ests]
 
 
 def indicator_jump(
@@ -92,11 +99,8 @@ def indicator_jump(
     """Jump-model indicator: sqrt of the filtered-probability mixture of
     sigma_j^2 + N_j (N_j + 1) / b^2, the per-state total variance including
     the expected jump contribution."""
-    probs = _filtered_matrix(filtered)
-    sigma_sq_hat = np.asarray(sigma_sq_hat, dtype=float)
-    n_hat = np.asarray(n_hat, dtype=float)
-    if sigma_sq_hat.size != probs.shape[1] or n_hat.size != probs.shape[1]:
-        raise ParameterError("per-state estimates must match the filtered matrix width")
+    check_positive("jump amplitude rate b", b)
+    probs, sigma_sq_hat, n_hat = _filtered_matrix(filtered, sigma_sq_hat, n_hat)
     state_var = sigma_sq_hat + n_hat * (n_hat + 1.0) / b**2
     return IndicatorSeries(values=np.sqrt(probs @ state_var), kind="jump")
 
@@ -108,22 +112,30 @@ def indicator_stable(
 ) -> IndicatorSeries:
     """Stable-model indicator: sqrt(lambda * filtered-mixture of gamma_j^2);
     invariant under rescalings that preserve lambda * gamma^2."""
-    probs = _filtered_matrix(filtered)
-    gamma_sq_hat = np.asarray(gamma_sq_hat, dtype=float)
-    if gamma_sq_hat.size != probs.shape[1]:
-        raise ParameterError("per-state estimates must match the filtered matrix width")
+    check_positive("lambda_hat", lambda_hat)
+    probs, gamma_sq_hat = _filtered_matrix(filtered, gamma_sq_hat)
     return IndicatorSeries(values=np.sqrt(lambda_hat * (probs @ gamma_sq_hat)), kind="stable")
+
+
+def _paired(indicator: IndicatorSeries, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indicator's values and the reference as a float array;
+    ParameterError unless they share a shape and both are finite."""
+    vals = indicator.values
+    ref = np.asarray(reference, dtype=float)
+    if ref.shape != vals.shape:
+        raise ParameterError(
+            f"indicator and reference lengths differ: {vals.shape} vs {ref.shape}"
+        )
+    bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(ref)))
+    if bad.size:
+        raise ParameterError(f"indicator and reference must be finite; index {bad[0]} is not")
+    return vals, ref
 
 
 def affine_align(indicator: IndicatorSeries, reference: np.ndarray) -> IndicatorSeries:
     """Least-squares fit of a * I_t + c to the reference; returns the
     transformed series with the fitted (a, c) recorded."""
-    ref = np.asarray(reference, dtype=float)
-    vals = indicator.values
-    if ref.shape != vals.shape:
-        raise ParameterError(
-            f"indicator and reference lengths differ: {vals.shape} vs {ref.shape}"
-        )
+    vals, ref = _paired(indicator, reference)
     var = float(np.var(vals))
     if var <= 0.0:
         raise NumericalError("indicator has zero variance; affine alignment is degenerate")
@@ -134,10 +146,5 @@ def affine_align(indicator: IndicatorSeries, reference: np.ndarray) -> Indicator
 
 def score(indicator: IndicatorSeries, reference: np.ndarray) -> float:
     """Sum of squared differences between the indicator and the reference."""
-    vals = indicator.values
-    ref = np.asarray(reference, dtype=float)
-    if ref.shape != vals.shape:
-        raise ParameterError(
-            f"indicator and reference lengths differ: {vals.shape} vs {ref.shape}"
-        )
+    vals, ref = _paired(indicator, reference)
     return float(np.sum((vals - ref) ** 2))

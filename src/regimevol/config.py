@@ -1,4 +1,5 @@
 """Run configuration: one JSON file, overridden by CLI flags (flags win).
+The file is read as UTF-8, and a leading byte-order mark is ignored.
 
 The seed is mandatory — every fit must be reproducible.  Hyperparameters the
 source material never pins (the u ladder, Dirichlet rows, inverse-Gamma rate)
@@ -132,11 +133,11 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     values: dict = {}
     if path is not None:
         try:
-            with Path(path).open() as handle:
+            with Path(path).open(encoding="utf-8-sig") as handle:
                 values = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} must hold a JSON object")

@@ -1,8 +1,9 @@
 """CSV ingestion and the dated-series containers.
 
 Input schemas: price files carry a ``date,price`` header, reference-index
-files ``date,value``, both with ISO-8601 dates, strictly increasing.  Parse
-and validation failures name the offending line.
+files ``date,value``, both with ISO-8601 dates, strictly increasing.  Every
+file is read as UTF-8 on every platform, and a leading byte-order mark is
+ignored.  Parse and validation failures name the offending line.
 """
 
 from __future__ import annotations
@@ -58,26 +59,27 @@ class ReturnSeries(DatedSeries):
 
 
 def _decoded_lines(handle, path: Path):
-    """The handle's lines.  Bytes its encoding cannot decode raise DataError
-    naming their line, counted in the raw file: the text layer decodes whole
-    chunks, so the line the reader has reached says nothing."""
+    """The handle's lines.  Bytes that are not UTF-8 raise DataError naming
+    their line, counted in the raw file: the text layer decodes whole chunks,
+    so the line the reader has reached says nothing.  The raw bytes are
+    decoded as plain UTF-8, which reads a byte-order mark as a character, so
+    the error offset counts the mark's bytes too."""
     try:
         yield from handle
     except UnicodeDecodeError:
         raw = path.read_bytes()
         try:
-            raw.decode(handle.encoding)
+            raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = raw.count(b"\n", 0, exc.start) + 1
-            reason = f"not {handle.encoding} text ({exc.reason})"
-            raise DataError(f"{path}: line {line}: {reason}") from None
+            raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
         raise
 
 
 def _read_dated_csv(path: str | Path, value_header: str) -> DatedSeries:
     path = Path(path)
     try:
-        handle = path.open(newline="")
+        handle = path.open(encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     dates: list[date] = []

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_positive
 
 __all__ = [
     "InvGammaParams",
@@ -68,11 +68,8 @@ class InvGammaParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
-            raise ParameterError(
-                "inverse-Gamma parameters must be finite and > 0, "
-                f"got shape={self.shape} rate={self.rate}"
-            )
+        check_positive("inverse-Gamma shape", self.shape)
+        check_positive("inverse-Gamma rate", self.rate)
 
 
 @dataclass
@@ -85,11 +82,8 @@ class FrechetParams:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
-            raise ParameterError(
-                "Frechet parameters must be finite and > 0, "
-                f"got shape={self.shape} scale={self.scale}"
-            )
+        check_positive("Frechet shape", self.shape)
+        check_positive("Frechet scale", self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +98,10 @@ def stable_sample(alpha: float, gamma: float, mu: float, rng: np.random.Generato
     of the uniform and no alpha = 1 branch: there the transform is
     gamma tan(u) + mu, a Cauchy draw.
     """
-    # each check is written so that NaN fails it
+    # written so that NaN fails it
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"stable alpha must be in (0, 2], got {alpha}")
-    if not gamma > 0:
-        raise ParameterError(f"stable scale must be > 0, got {gamma}")
+    check_positive("stable scale", gamma)
     u = np.pi * (rng.random(size) - 0.5)
     w = rng.exponential(1.0, size)
     s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
@@ -330,8 +323,8 @@ def _check_convolution_params(sigma: float, n_jumps: int, b: float) -> int:
     n = int(n_jumps)
     if n != n_jumps or n < 1:
         raise ParameterError(f"jump count must be an integer >= 1, got {n_jumps}")
-    if not sigma > 0 or not b > 0:
-        raise ParameterError(f"need sigma > 0 and b > 0, got sigma={sigma} b={b}")
+    check_positive("Gaussian scale sigma", sigma)
+    check_positive("jump amplitude rate b", b)
     if n > _MAX_BATCH_JUMPS:
         raise NumericalError(
             f"batch evaluator supports jump counts up to {_MAX_BATCH_JUMPS}, got {n}"

@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one positivity check.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError (and
-subclasses) -> 3, DataError -> 4.
+subclasses) -> 3, DataError -> 4.  ``check_positive`` is the one rule for a
+scalar that must be finite and > 0 (a scale, rate, shape, precision or
+floor); every module can import it without an import cycle.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "RegimevolError",
@@ -13,6 +17,7 @@ __all__ = [
     "DataError",
     "NumericalError",
     "FilterDegeneracyError",
+    "check_positive",
 ]
 
 
@@ -55,3 +60,9 @@ class NumericalError(RegimevolError, RuntimeError):
 
 class FilterDegeneracyError(NumericalError):
     """Every state had zero likelihood at some time step."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """ParameterError naming ``name`` unless 0 < ``value`` < inf; NaN fails too."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")

@@ -45,7 +45,7 @@ from .distributions import (
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -115,8 +115,7 @@ class JumpParams:
         # nonnegative and nondecreasing, so a finite last entry bounds them all
         if not (np.all(np.diff(self.theta, prepend=0.0) >= 0) and self.theta[-1] < math.inf):
             raise ParameterError(f"jump intensities must be finite, sorted, >= 0; got {self.theta}")
-        if not 0.0 < self.b < math.inf:
-            raise ParameterError(f"jump amplitude rate b must be finite and > 0, got {self.b}")
+        check_positive("jump amplitude rate b", self.b)
 
     @property
     def n_states(self) -> int:
@@ -166,9 +165,8 @@ class JumpPriors:
 
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)
-        # each check is written so that NaN fails it
-        if not 0.0 < self.k < math.inf:
-            raise ParameterError(f"mean-prior precision k must be finite and > 0, got {self.k}")
+        check_positive("mean-prior precision k", self.k)
+        # written so that NaN fails it
         if not (np.all((self.u > 0) & (self.u < math.inf)) and np.all(np.diff(self.u) > 0)):
             raise ParameterError(
                 f"intensity endpoints u must be finite, positive and increasing; got {self.u}"
@@ -343,10 +341,12 @@ def jump_count_weights(data_j: np.ndarray, j: int, params: JumpParams) -> np.nda
     var = float(params.sigma_sq[j - 1])
     mu = float(params.mu[j - 1])
     n_max = _poisson_n_max(theta)
+    # theta = 0 is a valid intensity: the prior is the point mass at N = 0
+    log_theta = math.log(theta) if theta > 0.0 else -math.inf
     log_pois = np.empty(n_max + 1)
     log_pois[0] = -theta
     for n in range(1, n_max + 1):
-        log_pois[n] = log_pois[n - 1] + (math.log(theta) - math.log(n))
+        log_pois[n] = log_pois[n - 1] + (log_theta - math.log(n))
     gauss = float(np.sum(gaussian_logpdf(data_j, mu, var)))
     n_top = min(n_max, int(params.n_jumps[j - 1]) + 4)
     while True:

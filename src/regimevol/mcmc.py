@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import (
     FrechetParams, InvGammaParams, frechet_logpdf, frechet_sample, inv_gamma_sample,
 )
-from .errors import ParameterError, RegimevolError
+from .errors import ParameterError, RegimevolError, check_positive
 
 __all__ = [
     "AdaptiveRw",
@@ -73,8 +73,7 @@ class AdaptiveRw:
     def __init__(self, scale: float = 0.5, transform: str = "identity") -> None:
         if transform not in _TRANSFORMS:
             raise ParameterError(f"unknown transform {transform!r}")
-        if not 0 < scale < math.inf:
-            raise ParameterError(f"step scale must be finite and > 0, got {scale}")
+        check_positive("step scale", scale)
         self.scale = scale
         self.transform = transform
         self._to_x, self._to_v = _TRANSFORMS[transform]
@@ -124,10 +123,8 @@ def normal_normal_update(
     The observations ``data`` are N(mu, var) with var known, and the prior is
     mu ~ N(0, 1/k); the posterior is N(n ybar/(n + k var), var/(n + k var)).
     """
-    if not (0 < var < math.inf and 0 < k < math.inf):
-        raise ParameterError(
-            f"variance and prior precision k must be finite and > 0, got {var}, {k}"
-        )
+    check_positive("variance", var)
+    check_positive("prior precision k", k)
     n = data.size
     ybar = float(data.mean()) if n else 0.0
     return n * ybar / (n + k * var) + math.sqrt(var / (n + k * var)) * rng.normal()
@@ -200,8 +197,7 @@ def check_scale_ladder(mu: np.ndarray, base_name: str, base: float, h_star: np.n
         raise ParameterError(f"need {m - 1} variance multipliers for {m} states")
     if not np.all(np.isfinite(mu)):
         raise ParameterError(f"state means must be finite, got {mu}")
-    if not 0.0 < base < math.inf:
-        raise ParameterError(f"{base_name} must be finite and > 0, got {base}")
+    check_positive(base_name, base)
     if not np.all((h_star > 1.0) & (h_star < math.inf)):
         raise ParameterError(f"every multiplier h* must be finite and exceed 1, got {h_star}")
 

@@ -25,7 +25,7 @@ from .distributions import (
     gaussian_logpdf,
     positive_stable_logpdf,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -76,8 +76,7 @@ class StableModelParams:
         self.mu = np.asarray(self.mu, dtype=float)
         self.h_star = np.asarray(self.h_star, dtype=float)
         check_scale_ladder(self.mu, "gamma1_sq", self.gamma1_sq, self.h_star)
-        if not 0.0 < self.lam < math.inf:
-            raise ParameterError(f"mixing variable lambda must be finite and > 0, got {self.lam}")
+        check_positive("mixing variable lambda", self.lam)
         if not 1.0 < self.alpha < 2.0:
             raise ParameterError(f"stability index must lie in (1, 2), got {self.alpha}")
 
@@ -110,11 +109,8 @@ class StablePriors:
     lambda_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        # each check is written so that NaN fails it
-        if not (0.0 < self.k < math.inf and 0.0 < self.lambda_floor < math.inf):
-            raise ParameterError(
-                f"k and lambda_floor must be finite and > 0, got {self.k} and {self.lambda_floor}"
-            )
+        check_positive("mean-prior precision k", self.k)
+        check_positive("lambda_floor", self.lambda_floor)
         self.dirichlet_rows = check_dirichlet_rows(self.dirichlet_rows)
 
     @property

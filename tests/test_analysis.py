@@ -103,8 +103,41 @@ def test_indicators_reject_mismatched_shapes():
         indicator_stable(probs[:, 0], 1.0, np.ones(1))
 
 
+def test_indicator_jump_refuses_a_zero_amplitude_rate():
+    # b = 0 divided by zero in the jump variance
+    with pytest.raises(ParameterError, match=r"^jump amplitude rate b must be finite and > 0, got 0"):
+        indicator_jump(_filtered(), np.ones(3), np.zeros(3), 0.0)
+
+
+def test_indicator_stable_refuses_a_negative_lambda():
+    # lambda_hat = -1 took the square root of a negative variance
+    with pytest.raises(ParameterError, match=r"^lambda_hat must be finite and > 0, got -1"):
+        indicator_stable(_filtered(), -1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+def test_indicators_refuse_non_finite_or_negative_estimates(bad):
+    probs = _filtered()
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        indicator_jump(probs, [0.01, bad, 0.09], np.zeros(3), 40.0)
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        indicator_jump(probs, np.ones(3), [0.0, 1.0, bad], 40.0)
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        indicator_stable(probs, 1.0, [bad, 1.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # alignment and score
+
+
+@pytest.mark.parametrize("compare", [affine_align, score], ids=["affine_align", "score"])
+def test_alignment_and_score_refuse_a_non_finite_value(compare):
+    # a NaN in the reference gave an all-NaN series and a NaN score
+    ind = IndicatorSeries(np.array([1.0, 2.0, 4.0]), "jump")
+    with pytest.raises(ParameterError, match="must be finite; index 1 is not"):
+        compare(ind, np.array([1.0, np.nan, 3.0]))
+    with pytest.raises(ParameterError, match="must be finite; index 2 is not"):
+        compare(IndicatorSeries(np.array([1.0, 2.0, np.inf]), "jump"), np.ones(3))
 
 
 def test_affine_align_recovers_known_map():

@@ -79,3 +79,13 @@ def test_jump_intensities_past_the_count_cap_are_config_errors(values):
         load_config(model="jump", seed=1, **values)
     load_config(model="stable", seed=1, **values)  # the stable model has no intensities
     load_config(model="jump", seed=1, states=9)
+
+
+def test_config_file_is_utf8_with_an_optional_byte_order_mark(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"model": "stable", "seed": 4}).encode())
+    assert load_config(path).seed == 4
+    # a byte that is not UTF-8 was a bare UnicodeDecodeError
+    path.write_bytes(b'{"model": "stable", "seed": 4, "data": "\xff.csv"}')
+    with pytest.raises(ConfigError, match=r"is not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        load_config(path)

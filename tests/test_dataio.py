@@ -59,16 +59,25 @@ def test_undecodable_bytes_are_a_data_error_naming_the_line(tmp_path, good_rows)
     path.write_bytes(b"date,price\n" + rows.encode() + b"2030-01-01,1\xff\n")
     with pytest.raises(DataError) as info:
         load_prices_csv(path)
-    message = str(info.value)
-    assert message.startswith(f"{path}: line {good_rows + 2}: ")
-    with path.open() as handle:
-        encoding = handle.encoding
-    try:
-        b"\xff".decode(encoding)
-    except UnicodeDecodeError:
-        assert f"not {encoding} text" in message
-    else:  # a locale encoding that decodes every byte reads a bad number instead
-        assert "non-numeric price" in message
+    assert str(info.value) == f"{path}: line {good_rows + 2}: not UTF-8 text (invalid start byte)"
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,price\n2020-01-01,100\n2020-01-02,110\n")
+    prices = load_prices_csv(path)
+    assert prices.dates == [date(2020, 1, 1), date(2020, 1, 2)]
+    np.testing.assert_array_equal(prices.values, [100.0, 110.0])
+
+
+def test_undecodable_byte_after_a_byte_order_mark_names_its_line(tmp_path):
+    # the bad byte opens line 3: an offset counted from after the mark's three
+    # bytes would stop short of the newline before it and name line 2
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,price\n2020-01-01,100\n\xff2020-01-02,110\n")
+    with pytest.raises(DataError) as info:
+        load_prices_csv(path)
+    assert str(info.value) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
 
 
 def test_reference_csv_uses_value_header(tmp_path):

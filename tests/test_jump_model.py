@@ -27,7 +27,7 @@ from regimevol.jump_model import (
     sample_sigma1_sq,
     sample_theta_j,
 )
-from regimevol.mcmc import AdaptiveRw, inv_gamma_normal_update, run_chain
+from regimevol.mcmc import AdaptiveRw, ModelState, inv_gamma_normal_update, run_chain
 from regimevol.regime import default_dirichlet_rows
 
 from oracles import grid_posterior, jump_convolved_pdf
@@ -429,6 +429,26 @@ def test_n_jump_weights_normalized():
     w = jump_count_weights(data, 1, p)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0)
+
+
+def test_n_jump_weights_at_zero_intensity_are_the_point_mass_at_zero():
+    # theta = 0 is a valid intensity; log(theta) was a math domain error
+    data = np.random.default_rng(18).normal(0.0, 1.0, 30)
+    w = jump_count_weights(data, 1, _params([0.0], [1.0], [0.0], [0]))
+    np.testing.assert_array_equal(w, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_chain_starts_from_zero_intensities():
+    # the benchmark's true parameters put theta = 0 in its calm states
+    true = _params([0.0, 0.0], [1e-4, 4e-4], [0.0, 1.5], [0, 0], b=40.0)
+    transition = np.array([[0.95, 0.05], [0.1, 0.9]])
+    ds = simulate_jump_model(true, transition, None, 200, np.random.default_rng(19))
+    priors = _priors(2, u=[0.5, 4.0])
+    sampler = JumpGibbsSampler(ds.observations, priors, adapt_iters=2)
+    start = ModelState(path=ds.true_path, transition=transition, params=true)
+    chain = run_chain(sampler.sweep, start, n_iter=5, burn_in=2, rng=np.random.default_rng(20))
+    assert len(chain.draws) == 3
+    assert all(0.0 < d.params.theta[0] <= 0.5 < d.params.theta[1] <= 4.0 for d in chain.draws)
 
 
 @pytest.mark.parametrize("theta", [0.3, 60.0])
