@@ -98,10 +98,14 @@ def indicator_jump(
 ) -> IndicatorSeries:
     """Jump-model indicator: sqrt of the filtered-probability mixture of
     sigma_j^2 + N_j (N_j + 1) / b^2, the per-state total variance including
-    the expected jump contribution."""
+    the expected jump contribution.  ParameterError naming b when a state's
+    variance overflows."""
     check_positive("jump amplitude rate b", b)
     probs, sigma_sq_hat, n_hat = _filtered_matrix(filtered, sigma_sq_hat, n_hat)
-    state_var = sigma_sq_hat + n_hat * (n_hat + 1.0) / b**2
+    with np.errstate(over="ignore"):
+        state_var = sigma_sq_hat + n_hat * (n_hat + 1.0) / b / b
+    if not np.all(np.isfinite(state_var)):
+        raise ParameterError(f"jump amplitude rate b = {b} makes a state variance overflow")
     return IndicatorSeries(values=np.sqrt(probs @ state_var), kind="jump")
 
 

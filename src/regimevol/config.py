@@ -6,6 +6,17 @@ source material never pins (the u ladder, Dirichlet rows, inverse-Gamma rate)
 have documented defaults here; the inverse-Gamma rate defaults to a
 data-scale-aware value at fit time so the prior is weakly informative on any
 return scale.
+
+Most fields feed both models.  ``b``, ``u`` and ``fix_mean_zero`` are read by
+the jump model only, ``alpha`` and ``lambda_floor`` by the stable model only,
+and ``dirichlet_diag`` only when there are at least 3 states (the rows of
+states 1 and 2 are uniform).  ``fix_mean_zero`` left unset takes the model's
+own default: pinned means for the jump model, free means for the stable
+model, which has no pinned-mean path and so refuses an explicit true.
+
+This module states no domain rule of its own: ``validate`` checks each
+field's type here, then hands every value to the check the package applies
+where the value is used, and reports that check's message as a ConfigError.
 """
 
 from __future__ import annotations
@@ -18,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import FrechetParams, InvGammaParams
-from .errors import ConfigError, DataError, ParameterError
-from .jump_model import JumpPriors, check_u_cap, default_u_ladder
+from .distributions import FrechetParams, InvGammaParams, check_alpha
+from .errors import ConfigError, DataError, ParameterError, check_positive
+from .jump_model import JumpPriors, check_u_cap, check_u_ladder, default_u_ladder
 from .regime import default_dirichlet_rows
 from .stable_model import StablePriors
 
@@ -32,6 +43,9 @@ __all__ = [
 ]
 
 _MODELS = ("jump", "stable")
+# the fields that must be finite and > 0; sigma_rate only when given
+_POSITIVE = ("b", "k", "sigma_shape", "sigma_rate", "frechet_shape", "frechet_scale",
+             "dirichlet_diag", "lambda_floor", "step_scale")
 
 
 def _is_real(value) -> bool:
@@ -72,7 +86,7 @@ class RunConfig:
     u: list[float] | None = None  # None -> 0.5, 1, 2, 4, ...
     dirichlet_diag: float = 8.0
     lambda_floor: float = 1e-6
-    fix_mean_zero: bool = True
+    fix_mean_zero: bool | None = None  # None -> the model's own default
     step_scale: float = 0.4
     data: str | None = None
     reference: str | None = None
@@ -97,30 +111,22 @@ class RunConfig:
         if self.states < 1:
             raise ConfigError(f"need at least one state, got {self.states}")
         if not 0 <= self.burnin < self.iters:
-            raise ConfigError(
-                f"need 0 <= burnin < iters, got burnin={self.burnin} iters={self.iters}"
-            )
-        if not self.b > 0:
-            raise ConfigError(f"jump amplitude rate b must be > 0, got {self.b}")
-        if not 1.0 < self.alpha < 2.0:
-            raise ConfigError(f"alpha must lie in (1, 2), got {self.alpha}")
-        for name in ("k", "sigma_shape", "frechet_shape", "frechet_scale",
-                     "dirichlet_diag", "lambda_floor", "step_scale"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.sigma_rate is not None and not self.sigma_rate > 0:
-            raise ConfigError(f"sigma_rate must be > 0, got {self.sigma_rate}")
-        if self.u is not None:
-            u = np.asarray(self.u, dtype=float)
-            if u.size != self.states or np.any(u <= 0) or np.any(np.diff(u) <= 0):
-                raise ConfigError(
-                    "u must be a strictly increasing positive vector with one entry per state"
-                )
-        if self.model == "jump":
-            try:
-                check_u_cap(default_u_ladder(self.states) if self.u is None else u)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"need 0 <= burnin < iters, got burnin={self.burnin} "
+                              f"iters={self.iters}")
+        if self.u is not None and len(self.u) != self.states:
+            raise ConfigError(f"u must have one entry per state ({self.states}), got {self.u}")
+        if self.model == "stable" and self.fix_mean_zero:
+            raise ConfigError("fix_mean_zero pins jump-model means; stable means are free")
+        try:
+            for name in _POSITIVE:
+                if getattr(self, name) is not None:
+                    check_positive(name, getattr(self, name))
+            check_alpha(self.alpha)
+            u = check_u_ladder(_u_ladder(self))
+            if self.model == "jump":
+                check_u_cap(u)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
@@ -171,15 +177,19 @@ def _sigma_rate(cfg: RunConfig, data: np.ndarray) -> float:
     return max((cfg.sigma_shape - 1.0), 0.5) * var / 4.0
 
 
+def _u_ladder(cfg: RunConfig) -> np.ndarray | list[float]:
+    """The intensity endpoints: ``cfg.u`` when given, else the default ladder."""
+    return default_u_ladder(cfg.states) if cfg.u is None else cfg.u
+
+
 def build_jump_priors(cfg: RunConfig, data: np.ndarray) -> JumpPriors:
-    u = np.asarray(cfg.u, dtype=float) if cfg.u is not None else default_u_ladder(cfg.states)
     return JumpPriors(
         k=cfg.k,
         sigma_prior=InvGammaParams(cfg.sigma_shape, _sigma_rate(cfg, data)),
         frechet=FrechetParams(cfg.frechet_shape, cfg.frechet_scale),
-        u=u,
+        u=_u_ladder(cfg),
         dirichlet_rows=default_dirichlet_rows(cfg.states, cfg.dirichlet_diag),
-        fix_mean_zero=cfg.fix_mean_zero,
+        fix_mean_zero=cfg.fix_mean_zero is not False,  # unset -> pinned
     )
 
 

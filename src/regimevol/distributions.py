@@ -47,6 +47,7 @@ __all__ = [
     "InvGammaParams",
     "FrechetParams",
     "stable_sample",
+    "check_alpha",
     "positive_stable_sample",
     "positive_stable_logpdf",
     "inv_gamma_sample",
@@ -109,10 +110,12 @@ def stable_sample(alpha: float, gamma: float, mu: float, rng: np.random.Generato
     return gamma * s * t + mu
 
 
-def _check_mixing_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """ParameterError unless the stability index lies in (1, 2), the one
+    rule for alpha; returns alpha / 2, the index of the positive stable mixer."""
     if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"mixing-variable alpha must lie in (1, 2), got {alpha}")
-    return alpha / 2.0  # index of the positive stable branch
+        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    return alpha / 2.0
 
 
 def positive_stable_sample(alpha: float, rng: np.random.Generator, size=None):
@@ -124,7 +127,7 @@ def positive_stable_sample(alpha: float, rng: np.random.Generator, size=None):
     scale is exactly twice the unit law, so the draw is 2 * X_unit.  Strictly
     positive by construction, independent of the CMS path used elsewhere.
     """
-    a = _check_mixing_alpha(alpha)
+    a = check_alpha(alpha)
     u = rng.uniform(0.0, np.pi, size)
     w = rng.exponential(1.0, size)
     zol = (np.sin(a * u) / np.sin(u)) ** (a / (1 - a)) * np.sin((1 - a) * u) / np.sin(u)
@@ -155,7 +158,7 @@ def positive_stable_logpdf(x, alpha: float):
     [1e-6, 1e6], its log is within 2e-12 * max(1, |log density|) of a
     30-digit reference, so it stays finite where the integral underflows.
     """
-    a = _check_mixing_alpha(alpha)
+    a = check_alpha(alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
     for i, xi in enumerate(xs.ravel()):

@@ -77,6 +77,7 @@ __all__ = [
     "JumpGibbsSampler",
     "initial_jump_state",
     "default_u_ladder",
+    "check_u_ladder",
     "check_u_cap",
 ]
 
@@ -164,13 +165,8 @@ class JumpPriors:
     fix_mean_zero: bool = True
 
     def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=float)
+        self.u = check_u_ladder(self.u)
         check_positive("mean-prior precision k", self.k)
-        # written so that NaN fails it
-        if not (np.all((self.u > 0) & (self.u < math.inf)) and np.all(np.diff(self.u) > 0)):
-            raise ParameterError(
-                f"intensity endpoints u must be finite, positive and increasing; got {self.u}"
-            )
         self.dirichlet_rows = check_dirichlet_rows(self.dirichlet_rows, self.u.size)
         check_u_cap(self.u)
 
@@ -291,6 +287,15 @@ def _largest_theta() -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _poisson_n_max(mid) <= _MAX_BATCH_JUMPS else (lo, mid)
     return lo
+
+
+def check_u_ladder(u) -> np.ndarray:
+    """The intensity endpoints as a float array; ParameterError unless they
+    are finite, > 0 and strictly increasing (written so that NaN fails)."""
+    u = np.asarray(u, dtype=float)
+    if not (np.all((u > 0) & (u < math.inf)) and np.all(np.diff(u) > 0)):
+        raise ParameterError(f"intensity endpoints u must be finite, > 0 and increasing; got {u}")
+    return u
 
 
 def check_u_cap(u: np.ndarray) -> None:

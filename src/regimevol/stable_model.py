@@ -22,10 +22,11 @@ import numpy as np
 from .distributions import (
     FrechetParams,
     InvGammaParams,
+    check_alpha,
     gaussian_logpdf,
     positive_stable_logpdf,
 )
-from .errors import ParameterError, check_positive
+from .errors import check_positive
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -77,8 +78,7 @@ class StableModelParams:
         self.h_star = np.asarray(self.h_star, dtype=float)
         check_scale_ladder(self.mu, "gamma1_sq", self.gamma1_sq, self.h_star)
         check_positive("mixing variable lambda", self.lam)
-        if not 1.0 < self.alpha < 2.0:
-            raise ParameterError(f"stability index must lie in (1, 2), got {self.alpha}")
+        check_alpha(self.alpha)
 
     @property
     def n_states(self) -> int:
@@ -253,10 +253,10 @@ def initial_stable_state(
     data: np.ndarray, priors: StablePriors, alpha: float = 1.7, diag: float = 0.8
 ) -> ModelState:
     """Deterministic starting point: the shared quantile start (path, gamma1^2,
-    multipliers, transition matrix); state means at zero and lambda at 1."""
+    multipliers, transition matrix); state means at zero and lambda at 1, or at
+    the prior's floor when that is higher (the walk rejects every value below it)."""
     m = priors.n_states
     path, gamma1_sq, h_star, transition = quantile_start(data, m, diag)
-    params = StableModelParams(
-        mu=np.zeros(m), gamma1_sq=gamma1_sq, h_star=h_star, lam=1.0, alpha=alpha
-    )
+    params = StableModelParams(mu=np.zeros(m), gamma1_sq=gamma1_sq, h_star=h_star,
+                               lam=max(1.0, priors.lambda_floor), alpha=alpha)
     return ModelState(path=path, transition=transition, params=params)

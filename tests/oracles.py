@@ -18,7 +18,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from regimevol.distributions import _check_convolution_params, _check_mixing_alpha
+from regimevol.distributions import _check_convolution_params, check_alpha
 from regimevol.errors import NumericalError, ParameterError
 from regimevol.regime import validate_transition_matrix
 
@@ -88,7 +88,7 @@ def positive_stable_logpdf_quad(x: float, alpha: float) -> float | None:
     of pi, where this quadrature cannot be trusted, and when the log of the
     peak is below -1e15.
     """
-    a = _check_mixing_alpha(alpha)
+    a = check_alpha(alpha)
     z = x / 2.0
     log_t = -a / (1.0 - a) * math.log(z)
 

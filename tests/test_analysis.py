@@ -109,6 +109,18 @@ def test_indicator_jump_refuses_a_zero_amplitude_rate():
         indicator_jump(_filtered(), np.ones(3), np.zeros(3), 0.0)
 
 
+def test_indicator_jump_divides_by_b_twice_and_names_b_when_a_variance_overflows():
+    probs = _filtered()
+    n_hat = np.array([0.0, 1.0, 2.0])
+    # b**2 was a bare OverflowError as a Python float; the jump terms now underflow
+    big = indicator_jump(probs, np.ones(3), n_hat, 1e200)
+    np.testing.assert_allclose(big.values, 1.0, rtol=1e-14)
+    # N_j (N_j + 1) / b / b is about 6e400 here, past what a double holds
+    with pytest.raises(ParameterError, match=r"^jump amplitude rate b = 1e-200 makes a state "
+                                             r"variance overflow"):
+        indicator_jump(probs, np.ones(3), n_hat, 1e-200)
+
+
 def test_indicator_stable_refuses_a_negative_lambda():
     # lambda_hat = -1 took the square root of a negative variance
     with pytest.raises(ParameterError, match=r"^lambda_hat must be finite and > 0, got -1"):

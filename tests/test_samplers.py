@@ -4,6 +4,7 @@ parameter and data validation, and stage tagging of sweep failures."""
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,8 +267,13 @@ def test_the_engine_adapts_the_walks_during_burn_in_only(sampler_cls, case, seed
 # stable sampler over many sweeps
 
 
-def test_stable_sweep_preserves_invariants():
+@pytest.mark.parametrize("lambda_floor", [None, 2.0], ids=["default-floor", "floor-above-1"])
+def test_stable_sweep_preserves_invariants(lambda_floor):
     data, priors, state = _stable_case()
+    if lambda_floor is not None:
+        # a chain that started at lambda = 1 below this floor never moved
+        priors = replace(priors, lambda_floor=lambda_floor)
+        state = initial_stable_state(data, priors, alpha=1.7)
     sampler = StableGibbsSampler(data, priors, adapt_iters=100)
     rng = np.random.default_rng(203)
     for _ in range(400):
@@ -280,6 +286,8 @@ def test_stable_sweep_preserves_invariants():
         np.testing.assert_allclose(state.transition.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(state.transition >= 0)
         assert state.path.min() >= 1 and state.path.max() <= 3
+    accepted, attempts = sampler.acceptance()["lambda"]
+    assert 0 < accepted < attempts
     probs = sampler.mean_filtered_probs
     assert probs.shape == (data.size, 3)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
