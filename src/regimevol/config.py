@@ -1,5 +1,7 @@
 """Run configuration: one JSON file, overridden by CLI flags (flags win).
-The file is read as UTF-8, and a leading byte-order mark is ignored.
+The file is read by ``dataio.read_text``, as the data files are: as UTF-8,
+with a leading byte-order mark ignored, and a byte that is not UTF-8 named
+by its line.
 
 The seed is mandatory — every fit must be reproducible.  Hyperparameters the
 source material never pins (the u ladder, Dirichlet rows, inverse-Gamma rate)
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import read_text
 from .distributions import FrechetParams, InvGammaParams, check_alpha
 from .errors import ConfigError, DataError, ParameterError, check_positive
 from .jump_model import JumpPriors, check_u_cap, check_u_ladder, default_u_ladder
@@ -139,11 +142,8 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     values: dict = {}
     if path is not None:
         try:
-            with Path(path).open(encoding="utf-8-sig") as handle:
-                values = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            values = json.loads(read_text(Path(path), ConfigError))
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} must hold a JSON object")

@@ -1,14 +1,16 @@
 """CSV ingestion and the dated-series containers.
 
 Input schemas: price files carry a ``date,price`` header, reference-index
-files ``date,value``, both with ISO-8601 dates, strictly increasing.  Every
-file is read as UTF-8 on every platform, and a leading byte-order mark is
-ignored.  Parse and validation failures name the offending line.
+files ``date,value``, both with ``YYYY-MM-DD`` dates, strictly increasing.
+Every input file, the run configuration too, is read whole by ``read_text``:
+as UTF-8 on every platform, with a leading byte-order mark ignored.  Parse
+and validation failures name the offending line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -16,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, RegimevolError
 
 __all__ = [
     "DatedSeries",
-    "ReturnSeries",
+    "read_text",
     "load_prices_csv",
     "load_reference_csv",
     "log_returns",
@@ -30,7 +32,7 @@ __all__ = [
 
 @dataclass
 class DatedSeries:
-    """Values indexed by strictly increasing dates (prices, index levels)."""
+    """Values indexed by strictly increasing dates (prices, index levels, returns)."""
 
     dates: list[date]
     values: np.ndarray
@@ -48,79 +50,68 @@ class DatedSeries:
         return self.values.size
 
 
-@dataclass
-class ReturnSeries(DatedSeries):
-    """Log returns with provenance; fitting requires at least two finite values."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("return series contains non-finite values")
-
-
-def _decoded_lines(handle, path: Path):
-    """The handle's lines.  Bytes that are not UTF-8 raise DataError naming
-    their line, counted in the raw file: the text layer decodes whole chunks,
-    so the line the reader has reached says nothing.  The raw bytes are
-    decoded as plain UTF-8, which reads a byte-order mark as a character, so
-    the error offset counts the mark's bytes too."""
+def read_text(path: Path, error: type[RegimevolError] = DataError) -> str:
+    """The whole file at ``path`` as text; a failure raises ``error``, the
+    caller's documented class.  The bytes are decoded as plain UTF-8, which
+    reads a byte-order mark as a character, so an undecodable byte's line is
+    counted in the raw file, the mark's bytes included."""
     try:
-        yield from handle
-    except UnicodeDecodeError:
         raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-        raise
+    except OSError as exc:
+        raise error(f"cannot open {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _read_dated_csv(path: str | Path, value_header: str) -> DatedSeries:
     path = Path(path)
-    try:
-        handle = path.open(encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     dates: list[date] = []
     values: list[float] = []
-    with handle:
-        reader = csv.reader(_decoded_lines(handle, path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    expected = ["date", value_header]
+    if [h.strip().lower() for h in header] != expected:
+        raise DataError(
+            f"{path}: line 1: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # tolerate trailing blank lines
+        if len(row) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        text = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        expected = ["date", value_header]
-        if [h.strip().lower() for h in header] != expected:
+            # YYYY-MM-DD only: Python 3.11's fromisoformat also reads compact
+            # and week dates, which 3.10 refuses
+            if len(text) != 10 or text[4] != "-" or text[7] != "-":
+                raise ValueError(text)
+            d = date.fromisoformat(text)
+        except ValueError:
             raise DataError(
-                f"{path}: line 1: expected header {','.join(expected)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate trailing blank lines
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: invalid ISO date {row[0]!r}"
-                ) from None
-            try:
-                v = float(row[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric {value_header} {row[1]!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise DataError(f"{path}: line {lineno}: non-finite {value_header}")
-            if dates:
-                if d == dates[-1]:
-                    raise DataError(f"{path}: line {lineno}: duplicated date {d}")
-                if d < dates[-1]:
-                    raise DataError(f"{path}: line {lineno}: dates out of order at {d}")
-            dates.append(d)
-            values.append(v)
+                f"{path}: line {lineno}: invalid ISO date {row[0]!r}"
+            ) from None
+        try:
+            v = float(row[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: non-numeric {value_header} {row[1]!r}"
+            ) from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}: line {lineno}: non-finite {value_header}")
+        if dates:
+            if d == dates[-1]:
+                raise DataError(f"{path}: line {lineno}: duplicated date {d}")
+            if d < dates[-1]:
+                raise DataError(f"{path}: line {lineno}: dates out of order at {d}")
+        dates.append(d)
+        values.append(v)
     if not dates:
         raise DataError(f"{path}: no data rows")
     return DatedSeries(dates=dates, values=np.array(values), source=str(path))
@@ -136,20 +127,16 @@ def load_reference_csv(path: str | Path) -> DatedSeries:
     return _read_dated_csv(path, "value")
 
 
-def log_returns(prices: DatedSeries) -> ReturnSeries:
-    """y_t = ln(p_t / p_{t-1}); output is one shorter than the input."""
+def log_returns(prices: DatedSeries) -> DatedSeries:
+    """y_t = ln(p_t / p_{t-1}); output is one shorter than the input.  Every
+    price must be finite and > 0, so every return is finite."""
     if len(prices) < 2:
         raise DataError("need at least two prices to form returns")
-    if np.any(prices.values <= 0):
-        bad = int(np.nonzero(prices.values <= 0)[0][0])
-        raise DataError(
-            f"nonpositive price {prices.values[bad]} at {prices.dates[bad]}"
-        )
-    return ReturnSeries(
-        dates=prices.dates[1:],
-        values=np.diff(np.log(prices.values)),
-        source=prices.source,
-    )
+    v = prices.values
+    bad = np.flatnonzero(~((v > 0) & (v < np.inf)))
+    if bad.size:
+        raise DataError(f"price must be finite and > 0, got {v[bad[0]]} at {prices.dates[bad[0]]}")
+    return DatedSeries(dates=prices.dates[1:], values=np.diff(np.log(v)), source=prices.source)
 
 
 def align_series(

@@ -147,7 +147,13 @@ def test_config_file_is_utf8_with_an_optional_byte_order_mark(tmp_path):
     path = tmp_path / "config.json"
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"model": "stable", "seed": 4}).encode())
     assert load_config(path).seed == 4
-    # a byte that is not UTF-8 was a bare UnicodeDecodeError
-    path.write_bytes(b'{"model": "stable", "seed": 4, "data": "\xff.csv"}')
-    with pytest.raises(ConfigError, match=r"is not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+    # a byte that is not UTF-8 is named by its line, as in a data file
+    path.write_bytes(b'{"model": "stable",\n "seed": 4,\n "data": "\xff.csv"}\n')
+    with pytest.raises(ConfigError) as info:
         load_config(path)
+    assert str(info.value) == f"{path}: line 3: not UTF-8 text (invalid start byte)"
+
+
+def test_missing_config_file_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot open .*absent.json"):
+        load_config(tmp_path / "absent.json")

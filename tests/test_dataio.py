@@ -1,8 +1,11 @@
+import ast
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regimevol
 from regimevol import (
     DataError,
     DatedSeries,
@@ -35,6 +38,10 @@ def test_load_prices_and_log_returns(tmp_path):
         ("date,close\n2020-01-01,1\n", "line 1: expected header 'date,price'"),
         ("date,price\n2020-01-01,1\n2020-01-02,2,3\n", "line 3: expected 2 fields, got 3"),
         ("date,price\n2020-13-01,1\n", "line 2: invalid ISO date '2020-13-01'"),
+        # compact and week dates: Python 3.11's date.fromisoformat reads them
+        # and 3.10 refuses them, so one file would load on one version only
+        ("date,price\n20200101,1\n", "line 2: invalid ISO date '20200101'"),
+        ("date,price\n2020-W01-1,1\n", "line 2: invalid ISO date '2020-W01-1'"),
         ("date,price\n2020-01-01,1\n2020-01-02,abc\n", "line 3: non-numeric price 'abc'"),
         ("date,price\n2020-01-01,inf\n", "line 2: non-finite price"),
         ("date,price\n2020-01-01,1\n2020-01-01,2\n", "line 3: duplicated date 2020-01-01"),
@@ -91,10 +98,12 @@ def test_missing_file_is_data_error(tmp_path):
         load_prices_csv(tmp_path / "absent.csv")
 
 
-def test_log_returns_rejects_nonpositive_price():
-    prices = DatedSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, 0.0]))
-    with pytest.raises(DataError, match="nonpositive price 0.0 at 2020-01-02"):
+@pytest.mark.parametrize("price", [0.0, np.nan, np.inf, -np.inf])
+def test_log_returns_rejects_nonpositive_price(price):
+    prices = DatedSeries([date(2020, 1, 1), date(2020, 1, 2)], np.array([1.0, price]))
+    with pytest.raises(DataError) as info:
         log_returns(prices)
+    assert str(info.value) == f"price must be finite and > 0, got {price} at 2020-01-02"
 
 
 def test_align_series_inner_join():
@@ -108,3 +117,24 @@ def test_align_series_inner_join():
     assert dropped == 2
     with pytest.raises(DataError, match="share no dates"):
         align_series(DatedSeries(days[:1], [1.0]), DatedSeries(days[1:2], [1.0]))
+
+
+def test_files_are_read_by_read_text_only():
+    # one decoding rule for every input file: no other code in the package
+    # opens or reads a file itself
+    package = Path(regimevol.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(inner) for node in tree.body if path.name == "dataio.py"
+                   and isinstance(node, ast.FunctionDef) and node.name == "read_text"
+                   for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == "open")
+                    or (isinstance(func, ast.Attribute)
+                        and func.attr in ("open", "read_bytes", "read_text"))):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"files read outside dataio.read_text: {calls}"
