@@ -9,8 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_positive
-from .regime import validate_transition_matrix
+from .errors import NumericalError, ParameterError, check_entries, check_positive
+from .regime import check_probability_rows, validate_transition_matrix
 
 __all__ = [
     "DurationReport",
@@ -78,15 +78,19 @@ class IndicatorSeries:
 
 def _filtered_matrix(filtered: np.ndarray, *estimates: np.ndarray) -> list[np.ndarray]:
     """The (T, M) filtered matrix, then each per-state estimate as a float
-    vector; ParameterError unless each has M entries, finite and >= 0."""
+    vector; ParameterError unless every row of the matrix is >= 0 and sums to
+    1, and each estimate has M entries, finite and >= 0."""
     probs = np.asarray(filtered)
     if probs.ndim != 2:
         raise ParameterError("filtered probabilities must be a (T, M) matrix")
+    check_probability_rows(probs, "filtered-probability")
     ests = [np.asarray(est, dtype=float) for est in estimates]
     for est in ests:
-        if est.size != probs.shape[1] or not np.all((est >= 0.0) & (est < np.inf)):
+        if est.size != probs.shape[1]:
             raise ParameterError(f"per-state estimates must match the filtered matrix width "
-                                 f"{probs.shape[1]} and be finite and >= 0, got {est}")
+                                 f"{probs.shape[1]}, got {est}")
+        check_entries((est >= 0.0) & (est < np.inf), "per-state estimates must be finite and >= 0",
+                      est)
     return [probs, *ests]
 
 
@@ -104,8 +108,8 @@ def indicator_jump(
     probs, sigma_sq_hat, n_hat = _filtered_matrix(filtered, sigma_sq_hat, n_hat)
     with np.errstate(over="ignore"):
         state_var = sigma_sq_hat + n_hat * (n_hat + 1.0) / b / b
-    if not np.all(np.isfinite(state_var)):
-        raise ParameterError(f"jump amplitude rate b = {b} makes a state variance overflow")
+    check_entries(np.isfinite(state_var),
+                  f"jump amplitude rate b = {b} makes a state variance overflow", state_var)
     return IndicatorSeries(values=np.sqrt(probs @ state_var), kind="jump")
 
 
@@ -123,16 +127,16 @@ def indicator_stable(
 
 def _paired(indicator: IndicatorSeries, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indicator's values and the reference as a float array;
-    ParameterError unless they share a shape and both are finite."""
+    ParameterError unless they share a shape and both are finite, naming
+    the first pair that is not."""
     vals = indicator.values
     ref = np.asarray(reference, dtype=float)
     if ref.shape != vals.shape:
         raise ParameterError(
             f"indicator and reference lengths differ: {vals.shape} vs {ref.shape}"
         )
-    bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(ref)))
-    if bad.size:
-        raise ParameterError(f"indicator and reference must be finite; index {bad[0]} is not")
+    pairs = np.column_stack((vals, ref))
+    check_entries(np.isfinite(pairs), "indicator and reference must be finite", pairs)
     return vals, ref
 
 

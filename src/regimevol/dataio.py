@@ -1,7 +1,8 @@
 """CSV ingestion and the dated-series containers.
 
 Input schemas: price files carry a ``date,price`` header, reference-index
-files ``date,value``, both with ``YYYY-MM-DD`` dates, strictly increasing.
+files ``date,value``, both with ``YYYY-MM-DD`` dates, strictly increasing,
+and values written as ASCII decimal numbers.
 Every input file, the run configuration too, is read whole by ``read_text``:
 as UTF-8 on every platform, with a leading byte-order mark ignored.  Parse
 and validation failures name the offending line.
@@ -98,6 +99,9 @@ def _read_dated_csv(path: str | Path, value_header: str) -> DatedSeries:
                 f"{path}: line {lineno}: invalid ISO date {row[0]!r}"
             ) from None
         try:
+            # float also reads digit-group underscores and non-ASCII digits
+            if not row[1].strip().isascii() or "_" in row[1]:
+                raise ValueError(row[1])
             v = float(row[1])
         except ValueError:
             raise DataError(

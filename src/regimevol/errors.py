@@ -1,14 +1,16 @@
-"""Exception hierarchy shared across the package, and its one positivity check.
+"""Exception hierarchy shared across the package, and its two parameter checks.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError (and
 subclasses) -> 3, DataError -> 4.  ``check_positive`` is the one rule for a
 scalar that must be finite and > 0 (a scale, rate, shape, precision or
-floor); every module can import it without an import cycle.
+floor), and ``check_entries`` the one rule for an array argument: it names
+the first row or index that fails the caller's test.  Every module can
+import both without an import cycle.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = [
     "RegimevolError",
@@ -18,6 +20,7 @@ __all__ = [
     "NumericalError",
     "FilterDegeneracyError",
     "check_positive",
+    "check_entries",
 ]
 
 
@@ -64,5 +67,17 @@ class FilterDegeneracyError(NumericalError):
 
 def check_positive(name: str, value: float) -> None:
     """ParameterError naming ``name`` unless 0 < ``value`` < inf; NaN fails too."""
-    if not 0.0 < value < math.inf:
+    if not 0.0 < value < np.inf:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_entries(ok: np.ndarray, what: str, values: np.ndarray) -> None:
+    """ParameterError naming the first row (2-D ``values``) or index (1-D)
+    where ``ok`` holds a False.  The first axis of ``ok`` indexes ``values``;
+    a row passes when all its entries in ``ok`` are True.  Each caller writes
+    ``ok`` so that NaN fails it."""
+    if not ok.all():
+        # argwhere lists the False entries row by row, so the first is in the first bad row
+        i = int(np.argwhere(~np.atleast_1d(ok))[0, 0])
+        where = "row" if np.ndim(values) == 2 else "index"
+        raise ParameterError(f"{what}; {where} {i} is {np.atleast_1d(values)[i]}")

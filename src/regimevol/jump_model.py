@@ -45,7 +45,7 @@ from .distributions import (
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
 )
-from .errors import ParameterError, check_positive
+from .errors import ParameterError, check_entries, check_positive
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -106,16 +106,15 @@ class JumpParams:
         self.theta = np.asarray(self.theta, dtype=float)
         counts = np.asarray(self.n_jumps)
         # checked before the cast, which would truncate 1.5 and fail on NaN
-        if not np.all((counts >= 0) & np.isfinite(counts) & (counts == np.trunc(counts))):
-            raise ParameterError(f"jump counts must be nonnegative integers, got {counts}")
+        check_entries((counts >= 0) & np.isfinite(counts) & (counts == np.trunc(counts)),
+                      "jump counts must be nonnegative integers", counts)
         self.n_jumps = counts.astype(int, copy=False)
         check_scale_ladder(self.mu, "sigma1_sq", self.sigma1_sq, self.h_star)
         m = self.mu.size
         if self.theta.size != m or self.n_jumps.size != m:
             raise ParameterError("theta and n_jumps must have one entry per state")
-        # nonnegative and nondecreasing, so a finite last entry bounds them all
-        if not (np.all(np.diff(self.theta, prepend=0.0) >= 0) and self.theta[-1] < math.inf):
-            raise ParameterError(f"jump intensities must be finite, sorted, >= 0; got {self.theta}")
+        check_entries((np.diff(self.theta, prepend=0.0) >= 0) & (self.theta < math.inf),
+                      "jump intensities must be finite, sorted, >= 0", self.theta)
         check_positive("jump amplitude rate b", self.b)
 
     @property
@@ -293,8 +292,8 @@ def check_u_ladder(u) -> np.ndarray:
     """The intensity endpoints as a float array; ParameterError unless they
     are finite, > 0 and strictly increasing (written so that NaN fails)."""
     u = np.asarray(u, dtype=float)
-    if not (np.all((u > 0) & (u < math.inf)) and np.all(np.diff(u) > 0)):
-        raise ParameterError(f"intensity endpoints u must be finite, > 0 and increasing; got {u}")
+    check_entries((np.diff(u, prepend=0.0) > 0) & (u < math.inf),
+                  "intensity endpoints u must be finite, > 0 and increasing", u)
     return u
 
 

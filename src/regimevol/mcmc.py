@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import (
     FrechetParams, InvGammaParams, frechet_logpdf, frechet_sample, inv_gamma_sample,
 )
-from .errors import ParameterError, RegimevolError, check_positive
+from .errors import ParameterError, RegimevolError, check_entries, check_positive
 
 __all__ = [
     "AdaptiveRw",
@@ -195,11 +195,10 @@ def check_scale_ladder(mu: np.ndarray, base_name: str, base: float, h_star: np.n
     m = mu.size
     if h_star.size != m - 1:
         raise ParameterError(f"need {m - 1} variance multipliers for {m} states")
-    if not np.all(np.isfinite(mu)):
-        raise ParameterError(f"state means must be finite, got {mu}")
+    check_entries(np.isfinite(mu), "state means must be finite", mu)
     check_positive(base_name, base)
-    if not np.all((h_star > 1.0) & (h_star < math.inf)):
-        raise ParameterError(f"every multiplier h* must be finite and exceed 1, got {h_star}")
+    check_entries((h_star > 1.0) & (h_star < math.inf),
+                  "every multiplier h* must be finite and exceed 1", h_star)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +274,7 @@ class GibbsSampler:
         self.data = np.asarray(data, dtype=float)
         if self.data.ndim != 1 or self.data.size < 2:
             raise ParameterError("need a 1-D series of at least two observations")
-        if not np.all(np.isfinite(self.data)):
-            t = int(np.argmin(np.isfinite(self.data)))
-            raise ParameterError(f"observations must be finite; index {t} is {self.data[t]}")
+        check_entries(np.isfinite(self.data), "observations must be finite", self.data)
         self.priors = priors
         m = priors.n_states
         self.n_states = m

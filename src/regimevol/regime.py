@@ -75,10 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDegeneracyError, ParameterError
+from .errors import FilterDegeneracyError, ParameterError, check_entries
 
 __all__ = [
     "FilteredProbs",
+    "check_probability_rows",
     "validate_transition_matrix",
     "validate_initial_distribution",
     "hamilton_filter",
@@ -90,26 +91,32 @@ __all__ = [
 ]
 
 
+def check_probability_rows(probs: np.ndarray, what: str) -> None:
+    """The package's row rule: ParameterError naming the first row of the
+    2-D ``probs`` with an entry < 0 or a sum off 1 by more than 1e-9; NaN
+    fails both."""
+    ok = (probs >= 0) & (np.abs(probs.sum(axis=1, keepdims=True) - 1.0) <= 1e-9)
+    check_entries(ok, f"{what} rows must sum to 1 with nonnegative entries", probs)
+
+
 def validate_transition_matrix(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ParameterError(f"transition matrix must be square, got shape {p.shape}")
-    if np.any(p < 0):
-        raise ParameterError("transition probabilities must be nonnegative")
-    sums = p.sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= 1e-9):
-        raise ParameterError(f"transition-matrix rows must sum to 1, got {sums}")
+    check_probability_rows(p, "transition-matrix")
     return p
 
 
 def validate_initial_distribution(pi0: np.ndarray | None, m: int) -> np.ndarray:
     """pi0 as a length-m probability vector, uniform when omitted; raises
-    ParameterError for any other shape, a negative entry or a sum off 1."""
+    ParameterError for any other shape, a sum off 1 or a negative entry,
+    which it names."""
     if pi0 is None:
         return np.full(m, 1.0 / m)
     pi0 = np.asarray(pi0, dtype=float)
-    if pi0.shape != (m,) or np.any(pi0 < 0) or not abs(pi0.sum() - 1.0) <= 1e-9:
+    if pi0.shape != (m,) or not abs(pi0.sum() - 1.0) <= 1e-9:
         raise ParameterError("pi0 must be a length-M probability vector")
+    check_entries(pi0 >= 0, "pi0 entries must be >= 0", pi0)
     return pi0
 
 
@@ -322,10 +329,7 @@ def hamilton_filter(
     loge = np.array(logem.T, order="C")
     mx = loge.max(axis=0)
     # a NaN or +inf entry is its row's max and fails the comparison
-    bad = ~(mx < np.inf)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ParameterError(f"log emissions must be finite or -inf; row t={t} is {logem[t]}")
+    check_entries(mx < np.inf, "log emissions must be finite or -inf", logem)
     with np.errstate(divide="ignore", invalid="ignore"):
         # an all -inf row stays -inf: nothing is subtracted from it
         loge -= np.where(mx > -np.inf, mx, 0.0)
@@ -377,10 +381,8 @@ def sample_state_path(
     # a NaN is its array's min and max, and fails both comparisons
     if not (rows.min(initial=0.0) >= 0.0 and last.min() >= 0.0
             and rows.max(initial=0.0) < np.inf and last.max() < np.inf):
-        bad = int(np.argmax(~((probs >= 0.0) & (probs < np.inf)).all(axis=1)))
-        raise ParameterError(
-            f"filtered probabilities must be finite and nonnegative; row t={bad} is {probs[bad]}"
-        )
+        check_entries((probs >= 0.0) & (probs < np.inf),
+                      "filtered probabilities must be finite and nonnegative", probs)
     uniforms = rng.random(t_len)
     # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s], the sums of
     # np.cumsum(axis=0) in the same order, one whole row at a time
@@ -402,14 +404,19 @@ def sample_state_path(
 
 
 def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
-    """Entry (i, j) counts steps with S_{t-1} = i+1, S_t = j+1; total is T-1."""
+    """Entry (i, j) counts steps with S_{t-1} = i+1, S_t = j+1; total is T-1.
+
+    The labels may have any integer dtype; ParameterError names the first
+    one outside 1..m."""
     path = np.asarray(path)
     if path.ndim != 1 or path.size == 0:
         raise ParameterError("state path must be a nonempty vector")
     if not np.issubdtype(path.dtype, np.integer):
         raise ParameterError(f"state labels must be integers, got dtype {path.dtype}")
     if path.min() < 1 or path.max() > m:
-        raise ParameterError(f"state labels must lie in 1..{m}")
+        check_entries((path >= 1) & (path <= m), f"state labels must lie in 1..{m}", path)
+    # the pair index reaches m*m - 1, past int8 at m = 12 and int16 at m = 182
+    path = path.astype(np.intp, copy=False)
     return np.bincount((path[:-1] - 1) * m + path[1:] - 1, minlength=m * m).reshape(m, m)
 
 
@@ -423,14 +430,6 @@ def default_dirichlet_rows(n_states: int, diag: float = 8.0) -> np.ndarray:
     for j in range(2, n_states):
         rows[j, j] = diag
     return rows
-
-
-def _check_rows(ok: np.ndarray, what: str, values: np.ndarray) -> None:
-    """ParameterError naming the first row of ``values`` where ``ok`` fails."""
-    bad = ~ok.all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ParameterError(f"{what}; row {i} is {values[i]}")
 
 
 def check_dirichlet_rows(rows, m: int | None = None) -> np.ndarray:
@@ -447,8 +446,8 @@ def check_dirichlet_rows(rows, m: int | None = None) -> np.ndarray:
         raise ParameterError(f"a model needs at least one state, got {m}")
     if rows.shape != (m, m):
         raise ParameterError(f"Dirichlet prior rows must be ({m}, {m}), got shape {rows.shape}")
-    _check_rows((rows > 0) & (rows < np.inf), "Dirichlet concentrations must be finite and > 0",
-                rows)
+    check_entries((rows > 0) & (rows < np.inf), "Dirichlet concentrations must be finite and > 0",
+                  rows)
     return rows
 
 
@@ -466,8 +465,8 @@ def sample_transition_matrix(
     if counts.shape != (m, m):
         raise ParameterError(f"transition counts must be ({m}, {m}), got shape {counts.shape}")
     conc = check_dirichlet_rows(row_priors, m)
-    _check_rows((counts >= 0) & (counts < np.inf), "transition counts must be finite and >= 0",
-                counts)
+    check_entries((counts >= 0) & (counts < np.inf), "transition counts must be finite and >= 0",
+                  counts)
     out = np.empty((m, m))
     for i in range(m):
         out[i] = rng.dirichlet(conc[i] + counts[i])

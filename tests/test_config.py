@@ -112,10 +112,11 @@ def test_u_with_the_wrong_length_is_config_error(model):
         load_config(model=model, seed=1, states=3, u=[0.5, 1])
 
 
-@pytest.mark.parametrize("u", [[1.0, 1.0], [2.0, 1.0], [-1.0, 1.0]])
+@pytest.mark.parametrize("u, bad", [([1.0, 1.0], 1), ([2.0, 1.0], 1), ([-1.0, 1.0], 0)],
+                         ids=["u0", "u1", "u2"])
 @pytest.mark.parametrize("model", ["jump", "stable"])
-def test_u_that_is_not_a_positive_increasing_ladder_is_config_error(model, u):
-    message = f"intensity endpoints u must be finite, > 0 and increasing; got {np.array(u)}"
+def test_u_that_is_not_a_positive_increasing_ladder_is_config_error(model, u, bad):
+    message = f"intensity endpoints u must be finite, > 0 and increasing; index {bad} is {u[bad]}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_config(model=model, seed=1, states=2, u=u)
     # JumpPriors applies the same rule with the same words

@@ -58,6 +58,16 @@ def test_csv_errors_name_the_line(tmp_path, body, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11\uff12"],
+                         ids=["underscore", "arabic_indic", "full_width"])
+def test_prices_are_ascii_decimal_numbers(tmp_path, cell):
+    # Python's float reads all three, as 1000.0 and 12.0
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,price\n2020-01-01,1\n2020-01-02,{cell}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"line 3: non-numeric price '{cell}'$"):
+        load_prices_csv(path)
+
+
 @pytest.mark.parametrize("good_rows", [1, 2000])
 def test_undecodable_bytes_are_a_data_error_naming_the_line(tmp_path, good_rows):
     # 2000 rows put the bad byte past the first chunk the text layer decodes

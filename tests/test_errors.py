@@ -1,26 +1,46 @@
-"""The one "finite and > 0" rule: every scalar the package takes as a scale,
+"""The package's two parameter rules.  Every scalar it takes as a scale,
 rate, shape, precision or floor goes through ``errors.check_positive``, so
-zero, negative, NaN and +inf all fail with the same ParameterError."""
+zero, negative, NaN and +inf all fail with the same ParameterError; every
+array argument goes through ``errors.check_entries``, so a bad entry fails
+with a ParameterError that names its row or index."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regimevol
 from regimevol import (
     FrechetParams,
+    IndicatorSeries,
     InvGammaParams,
+    JumpGibbsSampler,
     JumpParams,
     JumpPriors,
     ParameterError,
     StableModelParams,
     StablePriors,
+    hamilton_filter,
+    indicator_jump,
+    indicator_stable,
     jump_convolved_logpdf,
+    sample_state_path,
+    score,
 )
 from regimevol.distributions import jump_convolved_logpdf_counts, stable_sample
-from regimevol.errors import check_positive
+from regimevol.errors import check_entries, check_positive
+from regimevol.jump_model import check_u_ladder
 from regimevol.mcmc import AdaptiveRw, check_scale_ladder, normal_normal_update
+from regimevol.regime import (
+    check_dirichlet_rows,
+    count_transitions,
+    sample_transition_matrix,
+    validate_initial_distribution,
+    validate_transition_matrix,
+)
 
 _RNG = np.random.default_rng(0)
 _ROWS = np.ones((2, 2))
@@ -88,3 +108,126 @@ def test_every_positive_scalar_refuses_zero_negative_nan_and_inf(entry, value):
 def test_check_positive_accepts_the_ends_of_the_open_interval():
     check_positive("x", 5e-324)
     check_positive("x", np.float64(1.7e308))
+
+
+# ---------------------------------------------------------------------------
+# the one rule for an array argument
+
+
+def _three_states(**bad):
+    fields = dict(mu=np.zeros(3), sigma1_sq=1.0, h_star=[2.0, 2.0], theta=[0.0, 1.0, 2.0],
+                  n_jumps=[0, 0, 0], b=1.0)
+    return JumpParams(**{**fields, **bad})
+
+
+def _with(rows, row, entries):
+    out = np.array(rows, dtype=float)
+    out[row] = entries
+    return out
+
+
+_P = np.full((3, 3), 1.0 / 3.0)
+_FILTERED = np.full((5, 3), 1.0 / 3.0)
+_EMISSIONS = np.zeros((5, 3))
+_SIGMA_SQ = np.array([0.01, 0.04, 0.09])
+
+# (entry point with one bad entry in a middle row or index, "row" or
+# "index", the position the message names)
+ARRAY_ENTRY_POINTS = {
+    "check_dirichlet_rows": (
+        lambda: check_dirichlet_rows(_with(np.ones((3, 3)), 1, [1.0, np.nan, 1.0])), "row", 1),
+    "sample_transition_matrix.counts": (
+        lambda: sample_transition_matrix(_with(np.zeros((3, 3)), 1, [0.0, -1.0, 0.0]),
+                                         np.ones((3, 3)), _RNG), "row", 1),
+    "validate_transition_matrix.negative": (
+        lambda: validate_transition_matrix(_with(_P, 1, [-0.5, 1.0, 0.5])), "row", 1),
+    "validate_transition_matrix.nan": (
+        lambda: validate_transition_matrix(_with(_P, 1, [np.nan, 0.5, 0.5])), "row", 1),
+    "validate_transition_matrix.sum": (
+        lambda: validate_transition_matrix(_with(_P, 1, [0.5, 0.5, 0.1])), "row", 1),
+    "validate_initial_distribution": (
+        lambda: validate_initial_distribution(np.array([0.6, -0.1, 0.5]), 3), "index", 1),
+    "hamilton_filter.emissions": (
+        lambda: hamilton_filter(_with(_EMISSIONS, 2, [0.0, np.nan, 0.0]), 5, _P), "row", 2),
+    "sample_state_path.probs": (
+        lambda: sample_state_path(_with(_FILTERED, 2, [0.5, -0.2, 0.7]), _P, _RNG), "row", 2),
+    "count_transitions.labels": (lambda: count_transitions(np.array([1, 2, 4, 1]), 3), "index", 2),
+    "check_scale_ladder.mu": (
+        lambda: check_scale_ladder(np.array([0.0, np.nan, 0.0]), "sigma1_sq", 1.0,
+                                   np.array([2.0, 2.0])), "index", 1),
+    "check_scale_ladder.h_star": (
+        lambda: check_scale_ladder(np.zeros(3), "sigma1_sq", 1.0, np.array([np.inf, 2.0])),
+        "index", 0),
+    "GibbsSampler.data": (
+        lambda: JumpGibbsSampler(np.array([0.1, -0.2, np.inf, 0.3]),
+                                 _jump_priors(1.0)), "index", 2),
+    "JumpParams.n_jumps": (lambda: _three_states(n_jumps=[0, 1.5, 2]), "index", 1),
+    "JumpParams.theta": (lambda: _three_states(theta=[0.0, -1.0, 2.0]), "index", 1),
+    "check_u_ladder": (lambda: check_u_ladder([0.5, 0.4, 1.0]), "index", 1),
+    "indicator_jump.sigma_sq": (
+        lambda: indicator_jump(_FILTERED, [0.01, np.nan, 0.09], np.zeros(3), 40.0), "index", 1),
+    "indicator_jump.overflow": (
+        lambda: indicator_jump(_FILTERED, _SIGMA_SQ, [0.0, 1e200, 0.0], 1.0), "index", 1),
+    "indicator_stable.gamma_sq": (
+        lambda: indicator_stable(_FILTERED, 1.0, [1.0, -0.5, 4.0]), "index", 1),
+    "score.reference": (
+        lambda: score(IndicatorSeries(np.ones(4), "jump"), np.array([1.0, 2.0, np.nan, 1.0])),
+        "row", 2),
+    # the filtered matrix was used as given: a negative entry ended in
+    # numpy's invalid-sqrt RuntimeWarning, a NaN gave a NaN indicator
+    "indicator_jump.filtered_negative": (
+        lambda: indicator_jump(_with(_FILTERED, 2, [0.6, -0.1, 0.5]), _SIGMA_SQ, np.zeros(3),
+                               40.0), "row", 2),
+    "indicator_jump.filtered_nan": (
+        lambda: indicator_jump(_with(_FILTERED, 2, [0.5, np.nan, 0.5]), _SIGMA_SQ, np.zeros(3),
+                               40.0), "row", 2),
+    "indicator_stable.filtered_sum": (
+        lambda: indicator_stable(_with(_FILTERED, 2, [0.5, 0.3, 0.3]), 1.0, _SIGMA_SQ), "row", 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
+def test_every_array_argument_names_its_first_bad_row_or_index(entry):
+    call, where, i = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError
+    assert re.search(f"; {where} {i} is [^;]+$", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("ok, values, message", [
+    ([True, False, False], np.array([1.0, np.nan, 2.0]), "x; index 1 is nan"),
+    ([[True, True], [False, True]], np.array([[1.0, 2.0], [np.inf, 3.0]]), "x; row 1 is [inf  3.]"),
+    ([True, False], np.array([[1.0, 2.0], [np.nan, 3.0]]), "x; row 1 is [nan  3.]"),
+    (np.False_, np.float64(np.nan), "x; index 0 is nan"),
+])
+def test_check_entries_names_the_first_false(ok, values, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        check_entries(np.array(ok), "x", values)
+    check_entries(np.ones(np.shape(ok), dtype=bool), "x", values)
+    check_entries(np.zeros((0, 3), dtype=bool), "x", np.zeros((0, 3)))
+
+
+def _is_array_test(test: ast.expr) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in ("all", "any") for node in ast.walk(test))
+
+
+def test_array_checks_go_through_check_entries():
+    # an `if` over np.all/np.any/.all()/.any() that raises ParameterError is
+    # an array check written by hand
+    package = Path(regimevol.__file__).parent
+    raises = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.If) and _is_array_test(node.test)):
+                continue
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Raise) and isinstance(inner.exc, ast.Call)
+                        and isinstance(inner.exc.func, ast.Name)
+                        and inner.exc.func.id == "ParameterError"):
+                    raises.add(f"{path.name}:{inner.lineno}")
+    assert not raises, f"array checks outside errors.check_entries: {sorted(raises)}"

@@ -91,12 +91,12 @@ def test_filter_names_the_first_nan_or_inf_emission_row(bad):
     p = np.array([[0.5, 0.5], [0.5, 0.5]])
     logem = np.zeros((5, 2))
     logem[2, 0] = bad
-    with pytest.raises(ParameterError, match=r"row t=2 is \[") as info:
+    with pytest.raises(ParameterError, match=r"row 2 is \[") as info:
         hamilton_filter(logem, 5, p)
     assert type(info.value) is ParameterError
     logem[4, 1] = bad
     logem[1] = -np.inf  # a dead row before it does not take precedence
-    with pytest.raises(ParameterError, match="row t=2 is"):
+    with pytest.raises(ParameterError, match="row 2 is"):
         hamilton_filter(logem, 5, p)
     # an all -inf row alone is still a degenerate filter, not a bad input
     logem = np.zeros((5, 2))
@@ -165,7 +165,7 @@ def _loop_filter(logem, p, pi0):
     for t in range(t_len):
         if np.isnan(logem[t]).any() or np.isposinf(logem[t]).any():
             raise ParameterError(
-                f"log emissions must be finite or -inf; row t={t} is {logem[t]}"
+                f"log emissions must be finite or -inf; row {t} is {logem[t]}"
             )
     probs = np.empty((t_len, m))
     loglik = 0.0
@@ -489,7 +489,7 @@ def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
     error, marker = FilterDegeneracyError, f"t={bad_t};"
     if not bad < 0:
         rows += [[finite[0], bad, finite[2]], [-np.inf, bad, finite[2]]]
-        error, marker = ParameterError, f"row t={bad_t} is"
+        error, marker = ParameterError, f"row {bad_t} is"
     for row in rows:
         logem[bad_t] = row
         message = _same_error(lambda: hamilton_filter(logem, t_len, p, pi0),
@@ -610,7 +610,7 @@ def test_path_rejects_bad_probability_values(bad, rows):
     for t in rows:
         probs[t, 1] = bad
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match=f"finite and nonnegative; row t={rows[0]} "):
+    with pytest.raises(ParameterError, match=f"finite and nonnegative; row {rows[0]} "):
         sample_state_path(probs, np.full((2, 2), 0.5), rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
@@ -713,6 +713,17 @@ def test_count_transitions_rejects_bad_labels():
         count_transitions(np.array([0, 1]), 2)
     with pytest.raises(ParameterError):
         count_transitions(np.array([1, 3]), 2)
+
+
+@pytest.mark.parametrize("m, dtype", [(12, np.int8), (12, np.int16), (200, np.int16)])
+def test_count_transitions_gives_the_same_counts_for_every_integer_dtype(m, dtype):
+    # the pair index reaches m*m - 1, which wrapped negative in the labels'
+    # own dtype and ended in numpy's bare ValueError from np.bincount
+    path = np.random.default_rng(m).integers(1, m + 1, 5000)
+    path[:2] = m
+    expected = count_transitions(path, m)
+    assert path.dtype == np.int64 and expected[m - 1, m - 1] >= 1
+    np.testing.assert_array_equal(count_transitions(path.astype(dtype), m), expected)
 
 
 def test_count_transitions_refuses_float_labels():
