@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and its two parameter checks.
+"""Exception hierarchy shared across the package, and its parameter checks.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError (and
 subclasses) -> 3, DataError -> 4.  ``check_positive`` is the one rule for a
 scalar that must be finite and > 0 (a scale, rate, shape, precision or
-floor), and ``check_entries`` the one rule for an array argument: it names
+floor), ``check_vector`` the one rule for the shape of a vector argument,
+and ``check_entries`` the one rule for an array argument's entries: it names
 the first row or index that fails the caller's test.  Every module can
-import both without an import cycle.
+import them without an import cycle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "NumericalError",
     "FilterDegeneracyError",
     "check_positive",
+    "check_vector",
     "check_entries",
 ]
 
@@ -69,6 +71,15 @@ def check_positive(name: str, value: float) -> None:
     """ParameterError naming ``name`` unless 0 < ``value`` < inf; NaN fails too."""
     if not 0.0 < value < np.inf:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_vector(name: str, values, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (its own when None); ParameterError
+    naming ``name`` and the shape unless it is 1-D."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 1:
+        raise ParameterError(f"{name} must be a 1-D vector, got shape {values.shape}")
+    return values
 
 
 def check_entries(ok: np.ndarray, what: str, values: np.ndarray) -> None:

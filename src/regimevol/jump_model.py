@@ -45,7 +45,7 @@ from .distributions import (
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
 )
-from .errors import ParameterError, check_entries, check_positive
+from .errors import ParameterError, check_entries, check_positive, check_vector
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -101,10 +101,10 @@ class JumpParams:
     b: float
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.h_star = np.asarray(self.h_star, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        counts = np.asarray(self.n_jumps)
+        self.mu = check_vector("mu", self.mu)
+        self.h_star = check_vector("h_star", self.h_star)
+        self.theta = check_vector("theta", self.theta)
+        counts = check_vector("n_jumps", self.n_jumps, None)
         # checked before the cast, which would truncate 1.5 and fail on NaN
         check_entries((counts >= 0) & np.isfinite(counts) & (counts == np.trunc(counts)),
                       "jump counts must be nonnegative integers", counts)
@@ -289,9 +289,9 @@ def _largest_theta() -> float:
 
 
 def check_u_ladder(u) -> np.ndarray:
-    """The intensity endpoints as a float array; ParameterError unless they
+    """The intensity endpoints as a float vector; ParameterError unless they
     are finite, > 0 and strictly increasing (written so that NaN fails)."""
-    u = np.asarray(u, dtype=float)
+    u = check_vector("u", u)
     check_entries((np.diff(u, prepend=0.0) > 0) & (u < math.inf),
                   "intensity endpoints u must be finite, > 0 and increasing", u)
     return u
@@ -423,7 +423,7 @@ class JumpGibbsSampler(GibbsSampler):
         return table
 
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
-        logem = np.empty((self.data.size, self.n_states))
+        logem = self.work.emission.T
         var = params.sigma_sq
         for j in range(1, self.n_states + 1):
             loglik = _state_loglik(params, j) or gaussian_logpdf
@@ -432,8 +432,9 @@ class JumpGibbsSampler(GibbsSampler):
 
     def update(self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"
-        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
-        path = sample_state_path(filt, transition, rng)
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition,
+                               work=self.work)
+        path = sample_state_path(filt, transition, rng, work=self.work)
 
         self.stage = "transition_matrix"
         counts = count_transitions(path, self.n_states)

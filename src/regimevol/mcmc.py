@@ -23,6 +23,7 @@ from .distributions import (
     FrechetParams, InvGammaParams, frechet_logpdf, frechet_sample, inv_gamma_sample,
 )
 from .errors import ParameterError, RegimevolError, check_entries, check_positive
+from .regime import StateWorkspace
 
 __all__ = [
     "AdaptiveRw",
@@ -236,9 +237,11 @@ class GibbsSampler:
       AdaptiveRw each.  Log-scale walks start at ``step_scale``; identity
       walks move a state mean and start at a quarter of the data's standard
       deviation.
-    - ``emission_matrix(params)``: the (T, M) log emission densities.
+    - ``emission_matrix(params)``: the (T, M) log emission densities,
+      written into ``self.work.emission`` and returned as its transpose.
     - ``update(params, transition, rng)``: the state step (filter from the
-      uniform initial law, path, counts, transition matrix), then the
+      uniform initial law, path, counts, transition matrix), each of the
+      filter and the path draw handed ``work=self.work``, then the
       parameter updates, each MH step handed its walk from ``self.samplers``.
       It writes each new value into ``params`` in place, sets ``self.stage``
       before each stage and returns the filtered probabilities, the path and
@@ -251,6 +254,14 @@ class GibbsSampler:
     ``sample_state_path``, ``count_transitions`` and
     ``sample_transition_matrix`` at the model modules' globals.  Moving the
     step into the engine first needs the tracer to patch those names here.
+
+    ``work`` is the chain's one StateWorkspace, built once for the series'
+    (T, M): the emission rows, the filtered rows and the scratch of the
+    filter and the path draw, reused by every sweep, so that a long series
+    does not allocate and free about ten emission matrices per sweep.  The
+    filtered probabilities ``update`` returns live in it until the next
+    sweep's filter, which is why the sweep adds them into the accumulator
+    before it returns.
 
     ``sweep`` is handed to run_chain and keeps every returned draw unchanged:
     ``update`` writes into a deep copy of the previous parameters, which the
@@ -288,6 +299,7 @@ class GibbsSampler:
                 )
             scale = location_scale if transform == "identity" else step_scale
             self.samplers[name] = AdaptiveRw(scale, transform)
+        self.work = StateWorkspace(self.data.size, m)
         self.stage: str | None = None
         self._sweeps = 0
         self._filtered_sum = np.zeros((self.data.size, m))

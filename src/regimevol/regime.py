@@ -56,22 +56,40 @@ S_{t+1} -> S_t.  Maps compose associatively, so the path comes from the
 same prefix idea as the filter: neighbouring maps are composed L times by
 pointer doubling, Python walks the at most _WALK = 320 coarsest maps, and
 each finer level's odd positions are filled in by one gather.  L is the bit
-length of (T - 1) // 320, so T <= 320 takes no level.  At T = 5000 this
-walk costs about 120-190 µs against 400-580 µs for one Python step per t
-(one core of a shared 2-vCPU x86 machine).
+length of (T - 1) // 320, so T <= 320 takes no level.
 
 The state step keeps its reductions along the time axis, because numpy pays
-once per time step for a reduction along a length-M axis.  The filter takes
-its row maxima from the transposed (M, T) copy, about 8 µs against 240-310
-µs for logem.max(axis=1) at T = 5000, M = 4, and the backward draw forms its
-CDF over states by M - 1 whole-row adds, about 20 µs against 470 µs for
-np.cumsum(axis=0).  A maximum is exact, and the row adds are np.cumsum's
-sums in the same order, so both return the same bits.
+once per time step for a reduction along a length-M axis: the filter takes
+its row maxima from the emissions laid out as (M, T) rows, and the backward
+draw forms its CDF over states by M - 1 whole-row adds.  A maximum is
+exact, and the row adds are np.cumsum's sums in the same order, so both
+return the same bits.
+
+Working memory.  The filter and the backward draw write every array of T
+or more entries into a StateWorkspace built once for (T, M), so a chain's
+sweeps stop allocating and freeing about ten emission matrices each, which
+on a long series the allocator hands back to the kernel and faults in again
+on the next sweep.  The workspace keeps the (M, T) emission rows a model
+writes into, the (M, T) filtered rows and their log scales, and one stack
+that the two take turns to use: first the filter's even and odd emission
+columns and its scan levels, one slice per level, whose M×M elements hold
+M²·T entries over all levels, then the backward draw's CDF for every next
+state and its pick maps.  At M = 4 that is about 9.8 times the (T, M)
+emission matrix, 7.3 of them the stack, against a transient peak of about
+7 for the filter and 9 for the draw when each allocated its own; a warm
+workspace leaves each call under one emission matrix of allocation.  The
+filtered probabilities a filter call returns are a (T, M) view of the
+filtered rows: they live in the workspace until the next filter call with
+the same workspace.  Every operation keeps its order, so the numbers are
+those of a fresh workspace.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +97,7 @@ from .errors import FilterDegeneracyError, ParameterError, check_entries
 
 __all__ = [
     "FilteredProbs",
+    "StateWorkspace",
     "check_probability_rows",
     "validate_transition_matrix",
     "validate_initial_distribution",
@@ -129,6 +148,197 @@ class FilteredProbs:
 
 
 # ---------------------------------------------------------------------------
+# working memory
+#
+# The filter and the backward draw write every array of T or more entries
+# into a StateWorkspace.  Its buffer holds, in this order, what lives from
+# one call to the next (the emission rows, the filtered rows and their log
+# scales, the column numbers of the pick maps), then one stack that the
+# filter's scan and the backward draw take turns to use.
+
+_F8, _INTP, _BOOL = np.dtype(np.float64), np.dtype(np.intp), np.dtype(np.bool_)
+
+
+def _pick_levels(n: int) -> tuple[int, int]:
+    """For n pick maps, the number L of doubling levels (see _follow) and
+    the columns of the first level: n rounded up to a multiple of 2^L."""
+    levels = (n // _WALK).bit_length()
+    return levels, -(-n // (1 << levels)) << levels
+
+
+class _Carver:
+    """Lays arrays out end to end in the byte buffer ``buf`` from byte
+    ``end`` on, each at a 64-byte boundary, and keeps the largest end
+    reached in ``top``; with no ``buf`` it only measures and returns None.
+    Setting ``end`` back lets later arrays share bytes with earlier ones
+    that are dead by then."""
+
+    def __init__(self, buf: np.ndarray | None, end: int = 0) -> None:
+        self.buf, self.end, self.top = buf, end, end
+
+    def __call__(self, shape, dtype=_F8):
+        start = -(-self.end // 64) * 64
+        self.end = end = start + math.prod(shape) * dtype.itemsize
+        if end > self.top:
+            self.top = end
+        return None if self.buf is None else np.ndarray(shape, dtype, self.buf, start)
+
+    def at(self, start: int, shape, dtype=_F8):
+        """An array laid out from byte ``start`` on."""
+        self.end = start
+        return self(shape, dtype)
+
+    def scratch(self, start: int, r: int, n: int):
+        """A row-rescaling scratch at ``start``: the row totals and their maxima."""
+        return self.at(start, (r, n)), self((n,))
+
+
+def _kept(take: _Carver, t_len: int, m: int):
+    """The arrays kept from one call to the next: the emission rows, the
+    filtered rows and their log scales, and the pick maps' column numbers."""
+    return (take((m, t_len)), take((1, m, t_len)), take((t_len,)),
+            take((_pick_levels(t_len - 1)[1],), _INTP))
+
+
+class _Level(NamedTuple):
+    """One scan level's buffers: the ``out`` triple its elements, the
+    products of the level below, are written into (none at level 0), its
+    prefix rows and their log scales, and the scratch for rescaling its
+    even prefix rows."""
+
+    elements: tuple | None
+    prefix: np.ndarray
+    prefix_scales: np.ndarray
+    even_scratch: tuple
+
+
+class _Scan:
+    """The filter's working arrays: the even and odd emission columns, the
+    even prefix rows (over the odd columns, dead by then), a copy of the
+    emission rows (dead once the first level is formed), the scan levels and
+    the rescaling scratch, whose row maxima first hold the emission maxima.
+    Level j holds N_j = T // 2^j elements, the products of level j - 1
+    (j >= 1), and their prefix rows; level 0's prefix rows are the filtered
+    rows ``rows`` and their log scales ``g``."""
+
+    def __init__(self, take: _Carver, t_len: int, m: int, rows, g) -> None:
+        h, k = (t_len + 1) // 2, t_len // 2
+        self.ev, odd = take((m, h)), take.end
+        self.od = take((m, k))
+        take.end = odd
+        self.z, self.gz = take((1, m, h)), take((h,))
+        scan = take.end
+        self.loge = take((m, t_len))
+        loge_end, take.end = take.end, scan
+        sizes = [t_len]
+        while sizes[-1] > 1:
+            sizes.append(sizes[-1] // 2)
+        elements = [None] + [(take((m, m, n)), take((n,))) for n in sizes[1:]]
+        prefixes = [(rows, g)] + [(take((1, m, n)), take((n,))) for n in sizes[1:]]
+        scratch = take.end = max(take.end, loge_end)
+        self.mx, self.flags = take.scratch(scratch, 1, t_len)[1], take((t_len,), _BOOL)
+        self.levels = [
+            _Level((*elements[j], take.scratch(scratch, m, n)) if j else None, *prefixes[j],
+                   take.scratch(scratch, 1, (n - 1) // 2))
+            for j, n in enumerate(sizes)
+        ]
+        self.final = take.scratch(scratch, 1, h)
+        self.exact_final = take.scratch(scratch, 1, t_len)
+
+
+class _Draw:
+    """The backward draw's working arrays: the uniforms, the CDF over states
+    for every next state, the n = T - 1 pick maps, composed level by level,
+    and, over the comparison buffers once the picks are made, the flat
+    gather indices and the fill-in states (two slots, fine and coarse, in
+    turn); ``cols`` holds the column numbers 0, 1, 2, ... of the first map
+    level."""
+
+    def __init__(self, take: _Carver, t_len: int, m: int, cols) -> None:
+        self.n = n = t_len - 1
+        self.cols = cols
+        levels, width = _pick_levels(n)
+        state = np.min_scalar_type(m - 1)
+        self.uniforms = take((t_len,))
+        self.cdf = take((m, m, n))
+        self.maps = [take((m, width >> j), state) for j in range(levels + 1)]
+        picking = take.end
+        self.thr, self.below = take((m, n)), take((m - 1, m, n), _BOOL)
+        take.end = picking
+        self.compose = [take.at(picking, (m, width >> j), _INTP) for j in range(1, levels + 1)]
+        take.end = picking
+        self.odd, self.odd_states = take((width // 2,), _INTP), take((width // 2,), state)
+        fine = take.end
+        take((width + 1,), _INTP)
+        slots = (fine, take.end)
+        self.fill = [take.at(slots[j % 2], ((width >> j) + 1,), _INTP) for j in range(levels + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _workspace_bytes(t_len: int, m: int) -> int:
+    take = _Carver(None)
+    _kept(take, t_len, m)
+    stack = take.end
+    _Scan(take, t_len, m, None, None)
+    take.end = stack
+    _Draw(take, t_len, m, None)
+    return take.top
+
+
+class StateWorkspace:
+    """The working memory of the state step for T observations and M states.
+
+    ``hamilton_filter`` and ``sample_state_path`` take one as ``work`` and
+    write every array of T or more entries into it; each builds a fresh one
+    when given none, and refuses one built for another (T, M).
+    ``emission`` is an (M, T) buffer a model may write its log emissions
+    into and hand to the filter as ``emission.T``.  The filtered
+    probabilities a filter call returns are a view of ``rows``, valid until
+    the next filter call with the same workspace.  ``buffer`` holds it all,
+    about 10 times the (T, M) emission matrix at M = 4: the filter and the
+    backward draw take turns to use all but the emission and filtered rows
+    (see the module docstring).
+    """
+
+    def __init__(self, t_len: int, m: int) -> None:
+        if t_len < 1 or m < 1:
+            raise ParameterError(f"a workspace needs T >= 1 and M >= 1, got {(t_len, m)}")
+        self.shape = (t_len, m)
+        self.buffer = np.empty(_workspace_bytes(t_len, m), np.uint8)
+        take = _Carver(self.buffer)
+        self.emission, self.rows, self.g, self._cols = _kept(take, t_len, m)
+        self._cols[...] = np.arange(self._cols.size)
+        self._stack = take.end
+        self._scan: _Scan | None = None
+        self._draw: _Draw | None = None
+
+    def scan(self) -> _Scan:
+        """The filter's working arrays, laid out on first use."""
+        if self._scan is None:
+            self._scan = _Scan(_Carver(self.buffer, self._stack), *self.shape, self.rows, self.g)
+        return self._scan
+
+    def draw(self) -> _Draw:
+        """The backward draw's working arrays, laid out on first use over the
+        same bytes as the filter's."""
+        if self._draw is None:
+            self._draw = _Draw(_Carver(self.buffer, self._stack), *self.shape, self._cols)
+        return self._draw
+
+
+def _workspace(work: StateWorkspace | None, t_len: int, m: int) -> StateWorkspace:
+    """``work``, or a fresh workspace when it is None; ParameterError naming
+    both shapes when it was built for another (T, M)."""
+    if work is None:
+        return StateWorkspace(t_len, m)
+    if work.shape != (t_len, m):
+        raise ParameterError(
+            f"workspace is sized for (T, M) = {work.shape}, but this call has {(t_len, m)}"
+        )
+    return work
+
+
+# ---------------------------------------------------------------------------
 # rescaled prefix scan
 #
 # An element is a stack of R×M matrices stored as (s, g) with shapes
@@ -137,44 +347,54 @@ class FilteredProbs:
 # exact path it is exp(g[k] + s[:, :, k]), s a log matrix with its largest
 # entry 0.  A zero matrix has g = -inf, and s = 0 (plain) or s = -inf (exact).
 # The elements above the first level are M×M; the prefixes have equal rows
-# and are kept as single rows, R = 1.
+# and are kept as single rows, R = 1.  A product writes its elements and
+# their scales into ``out``, an (elements, scales, scratch) triple.
 
 def _finite_or_zero(x: np.ndarray) -> np.ndarray:
     return np.where(x > -np.inf, x, 0.0)
 
 
-def _rescaled(z: np.ndarray, g: np.ndarray):
-    """Divide z in place by its largest row total and move the log of that
-    total into g.  Element 0 and every prefix have equal rows, so a prefix
-    row comes out summing to 1."""
-    t = z.sum(axis=1).max(axis=0)
-    z /= t + (t == 0.0)  # a zero matrix stays zero instead of 0/0
-    return z, g + np.log(t)
+def _rescaled(z: np.ndarray, g, out: np.ndarray, scratch: tuple):
+    """Divide z in place by its largest row total and return it with g plus
+    the log of that total, written into ``out``.  Element 0 and every prefix
+    have equal rows, so a prefix row comes out summing to 1.  ``scratch``
+    holds the (R, n) row totals and the (n,) largest of them."""
+    sums, t = scratch
+    sums = np.add.reduce(z, 1, out=sums)
+    t = np.maximum.reduce(sums, 0, out=t)
+    # a zero matrix stays zero instead of 0/0
+    z /= np.add(t, np.equal(t, 0.0, out=sums[0]), out=sums[0])
+    return z, np.add(g, np.log(t, out=t), out=out)
 
 
-def _product(sx, gx, sy, gy):
+def _product(sx, gx, sy, gy, out):
     """Products X·Y of two plain element stacks; the module docstring bounds
     what underflow drops when no entry of P and pi0 is below 2^-150."""
-    return _rescaled(np.einsum("ijn,jkn->ikn", sx, sy), gx + gy)
+    z, g, scratch = out
+    np.einsum("ijn,jkn->ikn", sx, sy, out=z)
+    return _rescaled(z, np.add(gx, gy, out=g), g, scratch)
 
 
 def _log_rescaled(z: np.ndarray, g: np.ndarray):
     """Shift the log matrices z in place so that each largest entry is 0 and
-    move the shift into g."""
+    add the shift to g in place."""
     top = z.max(axis=(0, 1))
     z -= _finite_or_zero(top)
-    return z, g + top
+    g += top
+    return z, g
 
 
-def _log_product(sx, gx, sy, gy):
+def _log_product(sx, gx, sy, gy, out):
     """Products X·Y of two exact element stacks: entry (i, k) is
     log sum_j exp(sx[i, j] + sy[j, k]), each sum shifted so that its largest
     term is exactly 1 and no term overflows."""
+    z, g, _ = out
     a = sx[:, :, None] + sy
     top = _finite_or_zero(a.max(axis=1))
     a -= top[:, None]
     np.exp(a, out=a)
-    return _log_rescaled(np.log(a.sum(axis=1)) + top, gx + gy)
+    np.add(np.log(a.sum(axis=1)), top, out=z)
+    return _log_rescaled(z, np.add(gx, gy, out=g))
 
 
 def _log_factors(p: np.ndarray, loge: np.ndarray, pi0: np.ndarray):
@@ -185,61 +405,74 @@ def _log_factors(p: np.ndarray, loge: np.ndarray, pi0: np.ndarray):
     return _log_rescaled(z, np.zeros(loge.shape[1]))
 
 
-def _prefixes(s: np.ndarray, g: np.ndarray, product):
+def _prefixes(s: np.ndarray, g: np.ndarray, product, levels: list):
     """The products of elements 0..t for every t, as R = 1 stacks, each
     product taken by product, _product or _log_product.
 
-    Element 0 must have equal rows, so every prefix does too.  Pairs (0,1),
-    (2,3), ... are multiplied as matrices, their prefixes found by the same
-    scan on half as many elements, and each even element t then joins the
-    prefix row ending at t - 1: about n matrix products and n row × matrix
-    products in 2·ceil(log2 n) rounds.
+    ``levels[j]`` holds the buffers of the elements 2^j times coarser than
+    s, level 0 the prefix rows returned.  Element 0 must have equal rows, so
+    every prefix does too.  Pairs (0,1), (2,3), ... are multiplied as
+    matrices, their prefixes found by the same scan on half as many
+    elements, and each even element t then joins the prefix row ending at
+    t - 1: about n matrix products and n row × matrix products in
+    2·ceil(log2 n) rounds.
     """
     n = s.shape[-1]
-    if n == 1:
-        return s[:1], g
-    k = n // 2
-    ps, pg = _prefixes(*product(s[..., 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], g[1::2]), product)
-    us, ug = np.empty((1,) + s.shape[1:]), np.empty(n)
+    level = levels[0]
+    us, ug = level.prefix, level.prefix_scales
     us[..., 0], ug[0] = s[:1, :, 0], g[0]
+    if n == 1:
+        return us, ug
+    k, up = n // 2, levels[1]
+    ps, pg = _prefixes(
+        *product(s[..., 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], g[1::2], up.elements),
+        product, levels[1:])
     us[..., 1::2], ug[1::2] = ps, pg
     h = (n - 1) // 2
     if h:
-        us[..., 2::2], ug[2::2] = product(ps[..., :h], pg[:h], s[..., 2::2], g[2::2])
+        product(ps[..., :h], pg[:h], s[..., 2::2], g[2::2],
+                (us[..., 2::2], ug[2::2], level.even_scratch))
     return us, ug
 
 
-def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray):
+def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray, out):
     """The first-level plain elements from the even and odd columns of e (see
-    the module docstring)."""
+    the module docstring), written into ``out``."""
     m, k = od.shape
     ev = ev[:, :k]
+    z, g, scratch = out
     # row (a, c) of q holds P_ab P_bc over b, so the sum over b runs along time
     q = (p[:, :, None] * p).transpose(0, 2, 1).reshape(m * m, m)
-    z = np.einsum("xb,bi->xi", q, ev).reshape(m, m, k)
+    np.einsum("xb,bi->xi", q, ev, out=z.reshape(m * m, k))
     z[:, :, 0] = np.einsum("b,bc->c", pi0 * ev[:, 0], p)
     z *= od
-    return _rescaled(z, np.zeros(k))
+    return _rescaled(z, 0.0, g, scratch)
 
 
-def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
-    """All prefix rows of the plain path, as an R = 1 stack: the odd ones from
-    _prefixes on _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as
-    (prefix_{t-1}·P)∘e_t."""
-    m, n = e.shape
+def _filter_rows(loge: np.ndarray, shift: np.ndarray, p: np.ndarray, pi0: np.ndarray,
+                 scan: _Scan):
+    """All prefix rows of the plain path, as an R = 1 stack, from the
+    emissions e = exp(loge - shift): the odd ones from _prefixes on _pairs,
+    prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t."""
+    m, n = loge.shape
     h = (n + 1) // 2
-    # contiguous copies run the sums along time about twice as fast
-    ev, od = np.ascontiguousarray(e[:, 0::2]), np.ascontiguousarray(e[:, 1::2])
-    # column j of z and of its scale gx is even prefix 2j, before e_2j
-    z, gx = np.empty((1, m, h)), np.zeros(h)
-    z[0, :, 0] = pi0
+    # contiguous even and odd columns run the sums along time about twice as fast
+    ev = np.exp(np.subtract(loge[:, 0::2], shift[0::2], out=scan.ev), out=scan.ev)
+    od = np.exp(np.subtract(loge[:, 1::2], shift[1::2], out=scan.od), out=scan.od)
+    # column j of z and of its scale gx is even prefix 2j, before e_2j; z
+    # takes the odd columns' place once _pairs is done with them
+    z, gx = scan.z, scan.gz
+    gx[0] = 0.0
     if n > 1:
-        ps, pg = _prefixes(*_pairs(ev, od, p, pi0), _product)
+        ps, pg = _prefixes(*_pairs(ev, od, p, pi0, scan.levels[1].elements), _product,
+                           scan.levels[1:])
         np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[0, :, 1:])
         gx[1:] = pg[:h - 1]
+    z[0, :, 0] = pi0
     z *= ev
-    us, ug = np.empty((1, m, n)), np.empty(n)
-    us[..., 0::2], ug[0::2] = _rescaled(z, gx)
+    us, ug = scan.levels[0].prefix, scan.levels[0].prefix_scales
+    _rescaled(z, gx, ug[0::2], scan.final)
+    us[..., 0::2] = z
     if n > 1:
         us[..., 1::2], ug[1::2] = ps, pg
     return us, ug
@@ -256,29 +489,34 @@ def _filter_rows(e: np.ndarray, p: np.ndarray, pi0: np.ndarray):
 _WALK = 320
 
 
-def _follow(picks: np.ndarray, state: int) -> np.ndarray:
-    """The states S_0..S_n with S_n = state and S_t = picks[S_{t+1}, t]."""
-    m, n = picks.shape
-    levels = (n // _WALK).bit_length()
-    width = -(-n // (1 << levels)) << levels
+def _follow(draw: _Draw, state: int) -> np.ndarray:
+    """The states S_0..S_n with S_n = state and S_t = picks[S_{t+1}, t], the
+    picks in the first n columns of draw.maps[0]."""
+    maps, cols, n = draw.maps, draw.cols, draw.n
+    m = maps[0].shape[0]
     # identity maps past the end keep S_n
-    maps = [np.concatenate([picks, np.repeat(np.arange(m)[:, None], width - n, axis=1)], axis=1)]
+    maps[0][:, n:] = np.arange(m)[:, None]
     # f[s, t] sits at flat index s·(columns of f) + t, so the composed map
     # s -> f[f[s, 2k+1], 2k] and the fill-in below are flat np.take gathers,
-    # which cost about 3/4 of np.take_along_axis or two-array indexing
-    for _ in range(levels):
-        f = maps[-1]
-        maps.append(np.take(f, f[:, 1::2] * f.shape[1] + np.arange(0, f.shape[1], 2)))
-    coarse = maps.pop().tolist()
-    states = [state] * (width // (1 << levels) + 1)
+    # which cost about 3/4 of np.take_along_axis or two-array indexing;
+    # mode="clip" writes straight into ``out`` (every index is in range)
+    for f, composed, index in zip(maps, maps[1:], draw.compose):
+        np.multiply(f[:, 1::2], f.shape[1], out=index, dtype=np.intp)
+        index += cols[0:f.shape[1]:2]
+        np.take(f, index, out=composed, mode="clip")
+    coarse = maps[-1].tolist()
+    states = [state] * (maps[-1].shape[1] + 1)
     for k in range(len(states) - 2, -1, -1):
         state = coarse[state][k]
         states[k] = state
-    x = np.array(states)
-    for f in reversed(maps):
-        finer = np.empty(2 * x.size - 1, dtype=x.dtype)
+    x = draw.fill[-1]
+    x[:] = states
+    for f, finer in zip(reversed(maps[:-1]), reversed(draw.fill[:-1])):
+        odd, odd_states = draw.odd[:x.size - 1], draw.odd_states[:x.size - 1]
         finer[0::2] = x
-        finer[1::2] = np.take(f, x[1:] * f.shape[1] + np.arange(1, f.shape[1], 2))
+        np.multiply(x[1:], f.shape[1], out=odd)
+        odd += cols[1:f.shape[1]:2]
+        finer[1::2] = np.take(f, odd, out=odd_states, mode="clip")
         x = finer
     return x[:n + 1]
 
@@ -292,13 +530,18 @@ def hamilton_filter(
     t_len: int,
     p: np.ndarray,
     pi0: np.ndarray | None = None,
+    work: StateWorkspace | None = None,
 ) -> FilteredProbs:
     """Forward filter: row t is g(S_t = . | y_1..y_t); loglik is the sum of
     the one-step predictive log f(y_t | y_1..y_{t-1}).
 
     ``emission_logpdf`` is the (T, M) array of log emission densities, row t
     for observation t, column j for state label j+1.  ``pi0`` is the distribution
-    of the first state; uniform when omitted.
+    of the first state; uniform when omitted.  ``work`` is the StateWorkspace
+    for (T, M) that holds every array of T or more entries; a fresh one is
+    built when it is None, and ParameterError naming both shapes is raised
+    when it was built for another (T, M).  ``probs`` is a (T, M) view of the
+    workspace, valid until the next call with the same workspace.
 
     The unnormalised filter at t is pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t),
     with e_t the emission densities divided by their row maximum.  All T
@@ -324,32 +567,41 @@ def hamilton_filter(
     if logem.shape != (t_len, m):
         raise ParameterError(f"emission array has shape {logem.shape}, expected {(t_len, m)}")
     pi0 = validate_initial_distribution(pi0, m)
-    # the row maxima are taken along the time axis of the transposed copy:
-    # logem.max(axis=1) reduces one length-M row per time step
-    loge = np.array(logem.T, order="C")
-    mx = loge.max(axis=0)
+    scan = _workspace(work, t_len, m).scan()
+    # the row maxima are taken along the time axis of the (M, T) layout, a
+    # model's emission rows or a copy: logem.max(axis=1) reduces one length-M
+    # row per time step
+    loge = logem.T
+    if not loge.flags.c_contiguous:
+        np.copyto(scan.loge, loge)
+        loge = scan.loge
+    mx = np.maximum.reduce(loge, 0, out=scan.mx)
     # a NaN or +inf entry is its row's max and fails the comparison
-    check_entries(mx < np.inf, "log emissions must be finite or -inf", logem)
+    check_entries(np.less(mx, np.inf, out=scan.flags), "log emissions must be finite or -inf",
+                  logem)
+    top = mx.sum()
+    # an all -inf row stays -inf: nothing is subtracted from it, and its
+    # prefix is zero, so the filter fails below without reading ``top``
+    np.copyto(mx, 0.0, where=np.equal(mx, -np.inf, out=scan.flags))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # an all -inf row stays -inf: nothing is subtracted from it
-        loge -= np.where(mx > -np.inf, mx, 0.0)
         # the row-total bound of the module docstring
         if min(p.min(), pi0.min()) >= 2.0**-150:
-            s, g = _filter_rows(np.exp(loge, out=loge), p, pi0)
+            s, g = _filter_rows(loge, mx, p, pi0, scan)
         else:
-            s, g = _prefixes(*_log_factors(p, loge, pi0), _log_product)
-            s, g = _rescaled(np.exp(s), g)
-    dead = ~(g > -np.inf)
-    if dead.any():
+            loge = np.subtract(loge, mx, out=scan.loge)
+            s, g = _prefixes(*_log_factors(p, loge, pi0), _log_product, scan.levels)
+            _rescaled(np.exp(s, out=s), g, g, scan.exact_final)
+    if not g.min() > -np.inf:
         raise FilterDegeneracyError(
-            f"every state has zero likelihood at t={int(np.argmax(dead))}; "
+            f"every state has zero likelihood at t={int(np.argmax(~(g > -np.inf)))}; "
             "check emissions/parameters"
         )
-    return FilteredProbs(probs=s[0].T.copy(), loglik=float(g[-1] + mx.sum()))
+    return FilteredProbs(probs=s[0].T, loglik=float(g[-1] + top))
 
 
 def sample_state_path(
-    filt: FilteredProbs | np.ndarray, p: np.ndarray, rng: np.random.Generator
+    filt: FilteredProbs | np.ndarray, p: np.ndarray, rng: np.random.Generator,
+    work: StateWorkspace | None = None,
 ) -> np.ndarray:
     """Backward draw of a full state path from its joint smoothing distribution.
 
@@ -363,9 +615,12 @@ def sample_state_path(
     and the same Generator state.  ``filt`` must hold at least one row of M
     probabilities, M the size of ``p``, each finite and nonnegative, or
     ParameterError naming the first bad row is raised before any uniform is
-    drawn.  Raises FilterDegeneracyError naming the largest t at which the
-    path meets a zero-probability row, the t a step-by-step loop stops at.
-    Returns labels 1..M.
+    drawn.  ``work`` is the StateWorkspace for (T, M) that holds every
+    working array; a fresh one is built when it is None, and ParameterError
+    naming both shapes is raised when it was built for another (T, M).
+    Raises FilterDegeneracyError naming the largest t at which the path
+    meets a zero-probability row, the t a step-by-step loop stops at.
+    Returns a new array of labels 1..M.
     """
     probs = filt.probs if isinstance(filt, FilteredProbs) else np.asarray(filt, dtype=float)
     p = validate_transition_matrix(p)
@@ -376,30 +631,35 @@ def sample_state_path(
             f"for a transition matrix of shape {p.shape}"
         )
     t_len = probs.shape[0]
-    rows = np.ascontiguousarray(probs[:-1].T)
+    draw = _workspace(work, t_len, m).draw()
+    # the filter's probs are a transposed view, so these rows are contiguous
+    rows = probs[:-1].T
     last = probs[-1]
     # a NaN is its array's min and max, and fails both comparisons
     if not (rows.min(initial=0.0) >= 0.0 and last.min() >= 0.0
             and rows.max(initial=0.0) < np.inf and last.max() < np.inf):
         check_entries((probs >= 0.0) & (probs < np.inf),
                       "filtered probabilities must be finite and nonnegative", probs)
-    uniforms = rng.random(t_len)
+    uniforms = rng.random(out=draw.uniforms)
     # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s], the sums of
     # np.cumsum(axis=0) in the same order, one whole row at a time
-    cdf = rows[:, None, :] * p[:, :, None]
+    cdf = np.multiply(rows[:, None, :], p[:, :, None], out=draw.cdf)
     for i in range(1, m):
         cdf[i] += cdf[i - 1]
     total = cdf[-1]
     # picks[s, t] is S_t given S_{t+1} = s; the last row, total itself, never
     # lies below uniform * total, so it is left out of the count
-    picks = (cdf[:-1] < uniforms[:-1] * total).sum(axis=0)
+    below = np.less(cdf[:-1], np.multiply(uniforms[:-1], total, out=draw.thr), out=draw.below)
+    np.add.reduce(below, 0, dtype=draw.maps[0].dtype, out=draw.maps[0][:, :t_len - 1])
     last = np.cumsum(last)
-    path = _follow(picks, int((last < uniforms[-1] * last[-1]).sum()))
-    zero = ~(total[path[1:], np.arange(t_len - 1)] > 0.0)
-    if zero.any():
-        raise FilterDegeneracyError(
-            f"backward sampling hit a zero-probability row at t={int(np.flatnonzero(zero)[-1])}"
-        )
+    path = _follow(draw, int((last < uniforms[-1] * last[-1]).sum()))
+    # a path can meet a zero total only where one exists
+    if not total.min(initial=np.inf) > 0.0:
+        zero = ~(total[path[1:], np.arange(t_len - 1)] > 0.0)
+        if zero.any():
+            raise FilterDegeneracyError(
+                f"backward sampling hit a zero-probability row at t={int(np.flatnonzero(zero)[-1])}"
+            )
     return path + 1
 
 

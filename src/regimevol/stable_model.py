@@ -23,10 +23,9 @@ from .distributions import (
     FrechetParams,
     InvGammaParams,
     check_alpha,
-    gaussian_logpdf,
     positive_stable_logpdf,
 )
-from .errors import check_positive
+from .errors import check_positive, check_vector
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -74,8 +73,8 @@ class StableModelParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.h_star = np.asarray(self.h_star, dtype=float)
+        self.mu = check_vector("mu", self.mu)
+        self.h_star = check_vector("h_star", self.h_star)
         check_scale_ladder(self.mu, "gamma1_sq", self.gamma1_sq, self.h_star)
         check_positive("mixing variable lambda", self.lam)
         check_alpha(self.alpha)
@@ -217,13 +216,21 @@ class StableGibbsSampler(GibbsSampler):
         ]
 
     def emission_matrix(self, params: StableModelParams) -> np.ndarray:
-        var = params.lam * params.gamma_sq
-        return gaussian_logpdf(self.data[:, None], params.mu[None, :], var[None, :])
+        # gaussian_logpdf's operations in its order, written into the
+        # workspace's (M, T) emission rows
+        var = (params.lam * params.gamma_sq)[:, None]
+        e = np.subtract(self.data, params.mu[:, None], out=self.work.emission)
+        np.square(e, out=e)
+        e /= var
+        np.add(np.log(2.0 * np.pi * var), e, out=e)
+        e *= -0.5
+        return e.T
 
     def update(self, params: StableModelParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"
-        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition)
-        path = sample_state_path(filt, transition, rng)
+        filt = hamilton_filter(self.emission_matrix(params), self.data.size, transition,
+                               work=self.work)
+        path = sample_state_path(filt, transition, rng, work=self.work)
 
         self.stage = "transition_matrix"
         counts = count_transitions(path, self.n_states)

@@ -1,8 +1,10 @@
-"""The package's two parameter rules.  Every scalar it takes as a scale,
+"""The package's parameter rules.  Every scalar it takes as a scale,
 rate, shape, precision or floor goes through ``errors.check_positive``, so
 zero, negative, NaN and +inf all fail with the same ParameterError; every
-array argument goes through ``errors.check_entries``, so a bad entry fails
-with a ParameterError that names its row or index."""
+vector parameter goes through ``errors.check_vector``, so one that is not
+1-D fails with a ParameterError that names it and its shape; every array
+argument goes through ``errors.check_entries``, so a bad entry fails with a
+ParameterError that names its row or index."""
 
 import ast
 import math
@@ -31,7 +33,7 @@ from regimevol import (
     score,
 )
 from regimevol.distributions import jump_convolved_logpdf_counts, stable_sample
-from regimevol.errors import check_entries, check_positive
+from regimevol.errors import check_entries, check_positive, check_vector
 from regimevol.jump_model import check_u_ladder
 from regimevol.mcmc import AdaptiveRw, check_scale_ladder, normal_normal_update
 from regimevol.regime import (
@@ -206,6 +208,56 @@ def test_check_entries_names_the_first_false(ok, values, message):
         check_entries(np.array(ok), "x", values)
     check_entries(np.ones(np.shape(ok), dtype=bool), "x", values)
     check_entries(np.zeros((0, 3), dtype=bool), "x", np.zeros((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the one rule for the shape of a vector argument
+
+
+def _one_state(**bad):
+    fields = dict(mu=[0.0], sigma1_sq=1.0, h_star=[], theta=[0.5], n_jumps=[0], b=1.0)
+    return JumpParams(**{**fields, **bad})
+
+
+# (entry point with one vector argument that is not 1-D, the field the
+# message names, its shape); a scalar theta or u ended in numpy's bare
+# "diff requires input that is at least one dimensional" ValueError, and
+# the others were accepted and failed later, in to_param_dict or sigma_sq
+VECTOR_ENTRY_POINTS = {
+    "JumpParams.theta": (lambda: _one_state(theta=0.0), "theta", ()),
+    "JumpParams.mu": (lambda: _one_state(mu=0.0), "mu", ()),
+    "JumpParams.n_jumps": (lambda: _one_state(n_jumps=0), "n_jumps", ()),
+    "JumpParams.h_star": (
+        lambda: JumpParams(mu=np.zeros(2), sigma1_sq=1.0, h_star=[[2.0]], theta=[0.0, 1.0],
+                           n_jumps=[0, 0], b=1.0), "h_star", (1, 1)),
+    "StableModelParams.mu": (
+        lambda: StableModelParams(mu=0.0, gamma1_sq=1.0, h_star=[], lam=1.0, alpha=1.7),
+        "mu", ()),
+    "StableModelParams.h_star": (
+        lambda: StableModelParams(mu=np.zeros(2), gamma1_sq=1.0, h_star=[[2.0]], lam=1.0,
+                                  alpha=1.7), "h_star", (1, 1)),
+    "check_u_ladder.scalar": (lambda: check_u_ladder(1.0), "u", ()),
+    "check_u_ladder.matrix": (lambda: check_u_ladder([[0.5, 1.0]]), "u", (1, 2)),
+    "JumpPriors.u": (
+        lambda: JumpPriors(k=1.0, sigma_prior=InvGammaParams(2.0, 0.5),
+                           frechet=FrechetParams(2.0, 0.5), u=1.0,
+                           dirichlet_rows=np.ones((1, 1))), "u", ()),
+}
+
+
+@pytest.mark.parametrize("entry", list(VECTOR_ENTRY_POINTS))
+def test_every_vector_argument_must_be_one_dimensional(entry):
+    call, name, shape = VECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError
+    assert str(info.value) == f"{name} must be a 1-D vector, got shape {shape}"
+
+
+def test_check_vector_keeps_a_vector():
+    np.testing.assert_array_equal(check_vector("x", [1, 2]), [1.0, 2.0])
+    assert check_vector("x", [1, 2], None).dtype.kind == "i"
+    assert check_vector("x", []).shape == (0,)
 
 
 def _is_array_test(test: ast.expr) -> bool:

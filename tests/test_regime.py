@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -335,9 +337,11 @@ def _exact_path(logem, p, pi0):
     log space over the factors log P + log diag(e_t); every row maximum of
     logem must be finite."""
     mx = logem.max(axis=1)
+    scan = regime.StateWorkspace(*logem.shape).scan()
     with np.errstate(divide="ignore"):
-        s, g = regime._prefixes(*regime._log_factors(p, logem.T - mx, pi0), regime._log_product)
-        s, g = regime._rescaled(np.exp(s), g)
+        s, g = regime._prefixes(*regime._log_factors(p, logem.T - mx, pi0), regime._log_product,
+                                scan.levels)
+        s, g = regime._rescaled(np.exp(s), g, g, scan.exact_final)
     return s[0].T, float(g[-1] + mx.sum())
 
 
@@ -630,6 +634,106 @@ def test_row_sums_within_1e_9_are_accepted():
     pi0 = np.array([0.5, 0.5 + 1e-12])
     filt = hamilton_filter(np.zeros((3, 2)), 3, p, pi0)
     np.testing.assert_allclose(filt.probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# working memory: one StateWorkspace per (T, M), reused call after call
+
+
+def _workspace_cases(rng, m, t_len):
+    """Filter inputs that change from call to call: the plain path, the exact
+    path (zeros in P, an absorbing state, the identity, a subnormal start),
+    dead emission entries, and one series laid out both as (M, T) rows, as a
+    model writes it, and as a (T, M) array."""
+    for _, p, pi0, logem in _oracle_cases(m, t_len, rng):
+        yield p, pi0, logem
+    logem, p, pi0 = _random_instance(rng, t_len, m)
+    yield p, pi0, np.ascontiguousarray(logem.T).T
+    yield p, None, logem
+
+
+@pytest.mark.parametrize("m, t_len", [(1, 7), (2, 1), (3, 2), (3, 33), (4, 300), (4, 1281)])
+def test_a_reused_workspace_gives_what_fresh_calls_give(m, t_len):
+    rng = np.random.default_rng(50 * m + t_len)
+    work = regime.StateWorkspace(t_len, m)
+    for p, pi0, logem in _workspace_cases(rng, m, t_len):
+        fresh = hamilton_filter(logem, t_len, p, pi0)
+        reused = hamilton_filter(logem, t_len, p, pi0, work=work)
+        np.testing.assert_array_equal(reused.probs, fresh.probs)
+        assert reused.loglik == fresh.loglik
+        seed = int(rng.integers(2**32))
+        fresh_rng, reused_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        path = sample_state_path(fresh, p, fresh_rng)
+        np.testing.assert_array_equal(sample_state_path(reused, p, reused_rng, work=work), path)
+        assert reused_rng.bit_generator.state == fresh_rng.bit_generator.state
+        # a path draw from another matrix of probabilities leaves the filter's
+        # rows alone, and a second draw with the same workspace repeats the first
+        probs = reused.probs.copy()
+        sample_state_path(rng.dirichlet(np.ones(m), size=t_len), p, rng, work=work)
+        np.testing.assert_array_equal(reused.probs, probs)
+        again = np.random.default_rng(seed)
+        np.testing.assert_array_equal(sample_state_path(reused, p, again, work=work), path)
+
+
+def test_the_model_writes_its_emissions_into_the_workspace():
+    rng = np.random.default_rng(12)
+    logem, p, pi0 = _random_instance(rng, 40, 3)
+    work = regime.StateWorkspace(40, 3)
+    work.emission[...] = logem.T
+    fresh = hamilton_filter(logem, 40, p, pi0)
+    reused = hamilton_filter(work.emission.T, 40, p, pi0, work=work)
+    np.testing.assert_array_equal(reused.probs, fresh.probs)
+    assert reused.loglik == fresh.loglik
+    np.testing.assert_array_equal(work.emission, logem.T)
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (11, 3)])
+def test_a_workspace_for_another_shape_is_refused(shape):
+    work = regime.StateWorkspace(*shape)
+    logem, p = np.zeros((11, 4)), np.full((4, 4), 0.25)
+    message = re.escape(f"workspace is sized for (T, M) = {shape}, but this call has (11, 4)")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        hamilton_filter(logem, 11, p, work=work)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        sample_state_path(np.full((11, 4), 0.25), p, rng, work=work)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_workspace_refuses_an_empty_shape():
+    for shape in [(0, 4), (5, 0)]:
+        with pytest.raises(ParameterError, match="T >= 1 and M >= 1"):
+            regime.StateWorkspace(*shape)
+
+
+def _transient_bytes(call):
+    """The traced allocation peak of call() above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_workspace_leaves_filter_and_path_under_one_emission_matrix():
+    # at T = 10^5 the filter and the path draw each allocated about 7 and 9
+    # times the emission matrix per call before they wrote into a workspace
+    t_len, m = 100_000, 4
+    rng = np.random.default_rng(17)
+    logem, p, pi0 = _random_instance(rng, t_len, m)
+    work = regime.StateWorkspace(t_len, m)
+    filt = hamilton_filter(logem, t_len, p, pi0, work=work)
+    sample_state_path(filt, p, rng, work=work)
+    box = {}
+    filter_bytes = _transient_bytes(
+        lambda: box.update(filt=hamilton_filter(logem, t_len, p, pi0, work=work)))
+    path_bytes = _transient_bytes(lambda: sample_state_path(box["filt"], p, rng, work=work))
+    assert filter_bytes < logem.nbytes, filter_bytes / logem.nbytes
+    assert path_bytes < logem.nbytes, path_bytes / logem.nbytes
+    assert work.buffer.nbytes <= 10 * logem.nbytes, work.buffer.nbytes / logem.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ over many sweeps, determinism, the engine's copy-and-check rule for draws,
 parameter and data validation, and stage tagging of sweep failures."""
 
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -309,6 +310,34 @@ def test_stable_sweep_deterministic_given_seed():
     np.testing.assert_array_equal(a.transition, b.transition)
     assert a.params.to_param_dict() == b.params.to_param_dict()
     assert acc_a == acc_b
+
+
+def test_a_warm_stable_sweep_allocates_under_two_emission_matrices():
+    # the filter, the path draw and the emission write into the chain's
+    # workspace; a sweep at T = 5000 used to allocate and free about ten
+    # emission matrices
+    t_len, m = 5000, 4
+    rng = np.random.default_rng(205)
+    true = StableModelParams(mu=np.zeros(m), gamma1_sq=0.5e-4, h_star=[3.0] * (m - 1),
+                             lam=1.0, alpha=1.7)
+    p = np.full((m, m), 0.01)
+    np.fill_diagonal(p, 0.97)
+    y = simulate_stable_model(true, p, None, t_len, rng).observations
+    priors = build_stable_priors(load_config(model="stable", seed=0, states=m), y)
+    sampler = StableGibbsSampler(y, priors, adapt_iters=2)
+    state = initial_stable_state(y, priors)
+    for _ in range(3):
+        state = sampler.sweep(state, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sampler.sweep(state, rng)
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    emission = t_len * m * 8
+    assert transient < 2 * emission, transient / emission
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The repository scripts under ``tools/``: the code-line counter and the
-no-print check."""
+"""The repository scripts under ``tools/``: the code-line counter, the
+no-print check and the per-stage sweep meter."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +85,28 @@ def test_no_print_passes_the_package():
     run = _no_print(ROOT / "src" / "regimevol")
     assert run.returncode == 0, run.stdout
     assert run.stdout == f"no print calls in {ROOT / 'src' / 'regimevol'}\n"
+
+
+def _sweep_memory(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_memory.py"), *args],
+                          capture_output=True, text=True, check=False, timeout=300)
+
+
+@pytest.mark.parametrize("model", ["stable", "jump"])
+def test_sweep_memory_prints_every_stage(model):
+    run = _sweep_memory(model, "300", "3")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith(f"{model} T=300 M=4: 3 sweeps untraced, 3 traced")
+    assert lines[1].split() == ["stage", "ms", "minflt", "peak/emission"]
+    stages = [line.split()[0] for line in lines[2:]]
+    assert stages == ["emission", "filter", "path", "rest", "sweep"]
+    for line in lines[2:]:
+        ms, faults, peak = map(float, line.split()[1:])
+        assert ms > 0 and faults >= 0 and peak >= 0, line
+
+
+def test_sweep_memory_refuses_bad_arguments():
+    run = _sweep_memory("gauss", "300", "3")
+    assert run.returncode == 2
+    assert "Usage: python tools/sweep_memory.py MODEL T SWEEPS" in run.stderr
