@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataio import read_text
 from .distributions import FrechetParams, InvGammaParams, check_alpha
-from .errors import ConfigError, DataError, ParameterError, check_positive
+from .errors import ConfigError, DataError, ParameterError, check_integer, check_positive
 from .jump_model import JumpPriors, check_u_cap, check_u_ladder, default_u_ladder
 from .regime import default_dirichlet_rows
 from .stable_model import StablePriors
@@ -109,18 +109,15 @@ class RunConfig:
             if not check(value):
                 optional = " or null" if kind != f.type else ""
                 raise ConfigError(f"{f.name} must be {expected}{optional}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.states < 1:
-            raise ConfigError(f"need at least one state, got {self.states}")
-        if not 0 <= self.burnin < self.iters:
-            raise ConfigError(f"need 0 <= burnin < iters, got burnin={self.burnin} "
-                              f"iters={self.iters}")
-        if self.u is not None and len(self.u) != self.states:
-            raise ConfigError(f"u must have one entry per state ({self.states}), got {self.u}")
         if self.model == "stable" and self.fix_mean_zero:
             raise ConfigError("fix_mean_zero pins jump-model means; stable means are free")
         try:
+            check_integer("seed", self.seed)
+            check_integer("states", self.states, 1)
+            check_integer("iters", self.iters, 1)
+            check_integer("burnin", self.burnin, 0, self.iters - 1)
+            if self.u is not None and len(self.u) != self.states:
+                raise ConfigError(f"u must have one entry per state ({self.states}), got {self.u}")
             for name in _POSITIVE:
                 if getattr(self, name) is not None:
                     check_positive(name, getattr(self, name))

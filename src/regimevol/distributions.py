@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .errors import NumericalError, ParameterError, check_positive
+from .errors import NumericalError, ParameterError, check_entries, check_integer, check_positive
 
 __all__ = [
     "InvGammaParams",
@@ -308,6 +308,12 @@ def frechet_sample(params: FrechetParams, rng: np.random.Generator, size=None):
 
 
 def gaussian_logpdf(y, mu, var):
+    """Log density of N(mu, var) at y, elementwise; ParameterError unless var
+    (a scalar, or an ndarray checked entry by entry) is finite and > 0."""
+    if isinstance(var, np.ndarray) and var.ndim:
+        check_entries((var > 0.0) & (var < np.inf), "variances must be finite and > 0", var)
+    else:
+        check_positive("variance", var)
     y = np.asarray(y, dtype=float)
     out = -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
     return out if out.ndim else float(out)
@@ -323,9 +329,7 @@ _MILLER_DAMPING = 20.0  # backward run-in: damp the start's error by e^-20
 
 
 def _check_convolution_params(sigma: float, n_jumps: int, b: float) -> int:
-    n = int(n_jumps)
-    if n != n_jumps or n < 1:
-        raise ParameterError(f"jump count must be an integer >= 1, got {n_jumps}")
+    n = check_integer("jump count", n_jumps, 1)
     check_positive("Gaussian scale sigma", sigma)
     check_positive("jump amplitude rate b", b)
     if n > _MAX_BATCH_JUMPS:
@@ -406,9 +410,11 @@ def _convolved_rows(zs: np.ndarray, mu: float, sigma: float, n_lo: int, n_top: i
     exponentially tilted into a K_n: the positive jumps give K_n(d - b sigma)
     e^(-b sigma d), the negative ones K_n(-d - b sigma) e^(b sigma d), with
     d = (z - mu)/sigma.  All arithmetic stays in log space, so tail
-    observations never underflow.
+    observations never underflow.  ParameterError names the first z at which
+    d is not finite: z or mu is not, or the quotient overflows.
     """
     d = (zs - mu) / sigma
+    check_entries(np.isfinite(d), "(z - mu) / sigma must be finite, with z and mu finite", d)
     bs = b * sigma
     log_k = _log_k_rows(np.concatenate([d - bs, -d - bs]), n_top)[n_lo - 1:]
     n = np.arange(n_lo, n_top + 1, dtype=float)[:, None]

@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package, and its parameter checks.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError (and
-subclasses) -> 3, DataError -> 4.  ``check_positive`` is the one rule for a
-scalar that must be finite and > 0 (a scale, rate, shape, precision or
-floor), ``check_vector`` the one rule for the shape of a vector argument,
-and ``check_entries`` the one rule for an array argument's entries: it names
-the first row or index that fails the caller's test.  Every module can
-import them without an import cycle.
+subclasses) -> 3, DataError -> 4.  Four checks hold the package's
+parameter rules, one per kind of argument: ``check_positive`` for a scalar
+that must be finite and > 0 (a scale, rate, shape, precision or floor),
+``check_integer`` for an integer (a count, a size or a state index) and its
+range, ``check_vector`` for the shape of a vector argument, and
+``check_entries`` for an array argument's entries: it names the first row or
+index that fails the caller's test.  Every module can import them without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "NumericalError",
     "FilterDegeneracyError",
     "check_positive",
+    "check_integer",
     "check_vector",
     "check_entries",
 ]
@@ -73,6 +76,18 @@ def check_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
 
+def check_integer(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int; ParameterError naming ``name`` unless it is an
+    integer (a numpy integer too, a bool not) with ``low <= value``, and
+    ``value <= high`` when ``high`` is given."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        if high is None:
+            raise ParameterError(f"{name} must be an integer >= {low}, got {value}")
+        raise ParameterError(f"{name} must lie in {low}..{high}, got {value}")
+    return int(value)
+
+
 def check_vector(name: str, values, dtype=float) -> np.ndarray:
     """``values`` as an array of ``dtype`` (its own when None); ParameterError
     naming ``name`` and the shape unless it is 1-D."""
@@ -87,7 +102,8 @@ def check_entries(ok: np.ndarray, what: str, values: np.ndarray) -> None:
     where ``ok`` holds a False.  The first axis of ``ok`` indexes ``values``;
     a row passes when all its entries in ``ok`` are True.  Each caller writes
     ``ok`` so that NaN fails it."""
-    if not ok.all():
+    # count_nonzero is the cheapest all-true test numpy has
+    if np.count_nonzero(ok) != ok.size:
         # argwhere lists the False entries row by row, so the first is in the first bad row
         i = int(np.argwhere(~np.atleast_1d(ok))[0, 0])
         where = "row" if np.ndim(values) == 2 else "index"

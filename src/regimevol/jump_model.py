@@ -45,7 +45,7 @@ from .distributions import (
     jump_convolved_logpdf,
     jump_convolved_logpdf_counts,
 )
-from .errors import ParameterError, check_entries, check_positive, check_vector
+from .errors import ParameterError, check_entries, check_integer, check_positive, check_vector
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -141,7 +141,7 @@ class JumpParams:
 
 def default_u_ladder(n_states: int) -> np.ndarray:
     """Default intensity-interval endpoints 0.5, 1, 2, 4, ... (doubling)."""
-    return 0.5 * 2.0 ** np.arange(n_states)
+    return 0.5 * 2.0 ** np.arange(check_integer("n_states", n_states, 1))
 
 
 @dataclass
@@ -175,6 +175,7 @@ class JumpPriors:
 
     def theta_interval(self, j: int) -> tuple[float, float]:
         """Support (lo, hi] of theta_j, 1-based state index."""
+        j = check_integer("state index j", j, 1, self.n_states)
         return (0.0 if j == 1 else float(self.u[j - 2])), float(self.u[j - 1])
 
 
@@ -205,6 +206,7 @@ def sample_mu_j(
     sampler: AdaptiveRw,
 ) -> float:
     """State-j mean: exact conjugate draw when N_j = 0, otherwise one MH step."""
+    j = check_integer("state index j", j, 1, params.n_states)
     data_j = np.asarray(data_j, dtype=float)
     var = float(params.sigma_sq[j - 1])
     loglik = _state_loglik(params, j)
@@ -340,6 +342,7 @@ def jump_count_weights(data_j: np.ndarray, j: int, params: JumpParams) -> np.nda
     fired by then, again for twice as many counts, up to N_max.  A pass's
     cost grows with n, and the rule usually fires three counts past the mode.
     """
+    j = check_integer("state index j", j, 1, params.n_states)
     data_j = np.asarray(data_j, dtype=float)
     theta = float(params.theta[j - 1])
     var = float(params.sigma_sq[j - 1])

@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import (
     FrechetParams, InvGammaParams, frechet_logpdf, frechet_sample, inv_gamma_sample,
 )
-from .errors import ParameterError, RegimevolError, check_entries, check_positive
+from .errors import ParameterError, RegimevolError, check_entries, check_integer, check_positive
 from .regime import StateWorkspace
 
 __all__ = [
@@ -141,8 +141,9 @@ def inv_gamma_normal_update(
 
     Posterior is invGamma(n/2 + shape, residual_sq_sum/2 + rate).
     """
-    if n < 0 or residual_sq_sum < 0:
-        raise ParameterError("need n >= 0 and a nonnegative residual sum of squares")
+    check_integer("n", n)
+    if not residual_sq_sum >= 0.0:
+        raise ParameterError(f"residual sum of squares must be >= 0, got {residual_sq_sum}")
     post = InvGammaParams(n / 2.0 + prior.shape, residual_sq_sum / 2.0 + prior.rate)
     return float(inv_gamma_sample(post, rng))
 
@@ -163,9 +164,7 @@ def h_star_step(
     the state is Gaussian.  A Gaussian state's likelihood is h^(-n/2)
     exp(-ss / (2h)), ss the residual sum of squares over var_{j-1}.
     """
-    m = mu.size
-    if not 2 <= j <= m:
-        raise ParameterError(f"h* index must lie in 2..{m}, got {j}")
+    check_integer("h* index", j, 2, mu.size)
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         return float(frechet_sample(prior, rng))
@@ -289,7 +288,7 @@ class GibbsSampler:
         self.priors = priors
         m = priors.n_states
         self.n_states = m
-        self.adapt_iters = adapt_iters
+        self.adapt_iters = check_integer("adapt_iters", adapt_iters)
         location_scale = 0.25 * math.sqrt(np.var(self.data))
         self.samplers: dict[str, AdaptiveRw] = {}
         for name, transform in self.adaptive_params():
@@ -351,11 +350,16 @@ def quantile_start(
     Observations bucketed into M volatility quantiles by |y - median| define
     the initial path.  The bucket variances seed the base variance and the
     multipliers, each multiplier floored at 1.05.  The transition matrix keeps
-    ``diag`` on its diagonal and spreads the rest of each row evenly.  Returns
-    (path, base variance, multipliers, transition matrix).
+    ``diag``, in [0, 1], on its diagonal and spreads the rest of each row
+    evenly.  Returns (path, base variance, multipliers, transition matrix).
+    ParameterError unless n_states is an integer >= 1, diag lies in [0, 1]
+    and every observation is finite.
     """
     data = np.asarray(data, dtype=float)
-    m = n_states
+    m = check_integer("n_states", n_states, 1)
+    if not 0.0 <= diag <= 1.0:
+        raise ParameterError(f"diag must lie in [0, 1], got {diag}")
+    check_entries(np.isfinite(data), "observations must be finite", data)
     t_len = data.size
     dev = np.abs(data - np.median(data))
     ranks = np.argsort(np.argsort(dev))
@@ -399,8 +403,8 @@ def run_chain(
     ``iteration`` set (samplers have already set its ``stage``); any other
     exception passes through unchanged.
     """
-    if not 0 <= burn_in < n_iter:
-        raise ParameterError(f"need 0 <= burn_in < n_iter, got J={burn_in} N={n_iter}")
+    check_integer("n_iter", n_iter, 1)
+    check_integer("burn_in", burn_in, 0, n_iter - 1)
     state = init
     draws: list = []
     for it in range(n_iter):

@@ -93,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FilterDegeneracyError, ParameterError, check_entries
+from .errors import FilterDegeneracyError, ParameterError, check_entries, check_integer
 
 __all__ = [
     "FilteredProbs",
@@ -119,17 +119,22 @@ def check_probability_rows(probs: np.ndarray, what: str) -> None:
 
 
 def validate_transition_matrix(p: np.ndarray) -> np.ndarray:
+    """``p`` as a float array; ParameterError unless it is square with at
+    least one state and passes the row rule."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ParameterError(f"transition matrix must be square, got shape {p.shape}")
+    if p.size == 0:
+        raise ParameterError("a model needs at least one state, got 0")
     check_probability_rows(p, "transition-matrix")
     return p
 
 
 def validate_initial_distribution(pi0: np.ndarray | None, m: int) -> np.ndarray:
     """pi0 as a length-m probability vector, uniform when omitted; raises
-    ParameterError for any other shape, a sum off 1 or a negative entry,
-    which it names."""
+    ParameterError unless m is an integer >= 1, and for any other shape, a
+    sum off 1 or a negative entry, which it names."""
+    m = check_integer("m", m, 1)
     if pi0 is None:
         return np.full(m, 1.0 / m)
     pi0 = np.asarray(pi0, dtype=float)
@@ -301,8 +306,7 @@ class StateWorkspace:
     """
 
     def __init__(self, t_len: int, m: int) -> None:
-        if t_len < 1 or m < 1:
-            raise ParameterError(f"a workspace needs T >= 1 and M >= 1, got {(t_len, m)}")
+        t_len, m = check_integer("t_len", t_len, 1), check_integer("m", m, 1)
         self.shape = (t_len, m)
         self.buffer = np.empty(_workspace_bytes(t_len, m), np.uint8)
         take = _Carver(self.buffer)
@@ -561,8 +565,7 @@ def hamilton_filter(
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
-    if t_len < 1:
-        raise ParameterError("need at least one observation to filter")
+    t_len = check_integer("t_len", t_len, 1)
     logem = np.asarray(emission_logpdf, dtype=float)
     if logem.shape != (t_len, m):
         raise ParameterError(f"emission array has shape {logem.shape}, expected {(t_len, m)}")
@@ -666,8 +669,9 @@ def sample_state_path(
 def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
     """Entry (i, j) counts steps with S_{t-1} = i+1, S_t = j+1; total is T-1.
 
-    The labels may have any integer dtype; ParameterError names the first
-    one outside 1..m."""
+    ``m`` must be an integer >= 1.  The labels may have any integer dtype;
+    ParameterError names the first one outside 1..m."""
+    m = check_integer("m", m, 1)
     path = np.asarray(path)
     if path.ndim != 1 or path.size == 0:
         raise ParameterError("state path must be a nonempty vector")
@@ -686,6 +690,7 @@ def default_dirichlet_rows(n_states: int, diag: float = 8.0) -> np.ndarray:
     The extra diagonal mass makes the model reluctant to leave the upper
     volatility states.
     """
+    n_states = check_integer("n_states", n_states, 1)
     rows = np.ones((n_states, n_states))
     for j in range(2, n_states):
         rows[j, j] = diag

@@ -25,7 +25,7 @@ from .distributions import (
     check_alpha,
     positive_stable_logpdf,
 )
-from .errors import check_positive, check_vector
+from .errors import check_integer, check_positive, check_vector
 from .mcmc import (
     AdaptiveRw,
     GibbsSampler,
@@ -176,6 +176,7 @@ def sample_stable_mu_j(
     rng: np.random.Generator,
 ) -> float:
     """Exact conjugate draw of the state-j mean with variance lambda gamma_j^2."""
+    j = check_integer("state index j", j, 1, params.n_states)
     data_j = np.asarray(data_j, dtype=float)
     var = float(params.lam * params.gamma_sq[j - 1])
     return normal_normal_update(data_j, var, priors.k, rng)

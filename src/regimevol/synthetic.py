@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .distributions import stable_sample
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .jump_model import JumpParams
 from .regime import validate_initial_distribution, validate_transition_matrix
 from .stable_model import StableModelParams
@@ -51,8 +51,7 @@ def _simulate_path(
     p = validate_transition_matrix(p)
     if p.shape != (m, m):
         raise ParameterError(f"transition matrix has shape {p.shape}, expected {(m, m)}")
-    if t_len < 1:
-        raise ParameterError(f"need at least one observation to simulate, got t_len={t_len}")
+    t_len = check_integer("t_len", t_len, 1)
     pi0 = validate_initial_distribution(pi0, m)
     # a single state carries no randomness; skipping the draw keeps the
     # observation stream aligned with direct sampling

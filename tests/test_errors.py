@@ -1,8 +1,11 @@
 """The package's parameter rules.  Every scalar it takes as a scale,
 rate, shape, precision or floor goes through ``errors.check_positive``, so
 zero, negative, NaN and +inf all fail with the same ParameterError; every
-vector parameter goes through ``errors.check_vector``, so one that is not
-1-D fails with a ParameterError that names it and its shape; every array
+integer (a count, a size or a state index) goes through
+``errors.check_integer``, so a float, a bool or a value outside its range
+fails with a ParameterError that names it and the range; every vector
+parameter goes through ``errors.check_vector``, so one that is not 1-D
+fails with a ParameterError that names it and its shape; every array
 argument goes through ``errors.check_entries``, so a bad entry fails with a
 ParameterError that names its row or index."""
 
@@ -16,6 +19,7 @@ import pytest
 
 import regimevol
 from regimevol import (
+    ConfigError,
     FrechetParams,
     IndicatorSeries,
     InvGammaParams,
@@ -23,26 +27,47 @@ from regimevol import (
     JumpParams,
     JumpPriors,
     ParameterError,
+    RunConfig,
     StableModelParams,
     StablePriors,
     hamilton_filter,
     indicator_jump,
     indicator_stable,
     jump_convolved_logpdf,
+    run_chain,
     sample_state_path,
     score,
+    simulate_jump_model,
+    simulate_stable_model,
 )
-from regimevol.distributions import jump_convolved_logpdf_counts, stable_sample
-from regimevol.errors import check_entries, check_positive, check_vector
-from regimevol.jump_model import check_u_ladder
-from regimevol.mcmc import AdaptiveRw, check_scale_ladder, normal_normal_update
+from regimevol.distributions import gaussian_logpdf, jump_convolved_logpdf_counts, stable_sample
+from regimevol.errors import check_entries, check_integer, check_positive, check_vector
+from regimevol.jump_model import (
+    check_u_ladder,
+    default_u_ladder,
+    jump_count_weights,
+    sample_mu_j,
+    sample_n_jumps_j,
+    sample_theta_j,
+)
+from regimevol.mcmc import (
+    AdaptiveRw,
+    check_scale_ladder,
+    h_star_step,
+    inv_gamma_normal_update,
+    normal_normal_update,
+    quantile_start,
+)
 from regimevol.regime import (
+    StateWorkspace,
     check_dirichlet_rows,
     count_transitions,
+    default_dirichlet_rows,
     sample_transition_matrix,
     validate_initial_distribution,
     validate_transition_matrix,
 )
+from regimevol.stable_model import sample_stable_mu_j
 
 _RNG = np.random.default_rng(0)
 _ROWS = np.ones((2, 2))
@@ -94,6 +119,9 @@ ENTRY_POINTS = {
     "StableModelParams.lam": (_stable_params, "mixing variable lambda"),
     "StablePriors.k": (lambda x: _stable_priors(k=x), "mean-prior precision k"),
     "StablePriors.lambda_floor": (lambda x: _stable_priors(lambda_floor=x), "lambda_floor"),
+    # var = 0 ended in a divide-by-zero RuntimeWarning and NaN, var = -1 in
+    # an invalid-value one
+    "gaussian_logpdf.var": (lambda x: gaussian_logpdf(0.1, 0.0, x), "variance"),
 }
 
 
@@ -110,6 +138,136 @@ def test_every_positive_scalar_refuses_zero_negative_nan_and_inf(entry, value):
 def test_check_positive_accepts_the_ends_of_the_open_interval():
     check_positive("x", 5e-324)
     check_positive("x", np.float64(1.7e308))
+
+
+# ---------------------------------------------------------------------------
+# the one rule for an integer argument
+
+_P2 = np.full((2, 2), 0.5)
+_Y = np.array([0.1, -0.2, 0.3, -0.4])
+_CONFIG = {"model": "jump", "seed": 1, "states": 2, "iters": 10, "burnin": 2}
+
+
+def _jump_chain(x):
+    return JumpGibbsSampler(_Y, _jump_priors(1.0), adapt_iters=x)
+
+
+def _h_star(j):
+    return h_star_step(_Y, j, np.zeros(2), np.array([1.0, 2.0]), np.array([2.0]),
+                       FrechetParams(2.0, 0.5), _RNG, AdaptiveRw(0.4, "log_shift"))
+
+
+# (entry point with the checked integer as its argument, the name the
+# message gives it, the lowest and the highest value it takes; None when
+# there is no highest).  The comments say what each did before this rule
+# covered it, where it was not refused already.
+INTEGER_ENTRY_POINTS = {
+    # 2.0 and True were taken as counts; NaN ended in a bare ValueError
+    "jump_convolved_logpdf.n_jumps": (
+        lambda x: jump_convolved_logpdf(0.1, 0.0, 1.0, x, 40.0), "jump count", 1, None),
+    "jump_convolved_logpdf_counts.n_top": (
+        lambda x: jump_convolved_logpdf_counts([0.1], 0.0, 1.0, x, 40.0), "jump count", 1, None),
+    # 2.5 was taken
+    "inv_gamma_normal_update.n": (
+        lambda x: inv_gamma_normal_update(1.0, x, InvGammaParams(2.0, 0.5), _RNG), "n", 0, None),
+    "h_star_step.j": (_h_star, "h* index", 2, 2),
+    # 3.0 ended in a bare TypeError
+    "run_chain.n_iter": (lambda x: run_chain(lambda s, r: s, {}, x, 0, _RNG), "n_iter", 1, None),
+    "run_chain.burn_in": (lambda x: run_chain(lambda s, r: s, {}, 3, x, _RNG), "burn_in", 0, 2),
+    # 2.5 ended in a bare AttributeError
+    "StateWorkspace.t_len": (lambda x: StateWorkspace(x, 2), "t_len", 1, None),
+    "StateWorkspace.m": (lambda x: StateWorkspace(3, x), "m", 1, None),
+    "hamilton_filter.t_len": (lambda x: hamilton_filter(np.zeros((3, 2)), x, _P2), "t_len", 1, None),
+    "simulate_jump_model.t_len": (
+        lambda x: simulate_jump_model(_jump_params(1.0), _P2, None, x, _RNG), "t_len", 1, None),
+    "simulate_stable_model.t_len": (
+        lambda x: simulate_stable_model(_stable_params(1.0), _P2, None, x, _RNG), "t_len", 1, None),
+    # -5 never adapted, 2.5 and True were taken
+    "GibbsSampler.adapt_iters": (_jump_chain, "adapt_iters", 0, None),
+    # 0 gave "labels must lie in 1..0", 2.5 a bare TypeError
+    "count_transitions.m": (lambda x: count_transitions(np.array([1, 1]), x), "m", 1, None),
+    "default_dirichlet_rows.n_states": (lambda x: default_dirichlet_rows(x), "n_states", 1, None),
+    "quantile_start.n_states": (lambda x: quantile_start(_Y, x, 0.8), "n_states", 1, None),
+    "default_u_ladder.n_states": (lambda x: default_u_ladder(x), "n_states", 1, None),
+    "validate_initial_distribution.m": (
+        lambda x: validate_initial_distribution(None, x), "m", 1, None),
+    # j <= 0 wrapped to another state, j = M + 1 raised a bare IndexError
+    "sample_mu_j.j": (
+        lambda x: sample_mu_j(_Y, x, _jump_params(1.0), _jump_priors(1.0), _RNG, AdaptiveRw()),
+        "state index j", 1, 2),
+    "jump_count_weights.j": (
+        lambda x: jump_count_weights(_Y, x, _jump_params(1.0)), "state index j", 1, 2),
+    "sample_n_jumps_j.j": (
+        lambda x: sample_n_jumps_j(_Y, x, _jump_params(1.0), _RNG), "state index j", 1, 2),
+    "JumpPriors.theta_interval.j": (
+        lambda x: _jump_priors(1.0).theta_interval(x), "state index j", 1, 2),
+    "sample_theta_j.j": (
+        lambda x: sample_theta_j(x, _jump_params(1.0), _jump_priors(1.0), _RNG),
+        "state index j", 1, 2),
+    "sample_stable_mu_j.j": (
+        lambda x: sample_stable_mu_j(_Y, x, _stable_params(1.0), _stable_priors(), _RNG),
+        "state index j", 1, 2),
+}
+
+# RunConfig fields: (the lowest and the highest value each takes, given
+# _CONFIG's other fields)
+CONFIG_INTEGERS = {"seed": (0, None), "states": (1, None), "iters": (1, None), "burnin": (0, 9)}
+
+
+def _integer_cases(table):
+    for entry, (*_, low, high) in table.items():
+        for value in [2.5, True, low - 1] + ([] if high is None else [high + 1]):
+            yield pytest.param(entry, value, id=f"{entry}-{value}")
+
+
+@pytest.mark.parametrize("entry, value", _integer_cases(INTEGER_ENTRY_POINTS))
+def test_every_integer_argument_refuses_a_float_a_bool_and_each_end(entry, value):
+    call, name, low, high = INTEGER_ENTRY_POINTS[entry]
+    rng_state = _RNG.bit_generator.state
+    with pytest.raises(ParameterError) as info:
+        call(value)
+    assert type(info.value) is ParameterError
+    rule = f"must be an integer >= {low}" if high is None else f"must lie in {low}..{high}"
+    assert str(info.value) == f"{name} {rule}, got {value}"
+    assert _RNG.bit_generator.state == rng_state
+
+
+@pytest.mark.parametrize("field, value", _integer_cases(CONFIG_INTEGERS))
+def test_every_integer_config_field_refuses_a_float_a_bool_and_each_end(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must "):
+        RunConfig(**{**_CONFIG, field: value}).validate()
+
+
+def test_check_integer_returns_an_int_and_takes_numpy_integers():
+    assert check_integer("x", np.int16(3), 1, 3) == 3
+    assert type(check_integer("x", np.int64(0))) is int
+    with pytest.raises(ParameterError, match=r"^x must be an integer >= 0, got nan$"):
+        check_integer("x", math.nan)
+    with pytest.raises(ParameterError, match=r"^x must lie in 0\.\.2, got False$"):
+        check_integer("x", np.bool_(False), 0, 2)
+
+
+def test_a_transition_matrix_without_states_is_refused():
+    # the filter ended in a bare ZeroDivisionError inside the pi0 check
+    with pytest.raises(ParameterError, match="^a model needs at least one state, got 0$"):
+        hamilton_filter(np.zeros((3, 0)), 3, np.zeros((0, 0)))
+    with pytest.raises(ParameterError, match="^a model needs at least one state, got 0$"):
+        validate_transition_matrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("diag", [-1.0, math.nan, 1.5])
+def test_the_shared_start_refuses_a_diagonal_outside_0_to_1(diag):
+    # diag = -1 built [[-1, 2], [2, -1]] and NaN a NaN matrix, refused only
+    # at the first sweep as a transition-matrix row
+    message = f"^{re.escape(f'diag must lie in [0, 1], got {diag}')}$"
+    with pytest.raises(ParameterError, match=message):
+        quantile_start(_Y, 2, diag)
+    for start, priors in ((regimevol.initial_jump_state, _jump_priors(1.0)),
+                          (regimevol.initial_stable_state, _stable_priors())):
+        with pytest.raises(ParameterError, match=message):
+            start(_Y, priors, diag=diag)
+    for end in (0.0, 1.0):
+        assert np.all(np.diag(quantile_start(_Y, 2, end)[3]) == end)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +343,17 @@ ARRAY_ENTRY_POINTS = {
                                40.0), "row", 2),
     "indicator_stable.filtered_sum": (
         lambda: indicator_stable(_with(_FILTERED, 2, [0.5, 0.3, 0.3]), 1.0, _SIGMA_SQ), "row", 2),
+    # each of the four below ended in RuntimeWarnings, or returned NaN
+    "gaussian_logpdf.var_array": (
+        lambda: gaussian_logpdf(_EMISSIONS, 0.0, np.array([0.01, 0.0, 0.09])), "index", 1),
+    "jump_convolved_logpdf.z": (
+        lambda: jump_convolved_logpdf([0.1, -0.2, np.inf], 0.0, 1.0, 2, 40.0), "index", 2),
+    "jump_convolved_logpdf.mu": (
+        lambda: jump_convolved_logpdf([0.1, -0.2], np.nan, 1.0, 2, 40.0), "index", 0),
+    "jump_convolved_logpdf_counts.z": (
+        lambda: jump_convolved_logpdf_counts([0.1, np.nan], 0.0, 1.0, 3, 40.0), "index", 1),
+    # NaN data gave a NaN base variance, refused only by the start's params
+    "quantile_start.data": (lambda: quantile_start([0.1, -0.2, np.nan, 0.3], 2, 0.8), "index", 2),
 }
 
 
@@ -283,3 +452,65 @@ def test_array_checks_go_through_check_entries():
                         and inner.exc.func.id == "ParameterError"):
                     raises.add(f"{path.name}:{inner.lineno}")
     assert not raises, f"array checks outside errors.check_entries: {sorted(raises)}"
+
+
+def _is_int(annotation: ast.expr | None) -> bool:
+    return isinstance(annotation, ast.Name) and annotation.id == "int"
+
+
+def _reads_integer_argument(test: ast.expr, params: set[str], fields: set[str]) -> bool:
+    """Whether ``test`` compares something with an integer literal and reads
+    an integer argument: a parameter in ``params`` or ``self.<f>`` with f in
+    ``fields``."""
+    literal = any(isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Constant) and type(side.value) is int
+        for side in (node.left, *node.comparators)) for node in ast.walk(test))
+    return literal and any(
+        (isinstance(node, ast.Name) and node.id in params)
+        or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self" and node.attr in fields)
+        for node in ast.walk(test))
+
+
+def _hand_written_integer_checks(tree: ast.Module) -> list[int]:
+    """Lines of the ParameterError or ConfigError raised by an `if` that
+    compares an integer argument (a parameter or a dataclass field annotated
+    `int`) with an integer literal.  A count derived from a shape, such as
+    check_dirichlet_rows' M, is no argument of that kind."""
+    fields_of = {}  # method -> the int fields of its class
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name) and _is_int(node.annotation)}
+        fields_of.update((method, fields) for method in cls.body)
+    lines = []
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        params = {a.arg for a in func.args.args + func.args.kwonlyargs if _is_int(a.annotation)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and _reads_integer_argument(
+                    node.test, params, fields_of.get(func, set())):
+                lines += [inner.lineno for inner in ast.walk(node)
+                          if isinstance(inner, ast.Raise) and isinstance(inner.exc, ast.Call)
+                          and isinstance(inner.exc.func, ast.Name)
+                          and inner.exc.func.id in ("ParameterError", "ConfigError")]
+    return lines
+
+
+def test_integer_checks_go_through_check_integer():
+    package = Path(regimevol.__file__).parent
+    raises = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raises.update(f"{path.name}:{line}" for line in _hand_written_integer_checks(tree))
+    assert not raises, f"integer checks outside errors.check_integer: {sorted(raises)}"
+
+
+@pytest.mark.parametrize("source", [
+    "def f(n: int):\n    if n < 1:\n        raise ParameterError(n)\n",
+    "def f(j: int, m):\n    if not 2 <= j <= m:\n        raise ParameterError(j)\n",
+    "class C:\n    seed: int\n    def validate(self):\n        if self.seed < 0:\n"
+    "            raise ConfigError(self.seed)\n",
+])
+def test_the_integer_check_scan_finds_a_hand_written_check(source):
+    assert _hand_written_integer_checks(ast.parse(source))

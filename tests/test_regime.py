@@ -701,8 +701,8 @@ def test_a_workspace_for_another_shape_is_refused(shape):
 
 
 def test_workspace_refuses_an_empty_shape():
-    for shape in [(0, 4), (5, 0)]:
-        with pytest.raises(ParameterError, match="T >= 1 and M >= 1"):
+    for shape, name in [((0, 4), "t_len"), ((5, 0), "m")]:
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1, got 0$"):
             regime.StateWorkspace(*shape)
 
 

@@ -115,7 +115,8 @@ def test_simulate_stable_state_medians():
     ([[0.9, 0.1], [0.2, 0.8]], [2.0, -1.0], 10, "pi0"),
     ([[0.9, 0.1], [0.2, 0.8]], [0.2, 0.3, 0.5], 10, "pi0"),
     (np.full((3, 3), 1 / 3), None, 10, r"shape \(3, 3\), expected \(2, 2\)"),
-    ([[0.9, 0.1], [0.2, 0.8]], None, 0, "t_len=0"),
+    pytest.param([[0.9, 0.1], [0.2, 0.8]], None, 0, "^t_len must be an integer >= 1, got 0$",
+                 id="p3-None-0-t_len=0"),
 ])
 def test_simulators_reject_a_bad_chain_before_any_draw(p, pi0, t_len, match):
     jump = _jump_params([0.0, 0.1], [1.0, 5.0], [0.5, 2.0])
