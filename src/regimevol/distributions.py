@@ -387,9 +387,10 @@ def _log_k_rows(m: np.ndarray, n_top: int) -> np.ndarray:
         while damping < _MILLER_DAMPING:
             start += 1
             damping += 2.0 * math.asinh(half_a / math.sqrt(start))
-        # R_start ~ the fixed point of R = m + (start - 1)/(R - R'), R' = dR/dn
-        slope = 1.0 / np.sqrt(mb * mb + 4.0 * start)
-        r = 0.5 * (mb + slope + np.sqrt((mb - slope) ** 2 + 4.0 * (start - 1)))
+        # R_start ~ the fixed point of R = m + (start - 1)/(R - R'), R' = dR/dn;
+        # hypot forms each root without squaring m, which overflows past 1e154
+        slope = 1.0 / np.hypot(mb, 2.0 * math.sqrt(start))
+        r = 0.5 * (mb + slope + np.hypot(mb - slope, 2.0 * math.sqrt(start - 1)))
         for n in range(start, 1, -1):
             r -= mb
             np.divide(n - 1, r, out=r)  # now R_{n-1}

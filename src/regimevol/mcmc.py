@@ -255,9 +255,10 @@ class GibbsSampler:
     step into the engine first needs the tracer to patch those names here.
 
     ``work`` is the chain's one StateWorkspace, built once for the series'
-    (T, M): the emission rows, the filtered rows and the scratch of the
-    filter and the path draw, reused by every sweep, so that a long series
-    does not allocate and free about ten emission matrices per sweep.  The
+    (T, M): the emission rows, the filtered rows and the working arrays of
+    the filter and the path draw, reused by every sweep, so that a long
+    series does not allocate and free them every sweep.  It holds about 2.8
+    emission matrices at T = 10^6, 5.8 at T = 10^5 and 21 at T <= 2^14.  The
     filtered probabilities ``update`` returns live in it until the next
     sweep's filter, which is why the sweep adds them into the accumulator
     before it returns.
@@ -359,6 +360,8 @@ def quantile_start(
     m = check_integer("n_states", n_states, 1)
     if not 0.0 <= diag <= 1.0:
         raise ParameterError(f"diag must lie in [0, 1], got {diag}")
+    if data.size == 0:
+        raise ParameterError("quantile_start needs at least one observation, got an empty series")
     check_entries(np.isfinite(data), "observations must be finite", data)
     t_len = data.size
     dev = np.abs(data - np.median(data))

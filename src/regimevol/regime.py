@@ -6,10 +6,11 @@ State labels are 1..M everywhere in public arrays.
 
 The forward filter needs the row vector pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t)
 for every t, where e_t holds the emission densities at t divided by their
-row maximum.  The product is associative, so all T prefixes come out of one
-parallel prefix scan (Särkkä & García-Fernández, IEEE TAC 2021; Hassan,
-Särkkä & García-Fernández, IEEE TSP 2021) in 2·ceil(log2 T) rounds instead
-of one Python step per observation.  The first level is formed from the e_t
+row maximum.  The product is associative, so the n prefixes of each chunk
+of the series (see Chunks below) come out of one parallel prefix scan
+(Särkkä & García-Fernández, IEEE TAC 2021; Hassan, Särkkä &
+García-Fernández, IEEE TSP 2021) in 2·ceil(log2 n) rounds instead of one
+Python step per observation.  The first level is formed from the e_t
 and P, with no (M, M, T) stack of factors P·diag(e_t): entry (a, c) of
 element i = P·diag(e_{2i})·P·diag(e_{2i+1}) is sum_b P_ab·P_bc·e_{2i,b}·
 e_{2i+1,c}, and element 0 has every row equal to (pi0∘e_0)·P·diag(e_1).
@@ -55,8 +56,8 @@ for every (t, next state) pair at once, which gives T - 1 pick maps
 S_{t+1} -> S_t.  Maps compose associatively, so the path comes from the
 same prefix idea as the filter: neighbouring maps are composed L times by
 pointer doubling, Python walks the at most _WALK = 320 coarsest maps, and
-each finer level's odd positions are filled in by one gather.  L is the bit
-length of (T - 1) // 320, so T <= 320 takes no level.
+each finer level's odd positions are filled in by one gather.  For a chunk
+of n maps L is the bit length of n // 320, so T <= 320 takes no level.
 
 The state step keeps its reductions along the time axis, because numpy pays
 once per time step for a reduction along a length-M axis: the filter takes
@@ -65,29 +66,42 @@ draw forms its CDF over states by M - 1 whole-row adds.  A maximum is
 exact, and the row adds are np.cumsum's sums in the same order, so both
 return the same bits.
 
+Chunks.  The filter and the backward draw run over time chunks of at most
+_CHUNK = 2^14 steps, so a series of T <= 2^14 is one chunk.  Chunk c of the
+filter starts from the previous chunk's last filtered row times P,
+renormalised, as its pi0, and the log-likelihoods of the chunks add.  Each
+entry of that row is at least the smallest entry of P, up to rounding, so
+the scan's path is chosen once for the whole series from P and the given
+pi0.  Past a chunk border the exact path carries the filtered row in linear
+scale, as a step-by-step filter does: a probability that is subnormal there
+keeps only its subnormal precision, and each border adds an error of about
+L·ε to a log entry.  The backward draw takes all T uniforms in one call and
+draws the chunks from the last one backwards, each followed back from the
+next chunk's first state, so given the same filtered rows it picks the
+states a single pass would.
+
 Working memory.  The filter and the backward draw write every array of T
 or more entries into a StateWorkspace built once for (T, M), so a chain's
-sweeps stop allocating and freeing about ten emission matrices each, which
-on a long series the allocator hands back to the kernel and faults in again
-on the next sweep.  The workspace keeps the (M, T) emission rows a model
-writes into, the (M, T) filtered rows and their log scales, and one stack
-that the two take turns to use: first the filter's even and odd emission
-columns and its scan levels, one slice per level, whose M×M elements hold
-M²·T entries over all levels, then the backward draw's CDF for every next
-state and its pick maps.  At M = 4 that is about 9.8 times the (T, M)
-emission matrix, 7.3 of them the stack, against a transient peak of about
-7 for the filter and 9 for the draw when each allocated its own; a warm
-workspace leaves each call under one emission matrix of allocation.  The
-filtered probabilities a filter call returns are a (T, M) view of the
-filtered rows: they live in the workspace until the next filter call with
-the same workspace.  Every operation keeps its order, so the numbers are
-those of a fresh workspace.
+sweeps stop allocating and freeing them, which on a long series the
+allocator hands back to the kernel and faults in again on the next sweep.
+The workspace keeps the (M, T) emission rows a model writes into, the
+(M, T) filtered rows and their log scales, and the T uniforms of a path
+draw: 2.5 times the (T, M) emission matrix at M = 4.  Beside them it keeps
+one layout of working arrays per role (the filter's scan, the draw's CDF
+and pick maps) and chunk length, each array its own, built on first use:
+at most two layouts per role, for the full chunks and a shorter last one.
+At M = 4 the two roles' arrays for a chunk of n steps take about 18 times
+an (n, M) emission matrix, so a workspace holds about 21 emission matrices
+at T <= 2^14, 5.8 at T = 10^5 and 2.8 at T = 10^6; a warm workspace leaves
+each call under one emission matrix of allocation.  The filtered
+probabilities a filter call returns are a (T, M) view of the filtered
+rows: they live in the workspace until the next filter call with the same
+workspace.  Every operation keeps its order, so the numbers are those of a
+fresh workspace.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,13 +169,23 @@ class FilteredProbs:
 # ---------------------------------------------------------------------------
 # working memory
 #
-# The filter and the backward draw write every array of T or more entries
-# into a StateWorkspace.  Its buffer holds, in this order, what lives from
-# one call to the next (the emission rows, the filtered rows and their log
-# scales, the column numbers of the pick maps), then one stack that the
-# filter's scan and the backward draw take turns to use.
+# The filter and the backward draw run over chunks of at most _CHUNK time
+# steps.  A StateWorkspace keeps what spans the whole series (the emission
+# rows, the filtered rows and their log scales, the uniforms), and one
+# layout of working arrays per role and chunk length, each array its own.
 
-_F8, _INTP, _BOOL = np.dtype(np.float64), np.dtype(np.intp), np.dtype(np.bool_)
+# most time steps in one chunk of the filter and of the backward draw
+_CHUNK = 2**14
+
+
+def _chunks(t_len: int):
+    """The (start, stop) bounds of the chunks of a series of t_len steps."""
+    return [(start, min(start + _CHUNK, t_len)) for start in range(0, t_len, _CHUNK)]
+
+
+def _scratch(r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A row-rescaling scratch: the (r, n) row totals and their (n,) maxima."""
+    return np.empty((r, n)), np.empty(n)
 
 
 def _pick_levels(n: int) -> tuple[int, int]:
@@ -171,123 +195,57 @@ def _pick_levels(n: int) -> tuple[int, int]:
     return levels, -(-n // (1 << levels)) << levels
 
 
-class _Carver:
-    """Lays arrays out end to end in the byte buffer ``buf`` from byte
-    ``end`` on, each at a 64-byte boundary, and keeps the largest end
-    reached in ``top``; with no ``buf`` it only measures and returns None.
-    Setting ``end`` back lets later arrays share bytes with earlier ones
-    that are dead by then."""
-
-    def __init__(self, buf: np.ndarray | None, end: int = 0) -> None:
-        self.buf, self.end, self.top = buf, end, end
-
-    def __call__(self, shape, dtype=_F8):
-        start = -(-self.end // 64) * 64
-        self.end = end = start + math.prod(shape) * dtype.itemsize
-        if end > self.top:
-            self.top = end
-        return None if self.buf is None else np.ndarray(shape, dtype, self.buf, start)
-
-    def at(self, start: int, shape, dtype=_F8):
-        """An array laid out from byte ``start`` on."""
-        self.end = start
-        return self(shape, dtype)
-
-    def scratch(self, start: int, r: int, n: int):
-        """A row-rescaling scratch at ``start``: the row totals and their maxima."""
-        return self.at(start, (r, n)), self((n,))
-
-
-def _kept(take: _Carver, t_len: int, m: int):
-    """The arrays kept from one call to the next: the emission rows, the
-    filtered rows and their log scales, and the pick maps' column numbers."""
-    return (take((m, t_len)), take((1, m, t_len)), take((t_len,)),
-            take((_pick_levels(t_len - 1)[1],), _INTP))
-
-
 class _Level(NamedTuple):
     """One scan level's buffers: the ``out`` triple its elements, the
-    products of the level below, are written into (none at level 0), its
-    prefix rows and their log scales, and the scratch for rescaling its
-    even prefix rows."""
+    products of the level below, are written into, its prefix rows and their
+    log scales, and the scratch for rescaling its even prefix rows.  Level 0
+    has no elements, and its prefix rows are the chunk's filtered rows."""
 
     elements: tuple | None
-    prefix: np.ndarray
-    prefix_scales: np.ndarray
+    prefix: np.ndarray | None
+    prefix_scales: np.ndarray | None
     even_scratch: tuple
 
 
 class _Scan:
-    """The filter's working arrays: the even and odd emission columns, the
-    even prefix rows (over the odd columns, dead by then), a copy of the
-    emission rows (dead once the first level is formed), the scan levels and
-    the rescaling scratch, whose row maxima first hold the emission maxima.
-    Level j holds N_j = T // 2^j elements, the products of level j - 1
-    (j >= 1), and their prefix rows; level 0's prefix rows are the filtered
-    rows ``rows`` and their log scales ``g``."""
+    """The filter's working arrays for a chunk of n steps: the even and odd
+    emission columns, the even prefix rows, a copy of the emission rows, the
+    row maxima and a flag per step, the scan levels and the rescaling
+    scratch.  Level j holds N_j = n // 2^j elements, the products of level
+    j - 1 (j >= 1), and their prefix rows."""
 
-    def __init__(self, take: _Carver, t_len: int, m: int, rows, g) -> None:
-        h, k = (t_len + 1) // 2, t_len // 2
-        self.ev, odd = take((m, h)), take.end
-        self.od = take((m, k))
-        take.end = odd
-        self.z, self.gz = take((1, m, h)), take((h,))
-        scan = take.end
-        self.loge = take((m, t_len))
-        loge_end, take.end = take.end, scan
-        sizes = [t_len]
-        while sizes[-1] > 1:
-            sizes.append(sizes[-1] // 2)
-        elements = [None] + [(take((m, m, n)), take((n,))) for n in sizes[1:]]
-        prefixes = [(rows, g)] + [(take((1, m, n)), take((n,))) for n in sizes[1:]]
-        scratch = take.end = max(take.end, loge_end)
-        self.mx, self.flags = take.scratch(scratch, 1, t_len)[1], take((t_len,), _BOOL)
-        self.levels = [
-            _Level((*elements[j], take.scratch(scratch, m, n)) if j else None, *prefixes[j],
-                   take.scratch(scratch, 1, (n - 1) // 2))
-            for j, n in enumerate(sizes)
-        ]
-        self.final = take.scratch(scratch, 1, h)
-        self.exact_final = take.scratch(scratch, 1, t_len)
+    def __init__(self, n: int, m: int) -> None:
+        h = (n + 1) // 2
+        self.ev, self.od = np.empty((m, h)), np.empty((m, n // 2))
+        self.z, self.gz = np.empty((1, m, h)), np.empty(h)
+        self.loge, self.mx, self.flags = np.empty((m, n)), np.empty(n), np.empty(n, bool)
+        self.levels = [_Level(None, None, None, _scratch(1, (n - 1) // 2))]
+        k = n // 2
+        while k:
+            self.levels.append(_Level((np.empty((m, m, k)), np.empty(k), _scratch(m, k)),
+                                      np.empty((1, m, k)), np.empty(k), _scratch(1, (k - 1) // 2)))
+            k //= 2
+        self.final, self.exact_final = _scratch(1, h), _scratch(1, n)
 
 
 class _Draw:
-    """The backward draw's working arrays: the uniforms, the CDF over states
-    for every next state, the n = T - 1 pick maps, composed level by level,
-    and, over the comparison buffers once the picks are made, the flat
-    gather indices and the fill-in states (two slots, fine and coarse, in
-    turn); ``cols`` holds the column numbers 0, 1, 2, ... of the first map
-    level."""
+    """The backward draw's working arrays for a chunk of n pick maps: the
+    CDF over states for every next state, the comparison buffers, the pick
+    maps, composed level by level, the flat gather indices, the fill-in
+    states of every level and the column numbers 0, 1, 2, ... of the first
+    map level."""
 
-    def __init__(self, take: _Carver, t_len: int, m: int, cols) -> None:
-        self.n = n = t_len - 1
-        self.cols = cols
+    def __init__(self, n: int, m: int) -> None:
+        self.n = n
         levels, width = _pick_levels(n)
         state = np.min_scalar_type(m - 1)
-        self.uniforms = take((t_len,))
-        self.cdf = take((m, m, n))
-        self.maps = [take((m, width >> j), state) for j in range(levels + 1)]
-        picking = take.end
-        self.thr, self.below = take((m, n)), take((m - 1, m, n), _BOOL)
-        take.end = picking
-        self.compose = [take.at(picking, (m, width >> j), _INTP) for j in range(1, levels + 1)]
-        take.end = picking
-        self.odd, self.odd_states = take((width // 2,), _INTP), take((width // 2,), state)
-        fine = take.end
-        take((width + 1,), _INTP)
-        slots = (fine, take.end)
-        self.fill = [take.at(slots[j % 2], ((width >> j) + 1,), _INTP) for j in range(levels + 1)]
-
-
-@functools.lru_cache(maxsize=64)
-def _workspace_bytes(t_len: int, m: int) -> int:
-    take = _Carver(None)
-    _kept(take, t_len, m)
-    stack = take.end
-    _Scan(take, t_len, m, None, None)
-    take.end = stack
-    _Draw(take, t_len, m, None)
-    return take.top
+        self.cdf, self.thr = np.empty((m, m, n)), np.empty((m, n))
+        self.below = np.empty((m - 1, m, n), bool)
+        self.maps = [np.empty((m, width >> j), state) for j in range(levels + 1)]
+        self.compose = [np.empty((m, width >> j), np.intp) for j in range(1, levels + 1)]
+        self.odd, self.odd_states = np.empty(width // 2, np.intp), np.empty(width // 2, state)
+        self.fill = [np.empty((width >> j) + 1, np.intp) for j in range(levels + 1)]
+        self.cols = np.arange(width, dtype=np.intp)
 
 
 class StateWorkspace:
@@ -299,35 +257,32 @@ class StateWorkspace:
     ``emission`` is an (M, T) buffer a model may write its log emissions
     into and hand to the filter as ``emission.T``.  The filtered
     probabilities a filter call returns are a view of ``rows``, valid until
-    the next filter call with the same workspace.  ``buffer`` holds it all,
-    about 10 times the (T, M) emission matrix at M = 4: the filter and the
-    backward draw take turns to use all but the emission and filtered rows
-    (see the module docstring).
+    the next filter call with the same workspace.  Besides the emission
+    rows, the filtered rows and their log scales ``g`` and the T uniforms of
+    a path draw, 2.5 times the (T, M) emission matrix at M = 4, it keeps the
+    filter's and the draw's arrays for a chunk of at most _CHUNK steps, each
+    built on first use (see the module docstring).
     """
 
     def __init__(self, t_len: int, m: int) -> None:
         t_len, m = check_integer("t_len", t_len, 1), check_integer("m", m, 1)
         self.shape = (t_len, m)
-        self.buffer = np.empty(_workspace_bytes(t_len, m), np.uint8)
-        take = _Carver(self.buffer)
-        self.emission, self.rows, self.g, self._cols = _kept(take, t_len, m)
-        self._cols[...] = np.arange(self._cols.size)
-        self._stack = take.end
-        self._scan: _Scan | None = None
-        self._draw: _Draw | None = None
+        self.emission, self.rows = np.empty((m, t_len)), np.empty((1, m, t_len))
+        self.g, self.uniforms = np.empty(t_len), np.empty(t_len)
+        self._scans: dict[int, _Scan] = {}
+        self._draws: dict[int, _Draw] = {}
 
-    def scan(self) -> _Scan:
-        """The filter's working arrays, laid out on first use."""
-        if self._scan is None:
-            self._scan = _Scan(_Carver(self.buffer, self._stack), *self.shape, self.rows, self.g)
-        return self._scan
+    def scan(self, n: int) -> _Scan:
+        """The filter's working arrays for a chunk of n steps."""
+        if n not in self._scans:
+            self._scans[n] = _Scan(n, self.shape[1])
+        return self._scans[n]
 
-    def draw(self) -> _Draw:
-        """The backward draw's working arrays, laid out on first use over the
-        same bytes as the filter's."""
-        if self._draw is None:
-            self._draw = _Draw(_Carver(self.buffer, self._stack), *self.shape, self._cols)
-        return self._draw
+    def draw(self, n: int) -> _Draw:
+        """The backward draw's working arrays for a chunk of n pick maps."""
+        if n not in self._draws:
+            self._draws[n] = _Draw(n, self.shape[1])
+        return self._draws[n]
 
 
 def _workspace(work: StateWorkspace | None, t_len: int, m: int) -> StateWorkspace:
@@ -409,33 +364,32 @@ def _log_factors(p: np.ndarray, loge: np.ndarray, pi0: np.ndarray):
     return _log_rescaled(z, np.zeros(loge.shape[1]))
 
 
-def _prefixes(s: np.ndarray, g: np.ndarray, product, levels: list):
-    """The products of elements 0..t for every t, as R = 1 stacks, each
-    product taken by product, _product or _log_product.
+def _prefixes(s: np.ndarray, g: np.ndarray, product, levels: list, us: np.ndarray,
+              ug: np.ndarray):
+    """The products of elements 0..t for every t, as R = 1 stacks written
+    into ``us`` and ``ug``, each product taken by product, _product or
+    _log_product.
 
     ``levels[j]`` holds the buffers of the elements 2^j times coarser than
-    s, level 0 the prefix rows returned.  Element 0 must have equal rows, so
-    every prefix does too.  Pairs (0,1), (2,3), ... are multiplied as
-    matrices, their prefixes found by the same scan on half as many
-    elements, and each even element t then joins the prefix row ending at
-    t - 1: about n matrix products and n row × matrix products in
-    2·ceil(log2 n) rounds.
+    s.  Element 0 must have equal rows, so every prefix does too.  Pairs
+    (0,1), (2,3), ... are multiplied as matrices, their prefixes found by
+    the same scan on half as many elements, and each even element t then
+    joins the prefix row ending at t - 1: about n matrix products and n
+    row × matrix products in 2·ceil(log2 n) rounds.
     """
     n = s.shape[-1]
-    level = levels[0]
-    us, ug = level.prefix, level.prefix_scales
     us[..., 0], ug[0] = s[:1, :, 0], g[0]
     if n == 1:
         return us, ug
     k, up = n // 2, levels[1]
     ps, pg = _prefixes(
         *product(s[..., 0:2 * k:2], g[0:2 * k:2], s[..., 1::2], g[1::2], up.elements),
-        product, levels[1:])
+        product, levels[1:], up.prefix, up.prefix_scales)
     us[..., 1::2], ug[1::2] = ps, pg
     h = (n - 1) // 2
     if h:
         product(ps[..., :h], pg[:h], s[..., 2::2], g[2::2],
-                (us[..., 2::2], ug[2::2], level.even_scratch))
+                (us[..., 2::2], ug[2::2], levels[0].even_scratch))
     return us, ug
 
 
@@ -454,27 +408,27 @@ def _pairs(ev: np.ndarray, od: np.ndarray, p: np.ndarray, pi0: np.ndarray, out):
 
 
 def _filter_rows(loge: np.ndarray, shift: np.ndarray, p: np.ndarray, pi0: np.ndarray,
-                 scan: _Scan):
-    """All prefix rows of the plain path, as an R = 1 stack, from the
-    emissions e = exp(loge - shift): the odd ones from _prefixes on _pairs,
-    prefix 0 = pi0∘e_0 and the even t >= 2 as (prefix_{t-1}·P)∘e_t."""
+                 scan: _Scan, us: np.ndarray, ug: np.ndarray):
+    """All prefix rows of the plain path, as an R = 1 stack written into
+    ``us`` and ``ug``, from the emissions e = exp(loge - shift): the odd ones
+    from _prefixes on _pairs, prefix 0 = pi0∘e_0 and the even t >= 2 as
+    (prefix_{t-1}·P)∘e_t."""
     m, n = loge.shape
     h = (n + 1) // 2
     # contiguous even and odd columns run the sums along time about twice as fast
     ev = np.exp(np.subtract(loge[:, 0::2], shift[0::2], out=scan.ev), out=scan.ev)
     od = np.exp(np.subtract(loge[:, 1::2], shift[1::2], out=scan.od), out=scan.od)
-    # column j of z and of its scale gx is even prefix 2j, before e_2j; z
-    # takes the odd columns' place once _pairs is done with them
+    # column j of z and of its scale gx is even prefix 2j, before e_2j
     z, gx = scan.z, scan.gz
     gx[0] = 0.0
     if n > 1:
-        ps, pg = _prefixes(*_pairs(ev, od, p, pi0, scan.levels[1].elements), _product,
-                           scan.levels[1:])
+        up = scan.levels[1]
+        ps, pg = _prefixes(*_pairs(ev, od, p, pi0, up.elements), _product, scan.levels[1:],
+                           up.prefix, up.prefix_scales)
         np.einsum("jn,jk->kn", ps[0, :, :h - 1], p, out=z[0, :, 1:])
         gx[1:] = pg[:h - 1]
     z[0, :, 0] = pi0
     z *= ev
-    us, ug = scan.levels[0].prefix, scan.levels[0].prefix_scales
     _rescaled(z, gx, ug[0::2], scan.final)
     us[..., 0::2] = z
     if n > 1:
@@ -529,6 +483,12 @@ def _follow(draw: _Draw, state: int) -> np.ndarray:
 # public operations
 
 
+def _check_emissions(logem: np.ndarray) -> None:
+    """ParameterError naming the first row of the (T, M) log emissions that
+    holds a NaN or +inf: such an entry is its row's max and fails the comparison."""
+    check_entries(np.less(logem.max(axis=1), np.inf), "log emissions must be finite or -inf", logem)
+
+
 def hamilton_filter(
     emission_logpdf: np.ndarray,
     t_len: int,
@@ -548,20 +508,23 @@ def hamilton_filter(
     workspace, valid until the next call with the same workspace.
 
     The unnormalised filter at t is pi0·diag(e_0)·P·diag(e_1)···P·diag(e_t),
-    with e_t the emission densities divided by their row maximum.  All T
-    prefixes come from one rescaled prefix scan (see the module docstring),
-    whose first level is formed from e and P with no (M, M, T) factor stack.
+    with e_t the emission densities divided by their row maximum.  The
+    prefixes of each chunk of at most _CHUNK steps come from one rescaled
+    prefix scan (see the module docstring), whose first level is formed from
+    e and P with no (M, M, n) factor stack; a later chunk starts from the
+    predicted row of the chunk before it.
     When no entry of P and pi0 is below 2^-150 the scan runs in linear scale,
     every row total is at least 2^-300 and what underflow drops is below
     2^-722 of its row; otherwise it runs in log space over the factors
     P·diag(e_t), where nothing underflows before the filtered rows are
     formed, and a filtered probability above the subnormal range carries a
     relative error of O(log2 T·(M + L)·ε), L the largest log-odds, in nats,
-    built up along its products.  Row t of ``probs`` is the normalised prefix
-    t, and ``loglik`` is the log scale of the last prefix plus the sum of the
-    row maxima.  A NaN or +inf log emission raises ParameterError naming the
-    first row that holds one.  Raises FilterDegeneracyError naming the first
-    t at which every state has zero predictive likelihood.
+    built up along its products, plus about L·ε per chunk border.  Row t of
+    ``probs`` is the normalised prefix t, and ``loglik`` is the sum over the
+    chunks of the log scale of the chunk's last prefix plus its row maxima.
+    A NaN or +inf log emission raises ParameterError naming the first row
+    that holds one.  Raises FilterDegeneracyError naming the first t at
+    which every state has zero predictive likelihood.
     """
     p = validate_transition_matrix(p)
     m = p.shape[0]
@@ -570,36 +533,50 @@ def hamilton_filter(
     if logem.shape != (t_len, m):
         raise ParameterError(f"emission array has shape {logem.shape}, expected {(t_len, m)}")
     pi0 = validate_initial_distribution(pi0, m)
-    scan = _workspace(work, t_len, m).scan()
+    work = _workspace(work, t_len, m)
     # the row maxima are taken along the time axis of the (M, T) layout, a
     # model's emission rows or a copy: logem.max(axis=1) reduces one length-M
     # row per time step
     loge = logem.T
-    if not loge.flags.c_contiguous:
-        np.copyto(scan.loge, loge)
-        loge = scan.loge
-    mx = np.maximum.reduce(loge, 0, out=scan.mx)
-    # a NaN or +inf entry is its row's max and fails the comparison
-    check_entries(np.less(mx, np.inf, out=scan.flags), "log emissions must be finite or -inf",
-                  logem)
-    top = mx.sum()
-    # an all -inf row stays -inf: nothing is subtracted from it, and its
-    # prefix is zero, so the filter fails below without reading ``top``
-    np.copyto(mx, 0.0, where=np.equal(mx, -np.inf, out=scan.flags))
+    copy = not loge.flags.c_contiguous
+    # the row-total bound of the module docstring; a later chunk's pi0 is a
+    # predicted row, each entry at least the smallest entry of P
+    plain = min(p.min(), pi0.min()) >= 2.0**-150
+    loglik = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the row-total bound of the module docstring
-        if min(p.min(), pi0.min()) >= 2.0**-150:
-            s, g = _filter_rows(loge, mx, p, pi0, scan)
-        else:
-            loge = np.subtract(loge, mx, out=scan.loge)
-            s, g = _prefixes(*_log_factors(p, loge, pi0), _log_product, scan.levels)
-            _rescaled(np.exp(s, out=s), g, g, scan.exact_final)
-    if not g.min() > -np.inf:
-        raise FilterDegeneracyError(
-            f"every state has zero likelihood at t={int(np.argmax(~(g > -np.inf)))}; "
-            "check emissions/parameters"
-        )
-    return FilteredProbs(probs=s[0].T, loglik=float(g[-1] + top))
+        for start, stop in _chunks(t_len):
+            scan = work.scan(stop - start)
+            chunk = loge[:, start:stop]
+            if copy:
+                chunk = scan.loge
+                np.copyto(chunk, loge[:, start:stop])
+            mx = np.maximum.reduce(chunk, 0, out=scan.mx)
+            # a NaN or +inf entry is its row's max and fails the comparison
+            if not mx.max() < np.inf:
+                _check_emissions(logem)
+            top = mx.sum()
+            # an all -inf row stays -inf: nothing is subtracted from it, and
+            # its prefix is zero, so the filter fails below without reading ``top``
+            np.copyto(mx, 0.0, where=np.equal(mx, -np.inf, out=scan.flags))
+            us, ug = work.rows[..., start:stop], work.g[start:stop]
+            if plain:
+                _filter_rows(chunk, mx, p, pi0, scan, us, ug)
+            else:
+                chunk = np.subtract(chunk, mx, out=scan.loge)
+                _prefixes(*_log_factors(p, chunk, pi0), _log_product, scan.levels, us, ug)
+                _rescaled(np.exp(us, out=us), ug, ug, scan.exact_final)
+            if not ug.min() > -np.inf:
+                # a bad emission anywhere in the series is named first
+                _check_emissions(logem)
+                t = start + int(np.argmax(~(ug > -np.inf)))
+                raise FilterDegeneracyError(
+                    f"every state has zero likelihood at t={t}; check emissions/parameters"
+                )
+            loglik += ug[-1] + top
+            # the next chunk starts from the predicted distribution
+            pi0 = us[0, :, -1] @ p
+            pi0 /= pi0.sum()
+    return FilteredProbs(probs=work.rows[0].T, loglik=float(loglik))
 
 
 def sample_state_path(
@@ -613,12 +590,13 @@ def sample_state_path(
     Each state is the inverse-CDF pick for one uniform (T of them, drawn in
     one call).  The pick is made for every (t, next state) pair at once, from
     a CDF over states summed by whole-row adds, giving the (M, T - 1) pick
-    maps.  The path follows them back from S_T by pointer doubling (see the
-    module docstring): the same lookups as a T-step loop, so the same path
-    and the same Generator state.  ``filt`` must hold at least one row of M
-    probabilities, M the size of ``p``, each finite and nonnegative, or
-    ParameterError naming the first bad row is raised before any uniform is
-    drawn.  ``work`` is the StateWorkspace for (T, M) that holds every
+    maps, one chunk of at most _CHUNK maps at a time from the last.  The path
+    follows each chunk's maps back from the state after it by pointer
+    doubling (see the module docstring): the same lookups as a T-step loop,
+    so the same path and the same Generator state.  ``filt`` must hold at
+    least one row of M probabilities, M the size of ``p``, each finite and
+    nonnegative, or ParameterError naming the first bad row is raised before
+    any uniform is drawn.  ``work`` is the StateWorkspace for (T, M) that holds every
     working array; a fresh one is built when it is None, and ParameterError
     naming both shapes is raised when it was built for another (T, M).
     Raises FilterDegeneracyError naming the largest t at which the path
@@ -634,7 +612,7 @@ def sample_state_path(
             f"for a transition matrix of shape {p.shape}"
         )
     t_len = probs.shape[0]
-    draw = _workspace(work, t_len, m).draw()
+    work = _workspace(work, t_len, m)
     # the filter's probs are a transposed view, so these rows are contiguous
     rows = probs[:-1].T
     last = probs[-1]
@@ -643,27 +621,37 @@ def sample_state_path(
             and rows.max(initial=0.0) < np.inf and last.max() < np.inf):
         check_entries((probs >= 0.0) & (probs < np.inf),
                       "filtered probabilities must be finite and nonnegative", probs)
-    uniforms = rng.random(out=draw.uniforms)
-    # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s], the sums of
-    # np.cumsum(axis=0) in the same order, one whole row at a time
-    cdf = np.multiply(rows[:, None, :], p[:, :, None], out=draw.cdf)
-    for i in range(1, m):
-        cdf[i] += cdf[i - 1]
-    total = cdf[-1]
-    # picks[s, t] is S_t given S_{t+1} = s; the last row, total itself, never
-    # lies below uniform * total, so it is left out of the count
-    below = np.less(cdf[:-1], np.multiply(uniforms[:-1], total, out=draw.thr), out=draw.below)
-    np.add.reduce(below, 0, dtype=draw.maps[0].dtype, out=draw.maps[0][:, :t_len - 1])
+    uniforms = rng.random(out=work.uniforms)
     last = np.cumsum(last)
-    path = _follow(draw, int((last < uniforms[-1] * last[-1]).sum()))
-    # a path can meet a zero total only where one exists
-    if not total.min(initial=np.inf) > 0.0:
-        zero = ~(total[path[1:], np.arange(t_len - 1)] > 0.0)
-        if zero.any():
-            raise FilterDegeneracyError(
-                f"backward sampling hit a zero-probability row at t={int(np.flatnonzero(zero)[-1])}"
-            )
-    return path + 1
+    state = int((last < uniforms[-1] * last[-1]).sum())
+    path = np.empty(t_len, np.intp)
+    # chunk by chunk from the last, each followed back from its successor's first state
+    for start, stop in reversed(_chunks(t_len)):
+        n = min(stop, t_len - 1) - start
+        draw = work.draw(n)
+        # cdf[i, s, t] = sum_{k <= i} filtered[t, k] * p[k, s], the sums of
+        # np.cumsum(axis=0) in the same order, one whole row at a time
+        cdf = np.multiply(rows[:, None, start:start + n], p[:, :, None], out=draw.cdf)
+        for i in range(1, m):
+            cdf[i] += cdf[i - 1]
+        total = cdf[-1]
+        # picks[s, t] is S_t given S_{t+1} = s; the last row, total itself,
+        # never lies below uniform * total, so it is left out of the count
+        below = np.less(cdf[:-1], np.multiply(uniforms[start:start + n], total, out=draw.thr),
+                        out=draw.below)
+        np.add.reduce(below, 0, dtype=draw.maps[0].dtype, out=draw.maps[0][:, :n])
+        states = _follow(draw, state)
+        # a path can meet a zero total only where one exists
+        if not total.min(initial=np.inf) > 0.0:
+            zero = ~(total[states[1:], np.arange(n)] > 0.0)
+            if zero.any():
+                raise FilterDegeneracyError(
+                    "backward sampling hit a zero-probability row at "
+                    f"t={start + int(np.flatnonzero(zero)[-1])}"
+                )
+        np.add(states, 1, out=path[start:start + n + 1])
+        state = int(states[0])
+    return path
 
 
 def count_transitions(path: np.ndarray, m: int) -> np.ndarray:
@@ -700,13 +688,15 @@ def default_dirichlet_rows(n_states: int, diag: float = 8.0) -> np.ndarray:
 def check_dirichlet_rows(rows, m: int | None = None) -> np.ndarray:
     """The transition prior's Dirichlet concentrations as an (M, M) float array.
 
-    M is ``m`` when given, else the number of rows.  ParameterError when M is
-    0, names the shape when it is not (M, M), else the first row with an
-    entry that is not finite and > 0; a NaN fails both comparisons.
+    M is ``m`` when given, which must be an integer >= 0, else the number of
+    rows.  ParameterError when M is 0, names the shape when it is not (M, M),
+    else the first row with an entry that is not finite and > 0; a NaN fails
+    both comparisons.
     """
     rows = np.asarray(rows, dtype=float)
     if m is None:
         m = rows.shape[0] if rows.ndim else 0
+    m = check_integer("m", m)
     if m < 1:
         raise ParameterError(f"a model needs at least one state, got {m}")
     if rows.shape != (m, m):

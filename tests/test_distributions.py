@@ -389,6 +389,17 @@ def test_convolved_count_rows_match_single_count():
             assert np.array_equal(rows.sum(axis=1), np.zeros(n_top))
 
 
+def test_convolved_logpdf_far_out_has_no_overflow():
+    # the Miller start squared m, which overflows for |d| above about 1e154;
+    # far out the density is the jump tail, about exp(-b|z|)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e150, 1e155, -1e155, 1e300):
+            assert jump_convolved_logpdf(z, 0.0, 1.0, 2, 40.0) == pytest.approx(-40.0 * abs(z))
+            rows = jump_convolved_logpdf_counts([z, 0.1], 0.0, 1.0, 3, 40.0)
+            assert np.all(np.isfinite(rows))
+
+
 def test_convolved_pdf_rejects_bad_params():
     with pytest.raises(ParameterError):
         jump_convolved_pdf(0.0, 0.0, 1.0, 0, 1.0)

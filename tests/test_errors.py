@@ -191,6 +191,9 @@ INTEGER_ENTRY_POINTS = {
     "default_u_ladder.n_states": (lambda x: default_u_ladder(x), "n_states", 1, None),
     "validate_initial_distribution.m": (
         lambda x: validate_initial_distribution(None, x), "m", 1, None),
+    # 2.0 with 2x2 rows and True with 1x1 rows were taken (see below); 0 is
+    # refused as a model without states
+    "check_dirichlet_rows.m": (lambda x: check_dirichlet_rows(np.ones((2, 2)), x), "m", 0, None),
     # j <= 0 wrapped to another state, j = M + 1 raised a bare IndexError
     "sample_mu_j.j": (
         lambda x: sample_mu_j(_Y, x, _jump_params(1.0), _jump_priors(1.0), _RNG, AdaptiveRw()),
@@ -253,6 +256,21 @@ def test_a_transition_matrix_without_states_is_refused():
         hamilton_filter(np.zeros((3, 0)), 3, np.zeros((0, 0)))
     with pytest.raises(ParameterError, match="^a model needs at least one state, got 0$"):
         validate_transition_matrix(np.zeros((0, 0)))
+
+
+def test_dirichlet_rows_take_only_an_integer_state_count():
+    # (2, 2) == (2.0, 2.0) and (1, 1) == (True, True), so these matched the rows
+    for m, shape in [(2.0, (2, 2)), (True, (1, 1))]:
+        with pytest.raises(ParameterError, match=f"^m must be an integer >= 0, got {m}$"):
+            check_dirichlet_rows(np.ones(shape), m)
+    with pytest.raises(ParameterError, match="^a model needs at least one state, got 0$"):
+        check_dirichlet_rows(np.ones((0, 0)), 0)
+
+
+def test_the_shared_start_refuses_an_empty_series():
+    # np.median of no observations ended in a "Mean of empty slice" RuntimeWarning
+    with pytest.raises(ParameterError, match="^quantile_start needs at least one observation"):
+        quantile_start(np.array([]), 2, 0.8)
 
 
 @pytest.mark.parametrize("diag", [-1.0, math.nan, 1.5])

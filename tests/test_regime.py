@@ -258,6 +258,27 @@ def _oracle_cases(m, t_len, rng):
 @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 300, 5000])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_filter_and_path_match_loop_oracles(m, t_len):
+    _match_loop_oracles(m, t_len)
+
+
+@pytest.fixture(params=[4, 8])
+def chunk(request, monkeypatch):
+    """The state step run in chunks of 4 or 8 steps instead of 2^14."""
+    monkeypatch.setattr(regime, "_CHUNK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 5, 8, 9, 16, 17, 33, 300])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_chunked_filter_and_path_match_loop_oracles(chunk, m, t_len):
+    # the exact path turns its rows into probabilities at every chunk border
+    # and back into logs in the next chunk, which moves a probability of
+    # 1e-200 by about 460·ε each time: the 75 borders at T = 300 stay within
+    # 1e-12, the 1250 at T = 5000 reach a few 1e-12
+    _match_loop_oracles(m, t_len)
+
+
+def _match_loop_oracles(m, t_len):
     rng = np.random.default_rng(1000 * m + t_len)
     for name, p, pi0, logem in _oracle_cases(m, t_len, rng):
         probs, loglik = _loop_filter(logem, p, pi0)
@@ -337,10 +358,11 @@ def _exact_path(logem, p, pi0):
     log space over the factors log P + log diag(e_t); every row maximum of
     logem must be finite."""
     mx = logem.max(axis=1)
-    scan = regime.StateWorkspace(*logem.shape).scan()
+    work = regime.StateWorkspace(*logem.shape)
+    scan = work.scan(logem.shape[0])
     with np.errstate(divide="ignore"):
         s, g = regime._prefixes(*regime._log_factors(p, logem.T - mx, pi0), regime._log_product,
-                                scan.levels)
+                                scan.levels, work.rows, work.g)
         s, g = regime._rescaled(np.exp(s), g, g, scan.exact_final)
     return s[0].T, float(g[-1] + mx.sum())
 
@@ -484,6 +506,16 @@ def _same_error(fn, oracle, error=FilterDegeneracyError):
 @pytest.mark.parametrize("t_len, bad_t", [(1, 0), (4, 2), (9, 0), (9, 8), (300, 171), (300, 299)])
 @pytest.mark.parametrize("bad", [-np.inf, np.nan, np.inf])
 def test_filter_degenerate_row_matches_oracle(t_len, bad_t, bad):
+    _degenerate_row_matches_oracle(t_len, bad_t, bad)
+
+
+@pytest.mark.parametrize("t_len, bad_t", [(9, 3), (9, 4), (9, 8), (17, 12), (33, 32)])
+@pytest.mark.parametrize("bad", [-np.inf, np.nan, np.inf])
+def test_chunked_filter_degenerate_row_names_the_series_t(chunk, t_len, bad_t, bad):
+    _degenerate_row_matches_oracle(t_len, bad_t, bad)
+
+
+def _degenerate_row_matches_oracle(t_len, bad_t, bad):
     rng = np.random.default_rng(t_len + bad_t)
     logem, p, pi0 = _random_instance(rng, t_len, 3)
     finite = logem[bad_t].copy()
@@ -536,6 +568,15 @@ def test_first_element_and_pairs_match_loop_oracle(t_len):
 
 @pytest.mark.parametrize("t_len, bad_t", [(9, 5), (300, 5), (300, 250)])
 def test_filter_zero_predictive_mass_matches_oracle(t_len, bad_t):
+    _zero_predictive_mass_matches_oracle(t_len, bad_t)
+
+
+@pytest.mark.parametrize("t_len, bad_t", [(9, 4), (9, 7), (17, 8), (33, 32)])
+def test_chunked_filter_zero_predictive_mass_names_the_series_t(chunk, t_len, bad_t):
+    _zero_predictive_mass_matches_oracle(t_len, bad_t)
+
+
+def _zero_predictive_mass_matches_oracle(t_len, bad_t):
     # S_t stays in state 1; its emission vanishes at bad_t while state 2's does not
     logem = np.zeros((t_len, 2))
     logem[bad_t, 0] = -np.inf
@@ -637,6 +678,80 @@ def test_row_sums_within_1e_9_are_accepted():
 
 
 # ---------------------------------------------------------------------------
+# chunks: the state step past _CHUNK steps, with _CHUNK lowered to 4 or 8
+
+
+def test_chunked_filter_and_path_law_match_enumeration(monkeypatch):
+    # chunks [0, 4), [4, 8) and [8, 9): the last chunk draws no pick map, and
+    # the pairs (S_3, S_4) and (S_7, S_8) straddle the borders
+    monkeypatch.setattr(regime, "_CHUNK", 4)
+    rng = np.random.default_rng(31)
+    t_len, m = 9, 2
+    logem, p, pi0 = _random_instance(rng, t_len, m, spread=1.0)
+    filt = hamilton_filter(logem, t_len, p, pi0)
+    exact = enumerate_path_posterior(logem, p, pi0)
+    np.testing.assert_allclose(filt.probs, enumerate_filtered_probs(logem, p, pi0), atol=1e-10)
+    assert filt.loglik == pytest.approx(exact.loglik, abs=1e-9)
+    n_draws = 50_000
+    pairs = np.zeros((t_len - 1, m, m))
+    steps = np.arange(t_len - 1)
+    for _ in range(n_draws):
+        path = sample_state_path(filt, p, rng) - 1
+        pairs[steps, path[:-1], path[1:]] += 1
+    paths = exact.paths - 1
+    expected = np.zeros_like(pairs)
+    for t in steps:
+        np.add.at(expected[t], (paths[:, t], paths[:, t + 1]), exact.probs)
+    se = np.sqrt(expected * (1 - expected) / n_draws)
+    assert np.all(np.abs(pairs / n_draws - expected) < 4 * se + 1e-6)
+
+
+def test_chunked_exact_path_runs_chunk_by_chunk(monkeypatch):
+    monkeypatch.setattr(regime, "_CHUNK", 8)
+    factor_calls = _counting_log_factors(monkeypatch)
+    rng = np.random.default_rng(3033)
+    for name, p, pi0, logem in _oracle_cases(3, 33, rng):
+        factor_calls.clear()
+        filt = hamilton_filter(logem, 33, p, pi0)
+        # an entry of P or pi0 below 2^-150 takes every chunk down the exact path
+        exact = min(p.min(), pi0.min()) < 2.0**-150
+        assert factor_calls == ([8, 8, 8, 8, 1] if exact else []), name
+        assert exact or name not in ("zeros", "absorbing", "identity", "subnormal"), name
+        probs, loglik = _loop_filter(logem, p, pi0)
+        shown = probs > 1e-200
+        np.testing.assert_allclose(filt.probs[shown], probs[shown], rtol=1e-12, atol=0,
+                                   err_msg=name)
+        assert filt.loglik == pytest.approx(loglik, rel=1e-12), name
+
+
+@pytest.mark.parametrize("zero_rows", [(3, 7), (3,), (4,), (4, 8), (8,)])
+def test_chunked_path_zero_probability_row_at_a_border_matches_loop(monkeypatch, zero_rows):
+    # chunks [0, 4), [4, 8) and [8, 10); S_T = 2 and P = I, so the path meets
+    # every row that puts no mass on state 2, and the loop the largest first
+    monkeypatch.setattr(regime, "_CHUNK", 4)
+    probs = np.full((10, 2), 0.5)
+    probs[list(zero_rows)] = [1.0, 0.0]
+    probs[-1] = [0.0, 1.0]
+    rng_loop, rng_new = np.random.default_rng(9), np.random.default_rng(9)
+    message = _same_error(lambda: sample_state_path(probs, np.eye(2), rng_new),
+                          lambda: _loop_path(probs, np.eye(2), rng_loop))
+    assert message.endswith(f"t={max(zero_rows)}")
+    assert rng_new.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_chunked_filter_names_a_bad_emission_past_a_dead_row(monkeypatch):
+    # the dead row at t = 1 ends the first chunk's filter, yet the NaN at
+    # t = 6, in the second chunk, is what the call names
+    monkeypatch.setattr(regime, "_CHUNK", 4)
+    p = np.full((2, 2), 0.5)
+    logem = np.zeros((10, 2))
+    logem[1] = -np.inf
+    logem[6, 0] = np.nan
+    with pytest.raises(ParameterError, match=r"row 6 is \["):
+        hamilton_filter(logem, 10, p)
+
+
+# ---------------------------------------------------------------------------
 # working memory: one StateWorkspace per (T, M), reused call after call
 
 
@@ -654,6 +769,17 @@ def _workspace_cases(rng, m, t_len):
 
 @pytest.mark.parametrize("m, t_len", [(1, 7), (2, 1), (3, 2), (3, 33), (4, 300), (4, 1281)])
 def test_a_reused_workspace_gives_what_fresh_calls_give(m, t_len):
+    _reused_matches_fresh(m, t_len)
+
+
+@pytest.mark.parametrize("m, t_len", [(1, 7), (2, 9), (3, 17), (3, 33), (4, 300)])
+def test_a_reused_chunked_workspace_gives_what_fresh_calls_give(chunk, m, t_len):
+    work = _reused_matches_fresh(m, t_len)
+    # one layout for the full chunks and one for a shorter last chunk
+    assert len(work._scans) <= 2 and len(work._draws) <= 2
+
+
+def _reused_matches_fresh(m, t_len):
     rng = np.random.default_rng(50 * m + t_len)
     work = regime.StateWorkspace(t_len, m)
     for p, pi0, logem in _workspace_cases(rng, m, t_len):
@@ -673,6 +799,7 @@ def test_a_reused_workspace_gives_what_fresh_calls_give(m, t_len):
         np.testing.assert_array_equal(reused.probs, probs)
         again = np.random.default_rng(seed)
         np.testing.assert_array_equal(sample_state_path(reused, p, again, work=work), path)
+    return work
 
 
 def test_the_model_writes_its_emissions_into_the_workspace():
@@ -718,22 +845,35 @@ def _transient_bytes(call):
         tracemalloc.stop()
 
 
+def _held_workspace(logem, p, pi0, rng):
+    """A workspace used by one filter and one path draw, their outputs
+    dropped, and the traced bytes it holds."""
+    tracemalloc.start()
+    try:
+        work = regime.StateWorkspace(*logem.shape)
+        sample_state_path(hamilton_filter(logem, logem.shape[0], p, pi0, work=work), p, rng,
+                          work=work)
+        return work, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_warm_workspace_leaves_filter_and_path_under_one_emission_matrix():
     # at T = 10^5 the filter and the path draw each allocated about 7 and 9
-    # times the emission matrix per call before they wrote into a workspace
+    # times the emission matrix per call before they wrote into a workspace;
+    # the workspace holds the series-long rows, 2.5 emission matrices, and
+    # the working arrays of a 2^14-step chunk and of the shorter last chunk
     t_len, m = 100_000, 4
     rng = np.random.default_rng(17)
     logem, p, pi0 = _random_instance(rng, t_len, m)
-    work = regime.StateWorkspace(t_len, m)
-    filt = hamilton_filter(logem, t_len, p, pi0, work=work)
-    sample_state_path(filt, p, rng, work=work)
+    work, held = _held_workspace(logem, p, pi0, rng)
     box = {}
     filter_bytes = _transient_bytes(
         lambda: box.update(filt=hamilton_filter(logem, t_len, p, pi0, work=work)))
     path_bytes = _transient_bytes(lambda: sample_state_path(box["filt"], p, rng, work=work))
     assert filter_bytes < logem.nbytes, filter_bytes / logem.nbytes
     assert path_bytes < logem.nbytes, path_bytes / logem.nbytes
-    assert work.buffer.nbytes <= 10 * logem.nbytes, work.buffer.nbytes / logem.nbytes
+    assert held <= 7 * logem.nbytes, held / logem.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,16 @@ def test_sweep_memory_prints_every_stage(model):
     lines = run.stdout.splitlines()
     assert lines[0].startswith(f"{model} T=300 M=4: 3 sweeps untraced, 3 traced")
     assert lines[1].split() == ["stage", "ms", "minflt", "peak/emission"]
-    stages = [line.split()[0] for line in lines[2:]]
+    stages = [line.split()[0] for line in lines[2:7]]
     assert stages == ["emission", "filter", "path", "rest", "sweep"]
-    for line in lines[2:]:
+    for line in lines[2:7]:
         ms, faults, peak = map(float, line.split()[1:])
         assert ms > 0 and faults >= 0 and peak >= 0, line
+    # the series-long rows alone are 2.5 emission matrices
+    assert len(lines) == 8
+    held, unit = lines[7].split(maxsplit=2)[1:]
+    assert lines[7].startswith("held") and unit == "emission matrices", lines[7]
+    assert float(held) >= 2.5, lines[7]
 
 
 def test_sweep_memory_refuses_bad_arguments():

@@ -11,6 +11,9 @@ untraced sweeps, and the median tracemalloc transient peak of the traced
 ones, as a multiple of the (T, M) emission matrix's bytes.  A stage's
 transient peak is its highest traced memory above what was traced when it
 began; the rest's is the highest over the stretches between the stages.
+A last line, ``held``, gives the bytes a chain's StateWorkspace keeps once
+built and used by one filter and one path draw on the chain's last
+emissions, measured by tracemalloc, in emission matrices.
 
 The series follows the benchmark's synthetic workloads: M = 4 states ordered
 by variance, each multiplier h* = 3, each state staying put with
@@ -35,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import regimevol as rv  # noqa: E402
-from regimevol import jump_model, stable_model  # noqa: E402
+from regimevol import jump_model, regime, stable_model  # noqa: E402
 
 M = 4
 STAGES = ("emission", "filter", "path", "rest", "sweep")
@@ -110,6 +113,24 @@ class _Meter:
         return measured
 
 
+def held_bytes(sampler, state) -> int:
+    """The traced bytes a StateWorkspace keeps after it is built, the
+    chain's emissions for ``state`` are written into it, and one filter and
+    one path draw run on them, their outputs dropped."""
+    logem = sampler.emission_matrix(state.params)
+    tracemalloc.start()
+    try:
+        work = regime.StateWorkspace(*logem.shape)
+        work.emission[...] = logem.T
+        filt = regime.hamilton_filter(work.emission.T, logem.shape[0], state.transition,
+                                      work=work)
+        regime.sample_state_path(filt, state.transition, np.random.default_rng(0), work=work)
+        del filt
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def run(model: str, t_len: int, sweeps: int) -> list[str]:
     sampler, state, rng = _chain(model, t_len)
     meter = _Meter()
@@ -146,6 +167,7 @@ def run(model: str, t_len: int, sweeps: int) -> list[str]:
         faults = statistics.median(row[stage][1] for row in untraced)
         peak = statistics.median(row[stage][2] for row in traced) / emission_bytes
         lines.append(f"{stage:<9} {ms:8.3f} {faults:7.1f} {peak:14.2f}")
+    lines.append(f"{'held':<9} {held_bytes(sampler, state) / emission_bytes:.2f} emission matrices")
     return lines
 
 
