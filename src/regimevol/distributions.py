@@ -307,15 +307,25 @@ def frechet_sample(params: FrechetParams, rng: np.random.Generator, size=None):
 # Gaussian helper
 
 
-def gaussian_logpdf(y, mu, var):
-    """Log density of N(mu, var) at y, elementwise; ParameterError unless var
-    (a scalar, or an ndarray checked entry by entry) is finite and > 0."""
+def gaussian_logpdf(y, mu, var, out=None):
+    """Log density of N(mu, var) at y, elementwise, written into ``out`` when
+    it is given and returned; ParameterError unless var (a scalar, or an
+    ndarray checked entry by entry) is finite and > 0.
+
+    Both samplers' Gaussian emission rows come from here: with mu and var of
+    shape (M, 1) and ``out`` the (M, T) rows, every row is written in place,
+    by the same operations in the same order as one row at a time."""
     if isinstance(var, np.ndarray) and var.ndim:
         check_entries((var > 0.0) & (var < np.inf), "variances must be finite and > 0", var)
     else:
         check_positive("variance", var)
-    y = np.asarray(y, dtype=float)
-    out = -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(mu), np.shape(var)))
+    np.subtract(y, mu, out=out)
+    np.square(out, out=out)
+    out /= var
+    np.add(np.log(2.0 * np.pi * var), out, out=out)
+    out *= -0.5
     return out if out.ndim else float(out)
 
 

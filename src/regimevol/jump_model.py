@@ -13,9 +13,11 @@ with the derived variances of all higher states moving along; that is the
 scheme the model defines.
 
 One function, ``_state_loglik``, decides whether a state is Gaussian: with
-N_j = 0 it is, and the emission column is Gaussian while the mean and the
-base variance take their conjugate draws; otherwise every one of them, and
-the MH targets, evaluate the Normal (x) jump-sum convolution.  The h*_j
+N_j = 0 it is, and the mean and the base variance take their conjugate
+draws; otherwise they, and the MH targets, evaluate the Normal (x) jump-sum
+convolution.  The emission matrix writes all M rows as Gaussian with one
+``gaussian_logpdf`` call, the stable model's, and then overwrites with the
+convolution only the rows of the states that carry jumps.  The h*_j
 update is ``mcmc.h_star_step``, the one the stable model uses, handed the
 same decision.  The jump-count weights take every count's convolution from
 one ``jump_convolved_logpdf_counts`` pass, whose rows agree with the
@@ -393,17 +395,40 @@ def sample_theta_j(
     The regularised gamma inverted is the lower one when lo < N_j + 1 and the
     upper one otherwise, so that neither end's tail mass rounds to 1.  The
     draw is clamped into (lo, hi], which keeps the rates ordered across states.
+    When the interval's mass is not a normal float (a count far above hi,
+    which a fit's enumeration never reaches) the inverse would return 0, and
+    the draw is taken by rejection instead (``_theta_by_rejection``).
     """
     lo, hi = priors.theta_interval(j)
     a = params.n_jumps[j - 1] + 1.0
-    u = rng.random()
     if lo < a:
-        p_lo = gammainc(a, lo)
-        theta = gammaincinv(a, p_lo + u * (gammainc(a, hi) - p_lo))
+        p_lo, p_hi, inverse = gammainc(a, lo), gammainc(a, hi), gammaincinv
     else:
-        q_hi = gammaincc(a, hi)
-        theta = gammainccinv(a, q_hi + u * (gammaincc(a, lo) - q_hi))
+        p_lo, p_hi, inverse = gammaincc(a, hi), gammaincc(a, lo), gammainccinv
+    if not p_hi - p_lo >= np.finfo(float).tiny:
+        return _theta_by_rejection(a, lo, hi, rng)
+    theta = inverse(a, p_lo + rng.random() * (p_hi - p_lo))
     return min(max(float(theta), math.nextafter(lo, hi)), hi)
+
+
+def _theta_by_rejection(a: float, lo: float, hi: float, rng: np.random.Generator) -> float:
+    """Exact draw from t^(a-1) e^(-t) on (lo, hi], a >= 1, by rejection from
+    the exponential tangent to its log at hi.
+
+    The log density is concave, so the tangent lies above it, and a
+    proposal t is accepted with probability exp(-(a - 1)(r - 1 - log r)),
+    r = t / hi.  Far below the mode, where this draw is used, the tangent's
+    rate (a - 1)/hi - 1 is large and nearly every proposal is accepted; it
+    is 0 only at hi = a - 1, the mode, where the interval's mass is normal.
+    """
+    rate, span = (a - 1.0) / hi - 1.0, hi - lo
+    while True:
+        v = rng.random()
+        # hi - t is exponential with this rate, truncated to [0, span)
+        t = hi + math.log1p(v * math.expm1(-rate * span)) / rate
+        r = t / hi
+        if lo < t and rng.random() < math.exp(-(a - 1.0) * (r - 1.0 - math.log(r))):
+            return t
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +451,12 @@ class JumpGibbsSampler(GibbsSampler):
         return table
 
     def emission_matrix(self, params: JumpParams) -> np.ndarray:
-        logem = self.work.emission.T
         var = params.sigma_sq
+        rows = gaussian_logpdf(self.data, params.mu[:, None], var[:, None], out=self.work.emission)
         for j in range(1, self.n_states + 1):
-            loglik = _state_loglik(params, j) or gaussian_logpdf
-            logem[:, j - 1] = loglik(self.data, params.mu[j - 1], var[j - 1])
-        return logem
+            if (loglik := _state_loglik(params, j)) is not None:
+                rows[j - 1] = loglik(self.data, params.mu[j - 1], var[j - 1])
+        return rows.T
 
     def update(self, params: JumpParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"

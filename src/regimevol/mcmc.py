@@ -238,6 +238,8 @@ class GibbsSampler:
       deviation.
     - ``emission_matrix(params)``: the (T, M) log emission densities,
       written into ``self.work.emission`` and returned as its transpose.
+      Both models write their Gaussian rows with one
+      ``distributions.gaussian_logpdf`` call over all M states.
     - ``update(params, transition, rng)``: the state step (filter from the
       uniform initial law, path, counts, transition matrix), each of the
       filter and the path draw handed ``work=self.work``, then the
@@ -258,7 +260,7 @@ class GibbsSampler:
     (T, M): the emission rows, the filtered rows and the working arrays of
     the filter and the path draw, reused by every sweep, so that a long
     series does not allocate and free them every sweep.  It holds about 2.8
-    emission matrices at T = 10^6, 5.8 at T = 10^5 and 21 at T <= 2^14.  The
+    emission matrices at T = 10^6, 5.6 at T = 10^5 and 19.5 at T <= 2^14.  The
     filtered probabilities ``update`` returns live in it until the next
     sweep's filter, which is why the sweep adds them into the accumulator
     before it returns.
@@ -303,7 +305,6 @@ class GibbsSampler:
         self.stage: str | None = None
         self._sweeps = 0
         self._filtered_sum = np.zeros((self.data.size, m))
-        self._filtered_draws = 0
 
     def adaptive_params(self) -> list[tuple[str, str]]:
         raise NotImplementedError
@@ -329,7 +330,6 @@ class GibbsSampler:
         self._sweeps += 1
         if not adapting:
             self._filtered_sum += filt.probs
-            self._filtered_draws += 1
         return ModelState(path=path.astype(np.int16), transition=transition, params=params)
 
     def acceptance(self) -> dict[str, tuple[int, int]]:
@@ -337,10 +337,12 @@ class GibbsSampler:
 
     @property
     def mean_filtered_probs(self) -> np.ndarray:
-        """Filtered state probabilities averaged over post-adaptation sweeps."""
-        if self._filtered_draws == 0:
+        """Filtered state probabilities averaged over the sweeps after the
+        first ``adapt_iters``; ParameterError before there is one."""
+        draws = self._sweeps - self.adapt_iters
+        if draws <= 0:
             raise ParameterError("no post-burn-in sweeps have run yet")
-        return self._filtered_sum / self._filtered_draws
+        return self._filtered_sum / draws
 
 
 def quantile_start(
@@ -354,7 +356,8 @@ def quantile_start(
     ``diag``, in [0, 1], on its diagonal and spreads the rest of each row
     evenly.  Returns (path, base variance, multipliers, transition matrix).
     ParameterError unless n_states is an integer >= 1, diag lies in [0, 1]
-    and every observation is finite.
+    and every observation is finite, and for a series whose values are all
+    equal, which has no spread to seed a variance from.
     """
     data = np.asarray(data, dtype=float)
     m = check_integer("n_states", n_states, 1)
@@ -363,6 +366,9 @@ def quantile_start(
     if data.size == 0:
         raise ParameterError("quantile_start needs at least one observation, got an empty series")
     check_entries(np.isfinite(data), "observations must be finite", data)
+    if data.min() == data.max():
+        raise ParameterError(f"quantile_start needs a series that varies, got all "
+                             f"{data.size} values equal to {data[0]}")
     t_len = data.size
     dev = np.abs(data - np.median(data))
     ranks = np.argsort(np.argsort(dev))

@@ -90,14 +90,18 @@ draw: 2.5 times the (T, M) emission matrix at M = 4.  Beside them it keeps
 one layout of working arrays per role (the filter's scan, the draw's CDF
 and pick maps) and chunk length, each array its own, built on first use:
 at most two layouts per role, for the full chunks and a shorter last one.
-At M = 4 the two roles' arrays for a chunk of n steps take about 18 times
-an (n, M) emission matrix, so a workspace holds about 21 emission matrices
-at T <= 2^14, 5.8 at T = 10^5 and 2.8 at T = 10^6; a warm workspace leaves
-each call under one emission matrix of allocation.  The filtered
-probabilities a filter call returns are a (T, M) view of the filtered
-rows: they live in the workspace until the next filter call with the same
-workspace.  Every operation keeps its order, so the numbers are those of a
-fresh workspace.
+It keeps only what a sampler's sweep writes: emissions that are not the
+transpose of C-contiguous rows are copied chunk by chunk into a fresh
+array, and the exact path allocates its shifted logs and its final
+rescaling scratch itself, as it does its (M, M, n) factors.
+At M = 4 the two roles' arrays for a chunk of n steps take about 16.5
+times an (n, M) emission matrix, so a workspace holds about 19.5 emission
+matrices at T <= 2^14, 5.6 at T = 10^5 and 2.8 at T = 10^6; a warm
+workspace leaves each call under one emission matrix of allocation.  The
+filtered probabilities a filter call returns are a (T, M) view of the
+filtered rows: they live in the workspace until the next filter call with
+the same workspace.  Every operation keeps its order, so the numbers are
+those of a fresh workspace.
 """
 
 from __future__ import annotations
@@ -208,24 +212,25 @@ class _Level(NamedTuple):
 
 
 class _Scan:
-    """The filter's working arrays for a chunk of n steps: the even and odd
-    emission columns, the even prefix rows, a copy of the emission rows, the
-    row maxima and a flag per step, the scan levels and the rescaling
-    scratch.  Level j holds N_j = n // 2^j elements, the products of level
-    j - 1 (j >= 1), and their prefix rows."""
+    """The plain path's working arrays for a chunk of n steps: the even and
+    odd emission columns, the even prefix rows, the row maxima and a flag per
+    step, the scan levels and the rescaling scratch.  Level j holds
+    N_j = n // 2^j elements, the products of level j - 1 (j >= 1), and their
+    prefix rows.  The exact path uses the levels too, and allocates its
+    shifted logs and its final rescaling scratch itself."""
 
     def __init__(self, n: int, m: int) -> None:
         h = (n + 1) // 2
         self.ev, self.od = np.empty((m, h)), np.empty((m, n // 2))
         self.z, self.gz = np.empty((1, m, h)), np.empty(h)
-        self.loge, self.mx, self.flags = np.empty((m, n)), np.empty(n), np.empty(n, bool)
+        self.mx, self.flags = np.empty(n), np.empty(n, bool)
         self.levels = [_Level(None, None, None, _scratch(1, (n - 1) // 2))]
         k = n // 2
         while k:
             self.levels.append(_Level((np.empty((m, m, k)), np.empty(k), _scratch(m, k)),
                                       np.empty((1, m, k)), np.empty(k), _scratch(1, (k - 1) // 2)))
             k //= 2
-        self.final, self.exact_final = _scratch(1, h), _scratch(1, n)
+        self.final = _scratch(1, h)
 
 
 class _Draw:
@@ -261,7 +266,8 @@ class StateWorkspace:
     rows, the filtered rows and their log scales ``g`` and the T uniforms of
     a path draw, 2.5 times the (T, M) emission matrix at M = 4, it keeps the
     filter's and the draw's arrays for a chunk of at most _CHUNK steps, each
-    built on first use (see the module docstring).
+    built on first use, only those a sampler's sweep writes: about 19.5
+    emission matrices in all at T <= 2^14 (see the module docstring).
     """
 
     def __init__(self, t_len: int, m: int) -> None:
@@ -459,8 +465,12 @@ def _follow(draw: _Draw, state: int) -> np.ndarray:
     # which cost about 3/4 of np.take_along_axis or two-array indexing;
     # mode="clip" writes straight into ``out`` (every index is in range)
     for f, composed, index in zip(maps, maps[1:], draw.compose):
-        np.multiply(f[:, 1::2], f.shape[1], out=index, dtype=np.intp)
-        index += cols[0:f.shape[1]:2]
+        # a cast or a broadcast inside a ufunc takes a buffer the size of a
+        # row, so the copy casts, and the even column numbers go row by row
+        np.copyto(index, f[:, 1::2])
+        index *= f.shape[1]
+        for row in index:
+            row += cols[0:f.shape[1]:2]
         np.take(f, index, out=composed, mode="clip")
     coarse = maps[-1].tolist()
     states = [state] * (maps[-1].shape[1] + 1)
@@ -546,10 +556,7 @@ def hamilton_filter(
     with np.errstate(divide="ignore", invalid="ignore"):
         for start, stop in _chunks(t_len):
             scan = work.scan(stop - start)
-            chunk = loge[:, start:stop]
-            if copy:
-                chunk = scan.loge
-                np.copyto(chunk, loge[:, start:stop])
+            chunk = loge[:, start:stop].copy() if copy else loge[:, start:stop]
             mx = np.maximum.reduce(chunk, 0, out=scan.mx)
             # a NaN or +inf entry is its row's max and fails the comparison
             if not mx.max() < np.inf:
@@ -562,9 +569,8 @@ def hamilton_filter(
             if plain:
                 _filter_rows(chunk, mx, p, pi0, scan, us, ug)
             else:
-                chunk = np.subtract(chunk, mx, out=scan.loge)
-                _prefixes(*_log_factors(p, chunk, pi0), _log_product, scan.levels, us, ug)
-                _rescaled(np.exp(us, out=us), ug, ug, scan.exact_final)
+                _prefixes(*_log_factors(p, chunk - mx, pi0), _log_product, scan.levels, us, ug)
+                _rescaled(np.exp(us, out=us), ug, ug, _scratch(1, stop - start))
             if not ug.min() > -np.inf:
                 # a bad emission anywhere in the series is named first
                 _check_emissions(logem)

@@ -23,6 +23,7 @@ from .distributions import (
     FrechetParams,
     InvGammaParams,
     check_alpha,
+    gaussian_logpdf,
     positive_stable_logpdf,
 )
 from .errors import check_integer, check_positive, check_vector
@@ -217,15 +218,8 @@ class StableGibbsSampler(GibbsSampler):
         ]
 
     def emission_matrix(self, params: StableModelParams) -> np.ndarray:
-        # gaussian_logpdf's operations in its order, written into the
-        # workspace's (M, T) emission rows
         var = (params.lam * params.gamma_sq)[:, None]
-        e = np.subtract(self.data, params.mu[:, None], out=self.work.emission)
-        np.square(e, out=e)
-        e /= var
-        np.add(np.log(2.0 * np.pi * var), e, out=e)
-        e *= -0.5
-        return e.T
+        return gaussian_logpdf(self.data, params.mu[:, None], var, out=self.work.emission).T
 
     def update(self, params: StableModelParams, transition: np.ndarray, rng: np.random.Generator):
         self.stage = "state_path"

@@ -20,6 +20,7 @@ from regimevol.distributions import (
     _log_k_rows,
     frechet_logpdf,
     frechet_sample,
+    gaussian_logpdf,
     inv_gamma_sample,
     jump_convolved_logpdf_counts,
     positive_stable_sample,
@@ -262,6 +263,34 @@ def test_frechet_sample_matches_cdf():
     assert np.all(draws > 1.0)
     cdf = lambda h: np.exp(-(((h - 1.0) / 0.5) ** -2.0))
     assert kstest(draws, cdf).pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# Gaussian
+
+
+@pytest.mark.parametrize("shape", ["scalar", "series", "rows"])
+def test_gaussian_logpdf_writes_the_same_bits_into_out(shape):
+    rng = np.random.default_rng(24)
+    y = rng.normal(0.0, 0.3, 50)
+    mu, var = {
+        "scalar": (0.1, 0.04),
+        "series": (0.1, 0.04),
+        "rows": (rng.normal(0.0, 0.1, (4, 1)), rng.uniform(0.01, 0.5, (4, 1))),
+    }[shape]
+    y = y[0] if shape == "scalar" else y
+    fresh = gaussian_logpdf(y, mu, var)
+    expected = -0.5 * (np.log(2.0 * np.pi * var) + (y - mu) ** 2 / var)
+    assert np.array_equal(fresh, expected)
+    if shape == "scalar":
+        assert type(fresh) is float
+        return
+    out = np.full(np.shape(fresh), np.nan)
+    assert gaussian_logpdf(y, mu, var, out=out) is out
+    assert np.array_equal(out, fresh)
+    if shape == "rows":
+        for j in range(4):
+            assert np.array_equal(out[j], gaussian_logpdf(y, float(mu[j, 0]), float(var[j, 0])))
 
 
 # ---------------------------------------------------------------------------

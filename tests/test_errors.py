@@ -273,6 +273,19 @@ def test_the_shared_start_refuses_an_empty_series():
         quantile_start(np.array([]), 2, 0.8)
 
 
+def test_the_shared_start_refuses_a_constant_series():
+    # every bucket variance was 0, so the multipliers were 0 / 0: a numpy
+    # RuntimeWarning and NaN, then "gamma1_sq must be finite and > 0, got 0.0"
+    message = "^quantile_start needs a series that varies, got all 5 values equal to 0.0$"
+    with pytest.raises(ParameterError, match=message):
+        quantile_start(np.zeros(5), 3, 0.8)
+    returns = np.zeros(50)
+    priors = regimevol.build_stable_priors(
+        regimevol.load_config(model="stable", seed=0, states=3, sigma_rate=1e-4), returns)
+    with pytest.raises(ParameterError, match="^quantile_start needs a series that varies"):
+        regimevol.initial_stable_state(returns, priors)
+
+
 @pytest.mark.parametrize("diag", [-1.0, math.nan, 1.5])
 def test_the_shared_start_refuses_a_diagonal_outside_0_to_1(diag):
     # diag = -1 built [[-1, 2], [2, -1]] and NaN a NaN matrix, refused only

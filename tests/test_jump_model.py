@@ -573,6 +573,17 @@ def test_theta_draw_at_extreme_uniforms_stays_in_interval(j, n_j, u):
     assert lo < sample_theta_j(j, p, priors, _FixedUniform(u)) <= hi
 
 
+@pytest.mark.parametrize("n_j", [150, 200])
+def test_theta_draw_far_below_the_mode_matches_truncated_gamma(n_j):
+    # the Gamma(n_j + 1) mass of (0, 0.5] is subnormal (4e-311 at 150) or 0,
+    # where inverting the CDF returned 0 on every draw
+    p, priors = _theta_case(1, n_j)
+    rng = np.random.default_rng(20 + n_j)
+    draws = np.array([sample_theta_j(1, p, priors, rng) for _ in range(5000)])
+    assert np.all((draws > 0.0) & (draws <= 0.5))
+    assert kstest(draws, _truncated_gamma_cdf(n_j, 0.0, 0.5)).pvalue > 0.01
+
+
 def test_theta_target_matches_grid_oracle_shape():
     # normalized target == grid_posterior(prior x Poisson likelihood), and the
     # exact draws match that grid oracle

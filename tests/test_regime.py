@@ -363,7 +363,7 @@ def _exact_path(logem, p, pi0):
     with np.errstate(divide="ignore"):
         s, g = regime._prefixes(*regime._log_factors(p, logem.T - mx, pi0), regime._log_product,
                                 scan.levels, work.rows, work.g)
-        s, g = regime._rescaled(np.exp(s), g, g, scan.exact_final)
+        s, g = regime._rescaled(np.exp(s), g, g, regime._scratch(1, logem.shape[0]))
     return s[0].T, float(g[-1] + mx.sum())
 
 

@@ -34,6 +34,7 @@ from regimevol import (
     simulate_stable_model,
 )
 from regimevol import jump_model, stable_model
+from regimevol.distributions import gaussian_logpdf, jump_convolved_logpdf
 from regimevol.mcmc import AdaptiveRw
 from regimevol.regime import default_dirichlet_rows
 
@@ -596,6 +597,33 @@ def test_sampler_rejects_non_finite_observations(sampler_cls, case, bad):
             sampler_cls(data, priors)
     assert type(info.value) is ParameterError
     assert caught == []
+
+
+def test_emission_rows_are_the_per_state_densities_bit_for_bit():
+    # the Gaussian rows come from one gaussian_logpdf call over all states,
+    # and only the states with jumps are overwritten by the convolution
+    rng = np.random.default_rng(301)
+    data = rng.normal(0.0, 0.05, 120)
+    mu = np.array([0.01, -0.02, 0.0, 0.03])
+    jump = JumpParams(mu=mu, sigma1_sq=1e-3, h_star=[2.0, 3.0, 1.5],
+                      theta=[0.2, 0.8, 1.5, 3.0], n_jumps=[0, 0, 2, 3], b=40.0)
+    jump_priors = JumpPriors(k=1.0, sigma_prior=InvGammaParams(2.0, 0.5),
+                             frechet=FrechetParams(2.0, 0.5), u=np.array([0.5, 1.0, 2.0, 4.0]),
+                             dirichlet_rows=default_dirichlet_rows(4))
+    logem = JumpGibbsSampler(data, jump_priors).emission_matrix(jump)
+    for j, (n, var) in enumerate(zip(jump.n_jumps, jump.sigma_sq)):
+        expected = (gaussian_logpdf(data, mu[j], var) if n == 0
+                    else jump_convolved_logpdf(data, mu[j], np.sqrt(var), int(n), 40.0))
+        assert np.array_equal(logem[:, j], expected), j
+
+    stable = StableModelParams(mu=mu, gamma1_sq=1e-3, h_star=[2.0, 3.0, 1.5], lam=0.7,
+                               alpha=1.7)
+    stable_priors = StablePriors(k=1.0, scale_prior=InvGammaParams(2.0, 0.5),
+                                 frechet=FrechetParams(2.0, 0.5),
+                                 dirichlet_rows=default_dirichlet_rows(4))
+    logem = StableGibbsSampler(data, stable_priors).emission_matrix(stable)
+    for j, var in enumerate(stable.lam * stable.gamma_sq):
+        assert np.array_equal(logem[:, j], gaussian_logpdf(data, mu[j], var)), j
 
 
 def _constant_price_returns(tmp_path):
